@@ -69,7 +69,6 @@ class NetConfig:
     cert_doublings: int = 0
     cert_grade: int = 8
     grid_check: int = 0
-    jobs: int = 1
 
     @classmethod
     def for_dim(cls, dim):
@@ -108,8 +107,8 @@ class BuildReport:
 def plan_assembly(interp, epsilon, cl1=None):
     """Tolerance split for compiling ``interp`` to accuracy ``epsilon``.
 
-    ``cl1`` overrides the coefficient mass (used by the vector build,
-    which must cover the worst row)."""
+    ``cl1`` overrides the coefficient mass (a multi-row compile must cover
+    the worst row)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     d = interp.dim
@@ -172,16 +171,28 @@ def _tiled_tuple_stage(pi, sel, cols_in):
     return NeuralNetwork(cols_in, layers)
 
 
-def _coeff_row_net(vvec, T):
-    nz = np.nonzero(vvec)[0]
-    return NeuralNetwork(T, [Layer(1, T, np.zeros(len(nz), dtype=np.int64),
-                                   nz, vvec[nz], np.zeros(1))])
+def build_phi_eps_c(interp, epsilon, rows=None):
+    """Compile interpolants into a d-input network whose output row i tracks
+    sum_t c_t prod_j v_{i_j}(x_j) within epsilon, c the coefficients of
+    ``rows[i]`` (default ``[interp]``).
 
+    Every row shares ``interp``'s mesh and degree: the basis and product
+    stages are built once, and each row only adds its coefficient row.  The
+    tolerance split covers the largest coefficient mass.
+    """
+    rows = [interp] if rows is None else rows
+    d, N, ax = interp.dim, interp.N1d, interp.mesh.axes[0]
+    for r in rows:
+        if (r.dim, r.p) != (d, interp.p) or not (
+                np.array_equal(r.mesh.axes[0].nodes, ax.nodes)
+                and np.array_equal(r.mesh.axes[0].singular, ax.singular)):
+            raise ValueError("every row must share interp's mesh and degree")
+    plan = plan_assembly(interp, epsilon, cl1=max(r.coeff_l1() for r in rows))
+    check = (plan.epsilon1 * d * (plan.c_v_max + 1.0) ** d * plan.c_l1
+             + plan.epsilon2 * (math.sqrt(d) + 1.0)
+             * (plan.c_v_max + 1.0) * plan.c_l1)
+    assert check <= epsilon + 1e-15, (check, epsilon)
 
-def _build_phi_eps(interp, plan):
-    """Shared part of the compilation: basis stage, product stage, checks.
-    Returns (phi_eps, structure dict, parts for the cellwise evaluator)."""
-    d, N = interp.dim, interp.N1d
     for bf in interp.basis:
         vmax, _ = bf.sup_bounds()
         if vmax > 1.0 + 1e-9:
@@ -190,59 +201,28 @@ def _build_phi_eps(interp, plan):
     sup_slack = max(n.meta["measured_sup"] for n in nets)
     if 1.0 + sup_slack > plan.M_times:
         raise AssertionError("basis outputs leave the product box")
-    axis_net = parallel(depth_align(nets))
-    phi_basis = full_parallel([axis_net] * d)
-
-    budget = ToleranceBudget(epsilon=plan.epsilon2, M=plan.M_times)
-    pi = product_net(d, budget)
+    phi_basis = full_parallel([parallel(depth_align(nets))] * d)
+    pi = product_net(d, ToleranceBudget(epsilon=plan.epsilon2, M=plan.M_times))
     T = N ** d
     p_all = _tiled_tuple_stage(pi, _tuple_selectors(N, d, T), d * N)
-    phi_eps = concat(p_all, phi_basis)
 
-    structure = {
-        "tuples": T,
-        "selector_nnz": d,
-        "levels": pi.meta["levels"],
-        "depth_basis": phi_basis.depth,
-        "depth_product": pi.depth,
-        "size_basis": phi_basis.size,
-        "size_product": pi.size,
-        "basis_sup_slack": sup_slack,
-    }
-    return phi_eps, structure, {"nets": nets, "pi": pi}
+    vmat = np.stack([r.vvec() for r in rows])
+    ridx, cidx = np.nonzero(vmat)
+    head = NeuralNetwork(T, [Layer(len(rows), T, ridx, cidx, vmat[ridx, cidx],
+                                   np.zeros(len(rows)))])
+    net = concat(head, concat(p_all, phi_basis))
 
-
-def _structural_asserts(net, phi_structure, n_rows_nnz):
-    d_basis = phi_structure["depth_basis"]
-    d_prod = phi_structure["depth_product"]
-    # one layer for the selectors, one for the coefficient row
-    assert net.depth == d_basis + d_prod + 2, (net.depth, d_basis, d_prod)
-    T = phi_structure["tuples"]
-    pi_size = phi_structure["size_product"]
-    bound = 2 * n_rows_nnz + 2 * (
-        2 * T * (pi_size + phi_structure["selector_nnz"])
-        + 2 * phi_structure["size_basis"])
+    # one layer for the selectors, one for the coefficient rows
+    assert net.depth == phi_basis.depth + pi.depth + 2, (net.depth, phi_basis.depth, pi.depth)
+    bound = 2 * head.size + 2 * (2 * T * (pi.size + d) + 2 * phi_basis.size)
     assert net.size <= bound, (net.size, bound)
-    net.meta["size_bound"] = bound
-
-
-def build_phi_eps_c(interp, epsilon):
-    """Compile one interpolant into a d-input scalar network whose
-    realization tracks sum_t c_t prod_j v_{i_j}(x_j) within epsilon."""
-    plan = plan_assembly(interp, epsilon)
-    check = (plan.epsilon1 * interp.dim * (plan.c_v_max + 1.0) ** interp.dim
-             * plan.c_l1
-             + plan.epsilon2 * (math.sqrt(interp.dim) + 1.0)
-             * (plan.c_v_max + 1.0) * plan.c_l1)
-    assert check <= epsilon + 1e-15, (check, epsilon)
-    phi_eps, structure, parts = _build_phi_eps(interp, plan)
-    vvec = interp.vvec()
-    row = _coeff_row_net(vvec, len(vvec))
-    net = concat(row, phi_eps)
-    _structural_asserts(net, structure, row.size)
-    parts.update(interp=interp, vmat=vvec[None, :])
-    net.meta.update(kind="hp_compiled", dim=interp.dim, N1d=interp.N1d,
-                    plan=plan, compiled_parts=parts, **structure)
+    net.meta.update(
+        kind="hp_compiled", dim=d, N1d=N, plan=plan, size_bound=bound,
+        compiled_parts={"nets": nets, "pi": pi, "interp": interp, "vmat": vmat},
+        tuples=T, selector_nnz=d, levels=pi.meta["levels"],
+        depth_basis=phi_basis.depth, depth_product=pi.depth,
+        size_basis=phi_basis.size, size_product=pi.size,
+        basis_sup_slack=sup_slack)
     return net
 
 
@@ -438,14 +418,14 @@ def compiled_field(net, row=0):
 
 
 def _linf_grid_check(net, interp, plan, npts):
-    """Realization stays inside the structural L-infinity envelope."""
+    """Every output row stays inside the structural L-infinity envelope."""
     d = interp.dim
     lo = interp.mesh.axes[0].lo + 1e-9
     hi = interp.mesh.axes[0].hi - 1e-9
     axis = np.linspace(lo, hi, npts)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    vals = realize_batch(net, pts)[:, 0]
+    vals = realize_batch(net, pts)
     bound = (2.0 ** d + 1.0) * max(plan.c_l1, 1e-30) * 1.05
     peak = float(np.max(np.abs(vals)))
     assert peak <= bound, (peak, bound)
@@ -466,114 +446,63 @@ def _p_for(ell, cfg):
     return max(1, math.ceil(cfg.c_p * max(ell, 1)))
 
 
-def build_phi_eps_f(u, dim, epsilon, config=None):
-    """Calibrate (ell, p), compile, and certify one catalog function.
-
-    Grows ell until the measured hp H1 error drops below epsilon/2, then
-    compiles the interpolant with the remaining budget.  The reported H1
-    number is a certified upper bound by the triangle inequality: the
-    Richardson-settled hp measurement plus a direct measurement of the
-    compile error (network vs interpolant).  The compile term is orders of
-    magnitude below its epsilon/2 budget in practice, so the bound is
-    tight; ``certified`` additionally demands it stays below epsilon/4 so
-    its coarser quadrature cannot threaten the total.
-    """
-    cfg = config or NetConfig.for_dim(dim)
-    t0 = time.perf_counter()
-    best = (math.inf, None, None)
-    interp = None
-    for ell in range(cfg.ell_max + 1):
-        p = _p_for(ell, cfg)
-        cand = _interpolate(u, dim, ell, p, cfg)
-        rep = h1_error(u, cand, quad_cells(cand, cfg.cert_grade), q=cfg.q_cal,
-                       n_q=cfg.nq_cal, max_doublings=cfg.cal_doublings)
-        if rep.h1_error < best[0]:
-            best = (rep.h1_error, ell, p)
-        if rep.h1_error <= 0.5 * epsilon:
-            interp = cand
-            hp_rep = rep
-            break
-    else:
-        raise RuntimeError(
-            f"calibration failed: best hp H1 error {best[0]:.3e} at "
-            f"ell={best[1]}, p={best[2]} (cap ell_max={cfg.ell_max})")
-    net = build_phi_eps_c(interp, 0.5 * epsilon)
-    dust = h1_error(interp, compiled_field(net),
-                    quad_cells(interp, cfg.cert_grade), q=cfg.q_net,
-                    n_q=cfg.nq_net, max_doublings=cfg.cert_doublings)
-    if cfg.grid_check:
-        _linf_grid_check(net, interp, net.meta["plan"], cfg.grid_check)
-    report = BuildReport(
-        dim=dim, sigma=cfg.sigma, ell=interp.ell, p=interp.p,
-        N1d=interp.N1d, coeff_l1=interp.coeff_l1(),
-        nn_size=net.size, nn_depth=net.depth,
-        h1_error=hp_rep.h1_error + dust.h1_error,
-        linf_error=hp_rep.linf_error + dust.linf_error,
-        certified=hp_rep.certified and dust.h1_error <= 0.25 * epsilon,
-        seconds=time.perf_counter() - t0,
-        hp_h1_error=hp_rep.h1_error, levels=net.meta["levels"],
-        plan=net.meta["plan"])
-    return net, report
-
-
 def build_vector(us, dim, epsilon, config=None):
-    """One shared compilation for several functions on a common grid.
+    """Calibrate (ell, p), compile, and certify catalog functions on one
+    shared grid; returns (net, reports) with one output row and one report
+    per function.
 
-    The basis and product stages are built once; each function only adds
-    its own coefficient row.  Returns (net, reports) with one output row
-    and one report per function.
+    Grows ell until every measured hp H1 error drops below epsilon/2, then
+    compiles the interpolants into one network with the remaining budget.
+    Each reported H1 number is a certified upper bound by the triangle
+    inequality: the Richardson-settled hp measurement plus a direct
+    measurement of that row's compile error (network vs interpolant).  The
+    compile term is orders of magnitude below its epsilon/2 budget in
+    practice, so the bound is tight; ``certified`` additionally demands it
+    stays below epsilon/4 so its coarser quadrature cannot threaten the
+    total.
     """
     cfg = config or NetConfig.for_dim(dim)
     if not us:
         raise ValueError("need at least one function")
     t0 = time.perf_counter()
-    interps = None
+    best = (math.inf, None, None)
     for ell in range(cfg.ell_max + 1):
         p = _p_for(ell, cfg)
-        cands = [_interpolate(u, dim, ell, p, cfg) for u in us]
-        reps = [h1_error(u, c, quad_cells(c, cfg.cert_grade), q=cfg.q_cal,
-                         n_q=cfg.nq_cal, max_doublings=cfg.cal_doublings)
-                for u, c in zip(us, cands)]
-        worst = max(r.h1_error for r in reps)
+        interps = [_interpolate(u, dim, ell, p, cfg) for u in us]
+        hp_reps = [h1_error(u, c, quad_cells(c, cfg.cert_grade), q=cfg.q_cal,
+                            n_q=cfg.nq_cal, max_doublings=cfg.cal_doublings)
+                   for u, c in zip(us, interps)]
+        worst = max(r.h1_error for r in hp_reps)
+        if worst < best[0]:
+            best = (worst, ell, p)
         if worst <= 0.5 * epsilon:
-            interps = cands
-            hp_reps = reps
             break
     else:
         raise RuntimeError(
-            f"calibration failed for the vector build (cap ell_max={cfg.ell_max})")
-
-    base = interps[0]
-    # plan against the worst coefficient mass so every row is covered
-    plan = plan_assembly(base, 0.5 * epsilon,
-                         cl1=max(c.coeff_l1() for c in interps))
-    phi_eps, structure, parts = _build_phi_eps(base, plan)
-    T = structure["tuples"]
-    vmat = np.stack([interp.vvec() for interp in interps])
-    ridx, cidx = np.nonzero(vmat)
-    row_net = NeuralNetwork(T, [Layer(len(us), T, ridx, cidx,
-                                      vmat[ridx, cidx], np.zeros(len(us)))])
-    net = concat(row_net, phi_eps)
-    _structural_asserts(net, structure, row_net.size)
-    parts.update(interp=base, vmat=vmat)
-    net.meta.update(kind="hp_compiled_vector", dim=base.dim, N1d=base.N1d,
-                    plan=plan, compiled_parts=parts, **structure)
-
-    reports = []
-    for i, (u, interp) in enumerate(zip(us, interps)):
-        dust = h1_error(interp, compiled_field(net, row=i),
-                        quad_cells(interp, cfg.cert_grade), q=cfg.q_net,
-                        n_q=cfg.nq_net, max_doublings=cfg.cert_doublings)
-        reports.append(BuildReport(
-            dim=base.dim, sigma=cfg.sigma, ell=base.ell, p=base.p,
-            N1d=base.N1d, coeff_l1=interp.coeff_l1(),
-            nn_size=net.size, nn_depth=net.depth,
-            h1_error=hp_reps[i].h1_error + dust.h1_error,
-            linf_error=hp_reps[i].linf_error + dust.linf_error,
-            certified=hp_reps[i].certified and dust.h1_error <= 0.25 * epsilon,
-            seconds=time.perf_counter() - t0,
-            hp_h1_error=hp_reps[i].h1_error, levels=net.meta["levels"],
-            plan=plan))
+            f"calibration failed: best hp H1 error {best[0]:.3e} at "
+            f"ell={best[1]}, p={best[2]} (cap ell_max={cfg.ell_max})")
+    net = build_phi_eps_c(interps[0], 0.5 * epsilon, rows=interps)
+    dusts = [h1_error(interp, compiled_field(net, row=i),
+                      quad_cells(interp, cfg.cert_grade), q=cfg.q_net,
+                      n_q=cfg.nq_net, max_doublings=cfg.cert_doublings)
+             for i, interp in enumerate(interps)]
+    plan = net.meta["plan"]
+    if cfg.grid_check:
+        _linf_grid_check(net, interps[0], plan, cfg.grid_check)
+    seconds = time.perf_counter() - t0
+    reports = [BuildReport(
+        dim=dim, sigma=cfg.sigma, ell=interp.ell, p=interp.p,
+        N1d=interp.N1d, coeff_l1=interp.coeff_l1(),
+        nn_size=net.size, nn_depth=net.depth,
+        h1_error=hp.h1_error + dust.h1_error,
+        linf_error=hp.linf_error + dust.linf_error,
+        certified=hp.certified and dust.h1_error <= 0.25 * epsilon,
+        seconds=seconds, hp_h1_error=hp.h1_error, levels=net.meta["levels"],
+        plan=plan) for interp, hp, dust in zip(interps, hp_reps, dusts)]
     return net, reports
 
 
+def build_phi_eps_f(u, dim, epsilon, config=None):
+    """The one-function case of ``build_vector``: returns (net, report)."""
+    net, (report,) = build_vector([u], dim, epsilon, config)
+    return net, report

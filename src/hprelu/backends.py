@@ -63,22 +63,6 @@ def _csr_affine_nb(indptr, cols, vals, bias, x, out):
     return out
 
 
-@njit(cache=True)
-def _csr_matmul_nb(indptr, cols, vals, x, out):
-    # Same as _csr_affine_nb without the bias; used for jacobian propagation.
-    rows = indptr.shape[0] - 1
-    npts = x.shape[1]
-    for r in range(rows):
-        for p in range(npts):
-            out[r, p] = 0.0
-        for k in range(indptr[r], indptr[r + 1]):
-            c = cols[k]
-            v = vals[k]
-            for p in range(npts):
-                out[r, p] += v * x[c, p]
-    return out
-
-
 # Rows at or below this nnz count are accumulated term by term in stored
 # order, matching the numba kernel bit for bit.  The exact-cancellation
 # guarantees of the product layers live on such narrow rows; wide rows
@@ -110,10 +94,6 @@ def _csr_affine_np(indptr, cols, vals, bias, x):
             p1 = min(npts, p0 + step)
             out[r, p0:p1] += vals[lo:hi] @ x[cols[lo:hi], p0:p1]
     return out
-
-
-def _csr_matmul_np(indptr, cols, vals, x):
-    return _csr_affine_np(indptr, cols, vals, np.zeros(indptr.shape[0] - 1), x)
 
 
 def run_forward(packed, x, backend=None):
@@ -165,14 +145,17 @@ def run_forward_grad(packed, x, backend=None, seed=None):
         jac = np.ascontiguousarray(seed.reshape(d, npts * nd))
     for i, (indptr, cols, vals, bias) in enumerate(packed):
         rows = indptr.shape[0] - 1
+        # the jacobian is the same layer without its bias; every row then
+        # starts from +0.0 in both kernels
+        zero = np.zeros(rows)
         if backend == "numba":
             z = np.empty((rows, y.shape[1]))
             _csr_affine_nb(indptr, cols, vals, bias, y, z)
             jnew = np.empty((rows, npts * nd))
-            _csr_matmul_nb(indptr, cols, vals, jac, jnew)
+            _csr_affine_nb(indptr, cols, vals, zero, jac, jnew)
         else:
             z = _csr_affine_np(indptr, cols, vals, bias, y)
-            jnew = _csr_matmul_np(indptr, cols, vals, jac)
+            jnew = _csr_affine_np(indptr, cols, vals, zero, jac)
         if i < last:
             alive = z > 0.0
             jnew *= np.repeat(alive, nd, axis=1)

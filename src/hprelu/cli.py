@@ -10,14 +10,13 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .assembly import NetConfig, _interpolate, build_phi_eps_f, quad_cells
+from .assembly import NetConfig, _interpolate, _p_for, build_phi_eps_f, quad_cells
 from .catalog import from_spec
 from .emulation import plan_budget, product_net
 from .metrics import fit_rate, h1_error
@@ -34,11 +33,17 @@ _FUNC_ALIASES = {"corner_r_alpha": "corner"}
 _PARAM_FLAGS = ("lam", "lam_c", "lam_e", "axis", "value", "corner")
 
 
-def _default_jobs():
+def _jobs(flag):
+    """--jobs, else RELU_HP_JOBS, else 1; anything but a positive integer
+    is rejected."""
+    text = os.environ.get("RELU_HP_JOBS", "1") if flag is None else flag
     try:
-        return max(1, int(os.environ.get("RELU_HP_JOBS", "1")))
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _load_config(path):
@@ -156,11 +161,11 @@ def cmd_hp_study(args):
     u, fname, params = _resolve_func(args, cfg, dim)
     ncfg = _net_config(args, cfg, dim)
     ells = _parse_ells(_pick(args.ell, cfg, "ell", "1..6"))
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    jobs = _jobs(args.jobs)
 
     def study_row(ell):
         t0 = time.perf_counter()
-        p = max(1, math.ceil(ncfg.c_p * max(ell, 1)))
+        p = _p_for(ell, ncfg)
         interp = _interpolate(u, dim, ell, p, ncfg)
         rep = h1_error(u, interp, quad_cells(interp, ncfg.cert_grade),
                        q=ncfg.q_cal, n_q=ncfg.nq_cal,

@@ -21,7 +21,7 @@ from numpy.polynomial import polynomial as P
 
 from .basis import PiecewisePolynomial
 from .calculus import concat, depth_align, full_parallel, identity_net, parallel
-from .legendre import polyder, polyval
+from .legendre import polyval
 from .network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "plan_budget",
     "square_net",
     "product_net",
-    "poly_net",
     "pwpoly_net",
     "basis_net",
 ]
@@ -128,8 +127,9 @@ def _chain_step(lb, s, base, nch):
             lb.row(gcols(j) + [base + nch * 4 + j], [g * inv for g in gv] + [1.0])
 
 
-def _chain_out(base, nch, m, scale, signs):
-    """Columns/values of scale * sum_j signs[j] * S_m(chain j).
+def _chain_out(base, nch, m, scale):
+    """Columns/values of scale * sum_j signs[j] * S_m(chain j), with signs
+    (+) for one chain and the polarization (+,-,-) for three.
 
     Within each channel the chain entries are adjacent and ordered
     (chain 0, 1, 2); with signs (+,-,-) the in-order sum cancels exactly
@@ -140,6 +140,7 @@ def _chain_out(base, nch, m, scale, signs):
     else:
         inv = 0.25 ** m
         coefs = [-2.0 * inv, 4.0 * inv, -2.0 * inv, 1.0, -1.0]
+    signs = [1.0] + [-1.0] * (nch - 1)
     cols, vals = [], []
     for ch, cf in enumerate(coefs):
         for j in range(nch):
@@ -148,23 +149,62 @@ def _chain_out(base, nch, m, scale, signs):
     return cols, vals
 
 
+def _square_chains(layers, in_cols, keep, tforms, m):
+    """Append the m layers of len(tforms) square chains.  The first reads
+    ``in_cols`` inputs and leads with copies of the ``keep`` columns; every
+    later layer copies those k leading channels through again.  Returns the
+    output layer's builder and the column where the chains start."""
+    k, nch = len(keep), len(tforms)
+    lb = _LB(in_cols)
+    for c in keep:
+        lb.row([c], [1.0])
+    _chain_first(lb, tforms)
+    for s in range(2, m + 1):
+        layers.append(lb.done())
+        lb = _LB(lb.rows)
+        for c in range(k):
+            lb.row([c], [1.0])
+        _chain_step(lb, s, k, nch)
+    layers.append(lb.done())
+    return _LB(lb.rows), k
+
+
+def _sign_front(lb, a, b):
+    """Rows (a+b)+, (a+b)-, a+, a-, b+, b- for signed inputs a and b, each
+    given as [col] or as a [positive, negative] column pair."""
+    sa, sb = [1.0, -1.0][:len(a)], [1.0, -1.0][:len(b)]
+    for cols, vals in ((a + b, sa + sb), (a, sa), (b, sb)):
+        lb.row(cols, vals)
+        lb.row(cols, [-v for v in vals])
+
+
+def _product_chains(layers, in_cols, keep, a, b, M, m):
+    """Polarized product a*b on the M-box: a front layer (copies of
+    ``keep``, then the sign rows of a and b) and the three square chains.
+    Returns the output layer's builder and the (cols, vals) of a*b."""
+    lb = _LB(in_cols)
+    for c in keep:
+        lb.row([c], [1.0])
+    _sign_front(lb, a, b)
+    layers.append(lb.done())
+    k, alpha = len(keep), 1.0 / (2.0 * M)
+    tforms = [([k + 2 * i, k + 2 * i + 1], [alpha, alpha], 0.0) for i in range(3)]
+    lb, base = _square_chains(layers, lb.rows, range(k), tforms, m)
+    return lb, _chain_out(base, 3, m, 2.0 * M * M)
+
+
+# chain inputs (u + w, u, w) / 4 for the product of two [0, 2] channels
+_NONNEG_TFORMS = [([0, 1], [0.25, 0.25], 0.0), ([0], [0.25], 0.0), ([1], [0.25], 0.0)]
+
+
 def square_net(levels):
     """Sawtooth square on [0,1]: the PWL interpolant of t^2 at k 2^-levels."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     m = levels
-    lb = _LB(1)
-    _chain_first(lb, [([0], [1.0], 0.0)])
-    layers = [lb.done()]
-    width = 3
-    for s in range(2, m + 1):
-        lb = _LB(width)
-        _chain_step(lb, s, 0, 1)
-        layers.append(lb.done())
-        width = 5
-    cols, vals = _chain_out(0, 1, m, 1.0, [1.0])
-    lb = _LB(width)
-    lb.row(cols, vals)
+    layers = []
+    lb, base = _square_chains(layers, 1, [], [([0], [1.0], 0.0)], m)
+    lb.row(*_chain_out(base, 1, m, 1.0))
     layers.append(lb.done())
     net = NeuralNetwork(1, layers)
     net.meta.update(kind="square", levels=m,
@@ -177,29 +217,8 @@ def square_net(levels):
 def _binary_core(m, M):
     """Standalone 2-input product net: abs front, three interleaved square
     chains, polarization output row.  Depth m+2."""
-    alpha = 1.0 / (2.0 * M)
-    lb = _LB(2)
-    lb.row([0, 1], [1.0, 1.0])
-    lb.row([0, 1], [-1.0, -1.0])
-    lb.row([0], [1.0])
-    lb.row([0], [-1.0])
-    lb.row([1], [1.0])
-    lb.row([1], [-1.0])
-    layers = [lb.done()]
-    tforms = [([0, 1], [alpha, alpha], 0.0),
-              ([2, 3], [alpha, alpha], 0.0),
-              ([4, 5], [alpha, alpha], 0.0)]
-    lb = _LB(6)
-    _chain_first(lb, tforms)
-    layers.append(lb.done())
-    width = 9
-    for s in range(2, m + 1):
-        lb = _LB(width)
-        _chain_step(lb, s, 0, 3)
-        layers.append(lb.done())
-        width = 15
-    cols, vals = _chain_out(0, 3, m, 2.0 * M * M, [1.0, -1.0, -1.0])
-    lb = _LB(width)
+    layers = []
+    lb, (cols, vals) = _product_chains(layers, 2, [], [0], [1], M, m)
     lb.row(cols, vals)
     layers.append(lb.done())
     return NeuralNetwork(2, layers)
@@ -305,103 +324,6 @@ def _horner_plan(coeffs, B, m):
         R_new = abs(coeffs[k]) + B * R + dv
         e, g, H, R = e_new, g_new, H_new, R_new
     return e, g, R, boxes
-
-
-def _affine_net(w, b):
-    lb = _LB(1)
-    lb.row([0], [float(w)], float(b))
-    return NeuralNetwork(1, [lb.done()])
-
-
-def _horner_stage_layers(layers, c_k, Mk, m):
-    """Append one Horner stage mapping channels [x+, x-, h+, h-] to the
-    same layout with h' = c_k + product(x, h)."""
-    alpha = 1.0 / (2.0 * Mk)
-    lb = _LB(4)
-    lb.row([0], [1.0])
-    lb.row([1], [1.0])
-    lb.row([0, 1, 2, 3], [1.0, -1.0, 1.0, -1.0])
-    lb.row([0, 1, 2, 3], [-1.0, 1.0, -1.0, 1.0])
-    lb.row([0, 1], [1.0, -1.0])
-    lb.row([0, 1], [-1.0, 1.0])
-    lb.row([2, 3], [1.0, -1.0])
-    lb.row([2, 3], [-1.0, 1.0])
-    layers.append(lb.done())
-    tforms = [([2, 3], [alpha, alpha], 0.0),
-              ([4, 5], [alpha, alpha], 0.0),
-              ([6, 7], [alpha, alpha], 0.0)]
-    lb = _LB(8)
-    lb.row([0], [1.0])
-    lb.row([1], [1.0])
-    _chain_first(lb, tforms)
-    layers.append(lb.done())
-    width = 11
-    for s in range(2, m + 1):
-        lb = _LB(width)
-        lb.row([0], [1.0])
-        lb.row([1], [1.0])
-        _chain_step(lb, s, 2, 3)
-        layers.append(lb.done())
-        width = 17
-    cols, vals = _chain_out(2, 3, m, 2.0 * Mk * Mk, [1.0, -1.0, -1.0])
-    lb = _LB(width)
-    lb.row([0], [1.0])
-    lb.row([1], [1.0])
-    lb.row(cols, vals, float(c_k))
-    lb.row(cols, [-v for v in vals], -float(c_k))
-    layers.append(lb.done())
-
-
-def poly_net(coeffs, interval, epsilon):
-    """Univariate polynomial (ascending monomial coefficients) on [a, b].
-
-    Sup error <= epsilon * (1 + sum |c_k|); a.e. derivative error <=
-    epsilon * (1 + sum k |c_k| B^(k-1)) with B = max(|a|, |b|).
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
-    if c.ndim != 1 or len(c) == 0:
-        raise ValueError("need a non-empty coefficient list")
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    c = np.trim_zeros(c, "b")
-    if len(c) == 0:
-        c = np.zeros(1)
-    p = len(c) - 1
-    if p == 0:
-        net = _affine_net(0.0, c[0])
-        net.meta.update(kind="poly", degree=0, value_err=0.0, deriv_err=0.0)
-        return net
-    if p == 1:
-        net = _affine_net(c[1], c[0])
-        net.meta.update(kind="poly", degree=1, value_err=0.0, deriv_err=0.0)
-        return net
-    B = max(abs(a), abs(b))
-    vscale = 1.0 + float(np.sum(np.abs(c)))
-    dscale = 1.0 + float(sum(k * abs(c[k]) * B ** (k - 1) for k in range(1, p + 1)))
-    for m in range(1, LEVEL_CAP + 1):
-        e, g, _, boxes = _horner_plan(c, B, m)
-        if e <= 0.5 * epsilon * vscale and g <= 0.5 * epsilon * dscale:
-            break
-    else:
-        raise ValueError(f"sawtooth depth cap {LEVEL_CAP} exceeded for poly_net")
-    lb = _LB(1)
-    lb.row([0], [1.0])
-    lb.row([0], [-1.0])
-    lb.row([0], [float(c[p])], float(c[p - 1]))
-    lb.row([0], [-float(c[p])], -float(c[p - 1]))
-    layers = [lb.done()]
-    for i, k in enumerate(range(p - 2, -1, -1)):
-        _horner_stage_layers(layers, c[k], boxes[i], m)
-    lb = _LB(4)
-    lb.row([2, 3], [1.0, -1.0])
-    layers.append(lb.done())
-    net = NeuralNetwork(1, layers)
-    net.meta.update(kind="poly", degree=p, levels=m, value_err=e, deriv_err=g,
-                    value_scale=vscale, deriv_scale=dscale)
-    return net
 
 
 # ----------------------------------------------------- piecewise polynomial
@@ -544,64 +466,17 @@ def _bubble_branch(xl, xr, s, tau_v, tau_d):
 def _nonneg_product_tail(layers, base_width, m, scale):
     """Chains for u*w from two nonnegative channels (cols 0, 1), final
     affine row scaled by ``scale``."""
-    alpha = 0.25
-    tforms = [([0, 1], [alpha, alpha], 0.0),
-              ([0], [alpha], 0.0),
-              ([1], [alpha], 0.0)]
-    lb = _LB(base_width)
-    _chain_first(lb, tforms)
-    layers.append(lb.done())
-    width = 9
-    for st in range(2, m + 1):
-        lb = _LB(width)
-        _chain_step(lb, st, 0, 3)
-        layers.append(lb.done())
-        width = 15
-    cols, vals = _chain_out(0, 3, m, scale * 8.0, [1.0, -1.0, -1.0])
-    lb = _LB(width)
-    lb.row(cols, vals)
+    lb, base = _square_chains(layers, base_width, [], _NONNEG_TFORMS, m)
+    lb.row(*_chain_out(base, 3, m, scale * 8.0))
     layers.append(lb.done())
 
 
 def _pw_horner_stage(layers, c_k, Mk, m, drop_t):
     """Horner stage inside a bubble branch: channels [u, w, t+, t-, h+, h-]
     to the same layout (t pair dropped after the last stage)."""
-    alpha = 1.0 / (2.0 * Mk)
-    lb = _LB(6)
-    lb.row([0], [1.0])
-    lb.row([1], [1.0])
-    lb.row([2], [1.0])
-    lb.row([3], [1.0])
-    lb.row([2, 3, 4, 5], [1.0, -1.0, 1.0, -1.0])
-    lb.row([2, 3, 4, 5], [-1.0, 1.0, -1.0, 1.0])
-    lb.row([2, 3], [1.0, -1.0])
-    lb.row([2, 3], [-1.0, 1.0])
-    lb.row([4, 5], [1.0, -1.0])
-    lb.row([4, 5], [-1.0, 1.0])
-    layers.append(lb.done())
-    tforms = [([4, 5], [alpha, alpha], 0.0),
-              ([6, 7], [alpha, alpha], 0.0),
-              ([8, 9], [alpha, alpha], 0.0)]
-    lb = _LB(10)
-    for c in range(4):
+    lb, (cols, vals) = _product_chains(layers, 6, range(4), [2, 3], [4, 5], Mk, m)
+    for c in range(2 if drop_t else 4):
         lb.row([c], [1.0])
-    _chain_first(lb, tforms)
-    layers.append(lb.done())
-    width = 13
-    for st in range(2, m + 1):
-        lb = _LB(width)
-        for c in range(4):
-            lb.row([c], [1.0])
-        _chain_step(lb, st, 4, 3)
-        layers.append(lb.done())
-        width = 19
-    cols, vals = _chain_out(4, 3, m, 2.0 * Mk * Mk, [1.0, -1.0, -1.0])
-    lb = _LB(width)
-    lb.row([0], [1.0])
-    lb.row([1], [1.0])
-    if not drop_t:
-        lb.row([2], [1.0])
-        lb.row([3], [1.0])
     lb.row(cols, vals, float(c_k))
     lb.row(cols, [-v for v in vals], -float(c_k))
     layers.append(lb.done())
@@ -610,52 +485,15 @@ def _pw_horner_stage(layers, c_k, Mk, m, drop_t):
 def _inner_outer_tail(layers, m, mo):
     """From channels [u, w, h+, h-]: inner product P = u*w, then outer
     signed product P * s with the final polarization row as layer output."""
-    alpha_i = 0.25
-    lb = _LB(4)
-    lb.row([2], [1.0])
-    lb.row([3], [1.0])
-    _chain_first(lb, [([0, 1], [alpha_i, alpha_i], 0.0),
-                      ([0], [alpha_i], 0.0),
-                      ([1], [alpha_i], 0.0)])
-    layers.append(lb.done())
-    width = 11
-    for st in range(2, m + 1):
-        lb = _LB(width)
-        lb.row([0], [1.0])
-        lb.row([1], [1.0])
-        _chain_step(lb, st, 2, 3)
-        layers.append(lb.done())
-        width = 17
-    cols, vals = _chain_out(2, 3, m, 8.0, [1.0, -1.0, -1.0])
-    lb = _LB(width)
+    lb, base = _square_chains(layers, 4, [2, 3], _NONNEG_TFORMS, m)
+    cols, vals = _chain_out(base, 3, m, 8.0)
     lb.row(cols, vals)
     lb.row(cols, [-v for v in vals])
     lb.row([0], [1.0])
     lb.row([1], [1.0])
     layers.append(lb.done())
     # layout [P+, P-, s+, s-]: signed outer product
-    alpha_o = 1.0 / (2.0 * mo)
-    lb = _LB(4)
-    lb.row([0, 1, 2, 3], [1.0, -1.0, 1.0, -1.0])
-    lb.row([0, 1, 2, 3], [-1.0, 1.0, -1.0, 1.0])
-    lb.row([0, 1], [1.0, -1.0])
-    lb.row([0, 1], [-1.0, 1.0])
-    lb.row([2, 3], [1.0, -1.0])
-    lb.row([2, 3], [-1.0, 1.0])
-    layers.append(lb.done())
-    lb = _LB(6)
-    _chain_first(lb, [([0, 1], [alpha_o, alpha_o], 0.0),
-                      ([2, 3], [alpha_o, alpha_o], 0.0),
-                      ([4, 5], [alpha_o, alpha_o], 0.0)])
-    layers.append(lb.done())
-    width = 9
-    for st in range(2, m + 1):
-        lb = _LB(width)
-        _chain_step(lb, st, 0, 3)
-        layers.append(lb.done())
-        width = 15
-    cols, vals = _chain_out(0, 3, m, 2.0 * mo * mo, [1.0, -1.0, -1.0])
-    lb = _LB(width)
+    lb, (cols, vals) = _product_chains(layers, 4, [], [0, 1], [2, 3], mo, m)
     lb.row(cols, vals)
     layers.append(lb.done())
 

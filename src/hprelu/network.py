@@ -246,10 +246,24 @@ def serialize(net):
     return "".join(parts)
 
 
+def _parse_int(text):
+    # serialize writes a negative zero as "-0"; keep its sign
+    return -0.0 if text == "-0" else int(text)
+
+
+def _count(x, what):
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def deserialize(text):
-    """Parse serialized JSON back into a NeuralNetwork (bit-exact weights)."""
+    """Parse serialized JSON back into a NeuralNetwork (bit-exact weights).
+
+    Dimensions must be JSON integers, weight indices integral, and every
+    weight and bias finite; anything else is rejected, naming the layer."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise ValueError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "input_dim" not in doc or "layers" not in doc:
@@ -257,24 +271,28 @@ def deserialize(text):
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ValueError("layers must be a non-empty list")
+    input_dim = _count(doc["input_dim"], "input_dim")
     layers = []
     for k, entry in enumerate(raw_layers):
         try:
-            rows = entry["rows"]
-            cols = entry["cols"]
+            rows = _count(entry["rows"], "rows")
+            cols = _count(entry["cols"], "cols")
             weights = entry["weights"]
-            bias = entry["bias"]
-            if weights:
-                w = np.asarray(weights, dtype=np.float64)
-                if w.ndim != 2 or w.shape[1] != 3:
-                    raise ValueError("weights must be [i, j, value] triplets")
-                ri, ci, vv = w[:, 0].astype(np.int64), w[:, 1].astype(np.int64), w[:, 2]
-            else:
-                ri = ci = vv = np.empty(0)
-            layers.append(Layer(rows, cols, ri, ci, vv, bias))
+            if not isinstance(weights, list):
+                raise ValueError("weights must be a list of triplets")
+            bias = np.asarray(entry["bias"], dtype=np.float64)
+            w = np.asarray(weights, dtype=np.float64) if weights else np.empty((0, 3))
+            if w.ndim != 2 or w.shape[1] != 3:
+                raise ValueError("weights must be [i, j, value] triplets")
+            if not (np.isfinite(w).all() and np.isfinite(bias).all()):
+                raise ValueError("weights and biases must be finite")
+            idx = w[:, :2]
+            if np.any(idx != np.trunc(idx)):
+                raise ValueError("weight indices must be integers")
+            layers.append(Layer(rows, cols, idx[:, 0], idx[:, 1], w[:, 2], bias))
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"layer {k}: {e}") from e
     try:
-        return NeuralNetwork(doc["input_dim"], layers)
+        return NeuralNetwork(input_dim, layers)
     except ValueError as e:
         raise ValueError(f"inconsistent layer chain: {e}") from e

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hprelu import assembly
 from hprelu.assembly import (
     NetConfig,
     _tiled_tuple_stage,
@@ -155,6 +156,14 @@ def test_structural_counts():
     nnz = np.bincount(sel_layer.row_idx, minlength=sel_layer.rows)
     assert np.all(nnz == 2)
     assert len(sel_layer.vals) == 4 * d * net.meta["tuples"]
+
+
+def test_compile_rows_share_the_mesh():
+    interp = _corner_interp(ell=1, p=1)
+    for other in (_corner_interp(ell=2, p=1), _corner_interp(ell=1, p=2),
+                  _corner_interp(ell=1, p=1, sigma=0.25)):
+        with pytest.raises(ValueError, match="share"):
+            build_phi_eps_c(interp, 1e-2, rows=[interp, other])
 
 
 def test_compile_respects_sup_precondition():
@@ -321,6 +330,24 @@ def test_vector_three_singular_certified():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 1.0, size=(10, 2))
     assert realize_batch(net, pts).shape == (10, 3)
+
+
+def test_vector_grid_check_covers_every_row(monkeypatch):
+    seen = []
+    check = assembly._linf_grid_check
+
+    def spy(net, interp, plan, npts):
+        seen.append(net.output_dim)
+        return check(net, interp, plan, npts)
+
+    monkeypatch.setattr(assembly, "_linf_grid_check", spy)
+    u = _poly_u()
+    net, reps = build_vector([u, u * 2.0], 2, 1e-2, NetConfig(grid_check=7))
+    assert seen == [2]
+    # a second output row past the envelope trips the check
+    bad = NeuralNetwork(2, [Layer(2, 2, [], [], [], [0.0, 1e6])])
+    with pytest.raises(AssertionError):
+        check(bad, net.meta["compiled_parts"]["interp"], reps[0].plan, 3)
 
 
 def test_vector_rejects_empty():

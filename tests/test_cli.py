@@ -62,6 +62,20 @@ def test_hp_study_jobs_match_serial(tmp_path, monkeypatch):
     assert _strip_seconds(a) == _strip_seconds(b)
 
 
+@pytest.mark.parametrize("flag,env", [
+    ("0", None), ("-3", None), (None, "abc"), (None, "0"), (None, "-3"), (None, "2.5")])
+def test_hp_study_rejects_bad_jobs(tmp_path, monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("RELU_HP_JOBS", env)
+    extra = () if flag is None else ("--jobs", flag)
+    out = tmp_path / "bad.csv"
+    rc = main(["hp-study", "--dim", "2", "--func", "corner", "--ell", "1",
+               "--out", str(out), *extra])
+    assert rc == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hp_study_plot_script(tmp_path):
     out = _study(tmp_path, "s.csv", extra=("--plot", str(tmp_path / "s.gp")))
     script = (tmp_path / "s.gp").read_text()

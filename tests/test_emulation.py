@@ -11,7 +11,6 @@ from hprelu.emulation import (
     ToleranceBudget,
     basis_net,
     plan_budget,
-    poly_net,
     product_net,
     pwpoly_net,
     square_net,
@@ -177,46 +176,6 @@ def test_backends_agree_on_product(backend):
     ref = inorder_realize(net, pts)
     got = realize_batch(net, pts, backend=backend)
     assert np.array_equal(ref, got)
-
-
-# ------------------------------------------------------------- polynomials
-
-def test_poly_constant_and_linear_are_exact_affine():
-    net = poly_net([3.25], (0.0, 1.0), 1e-3)
-    assert net.depth == 1
-    assert realize(net, np.array([0.77]))[0] == 3.25
-    net = poly_net([1.0, -2.0], (0.0, 1.0), 1e-3)
-    assert net.depth == 1
-    assert realize(net, np.array([0.3]))[0] == 1.0 - 2.0 * 0.3
-
-
-def test_poly_square_bound():
-    net = poly_net([0.0, 0.0, 1.0], (-1.0, 1.0), 1e-4)
-    t = np.linspace(-1.0, 1.0, 3001)
-    got = realize_batch(net, t[:, None])[:, 0]
-    assert np.max(np.abs(got - t * t)) <= 2e-4
-
-
-def test_poly_cubic_value_and_derivative():
-    c = np.array([0.5, -1.0, 0.25, 2.0])
-    net = poly_net(c, (-1.0, 1.0), 1e-5)
-    t = np.linspace(-0.999, 0.999, 811)
-    vals, jac = grad_realize_batch(net, t[:, None])
-    want = c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3
-    dwant = c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2
-    vscale = 1.0 + np.sum(np.abs(c))
-    dscale = 1.0 + abs(c[1]) + 2 * abs(c[2]) + 3 * abs(c[3])
-    assert np.max(np.abs(vals[:, 0] - want)) <= 1e-5 * vscale
-    assert np.max(np.abs(jac[:, 0, 0] - dwant)) <= 1e-5 * dscale
-
-
-def test_poly_validation():
-    with pytest.raises(ValueError):
-        poly_net([1.0, 2.0], (1.0, 0.0), 1e-3)
-    with pytest.raises(ValueError):
-        poly_net([1.0, 2.0], (0.0, 1.0), 2.0)
-    with pytest.raises(ValueError):
-        poly_net([], (0.0, 1.0), 1e-3)
 
 
 # ---------------------------------------------------- piecewise polynomials

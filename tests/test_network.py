@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hprelu.network import (
     Layer,
@@ -145,6 +147,24 @@ def test_serialize_awkward_floats():
     assert back.layers[0].vals.tobytes() == net.layers[0].vals.tobytes()
 
 
+_COERCED_LAYERS = [
+    # fractional indices (truncated to column 0)
+    '{"rows": 1, "cols": 1, "weights": [[0, 0.7, 2.0]], "bias": [0]}',
+    '{"rows": 1, "cols": 1, "weights": [[0.5, 0, 2.0]], "bias": [0]}',
+    # non-finite weights and biases (re-serialized as nan / inf)
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, NaN]], "bias": [0]}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, Infinity]], "bias": [0]}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1e400]], "bias": [0]}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [-Infinity]}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [NaN]}',
+    # weights that are not a list (read as no weights)
+    '{"rows": 1, "cols": 1, "weights": null, "bias": [0]}',
+    # boolean or fractional dimensions
+    '{"rows": true, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [0]}',
+    '{"rows": 1, "cols": 1.9, "weights": [[0, 0, 1.0]], "bias": [0]}',
+]
+
+
 def test_deserialize_errors_name_the_layer():
     bad = '{"input_dim": 1, "layers": [{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]]}]}'
     with pytest.raises(ValueError, match="layer 0"):
@@ -158,3 +178,42 @@ def test_deserialize_errors_name_the_layer():
         deserialize(bad2)
     with pytest.raises(ValueError):
         deserialize('{"input_dim": 1, "layers": []}')
+    # inputs that used to be coerced silently
+    for layer in _COERCED_LAYERS:
+        with pytest.raises(ValueError, match="layer 0"):
+            deserialize('{"input_dim": 1, "layers": [%s]}' % layer)
+    ok = '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [0]}'
+    for input_dim in ("true", "1.9"):
+        with pytest.raises(ValueError, match="input_dim"):
+            deserialize('{"input_dim": %s, "layers": [%s]}' % (input_dim, ok))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _nets(draw):
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    layers = []
+    for rows, cols in zip(widths[1:], widths[:-1]):
+        cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                              unique=True, max_size=rows * cols))
+        vals = draw(st.lists(_finite, min_size=len(cells), max_size=len(cells)))
+        bias = draw(st.lists(_finite, min_size=rows, max_size=rows))
+        layers.append(Layer(rows, cols, [i for i, _ in cells], [j for _, j in cells], vals, bias))
+    return NeuralNetwork(widths[0], layers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets())
+def test_serialize_round_trip_property(net):
+    text = serialize(net)
+    back = deserialize(text)
+    assert back.input_dim == net.input_dim and back.depth == net.depth
+    for la, lb in zip(net.layers, back.layers):
+        assert (la.rows, la.cols) == (lb.rows, lb.cols)
+        assert np.array_equal(la.row_idx, lb.row_idx)
+        assert np.array_equal(la.col_idx, lb.col_idx)
+        assert la.vals.tobytes() == lb.vals.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
+    assert serialize(back) == text
