@@ -25,7 +25,7 @@ from .emulation import ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
 from .mesh import TensorMesh
 from .network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
-from .projector import HpInterpolant, hp_interpolate, multipatch_interpolate
+from .projector import hp_interpolate, multipatch_interpolate
 
 __all__ = [
     "AssemblyPlan",
@@ -37,6 +37,7 @@ __all__ = [
     "build_vector",
     "quad_cells",
     "compiled_field",
+    "hp_error",
 ]
 
 
@@ -62,11 +63,7 @@ class NetConfig:
     domain: str = "unit"
     halfwidth: float = 1.0
     q_cal: int = 10
-    nq_cal: int = 1
-    cal_doublings: int = 2
     q_net: int = 8
-    nq_net: int = 1
-    cert_doublings: int = 0
     cert_grade: int = 8
     grid_check: int = 0
 
@@ -263,7 +260,6 @@ class _CompiledField:
     basis derivatives through a seeded forward pass.
     """
 
-    tensor = True
     _CACHE_MAX = 128
 
     def __init__(self, interp, nets, pi, vmat, row=0):
@@ -372,41 +368,6 @@ class _CompiledField:
     def gradient_axes(self, axes):
         return self._eval_axes(axes)[1]
 
-    def _eval_points(self, pts):
-        d = self.d
-        if len(pts) == 0:
-            return np.empty(0), np.empty((0, d))
-        maxes = self.interp.mesh.axes
-        ks = np.stack([ax.find(pts[:, a]) for a, ax in enumerate(maxes)],
-                      axis=1)
-        zv, zd = self._tables([pts[:, a] for a in range(d)])
-        out = np.empty(len(pts))
-        grad = np.empty((len(pts), d))
-        order = np.lexsort(ks.T)
-        ks_s = ks[order]
-        breaks = np.nonzero(np.any(np.diff(ks_s, axis=0) != 0, axis=1))[0] + 1
-        bounds = np.concatenate(([0], breaks, [len(pts)]))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            idx = order[lo:hi]
-            net, live, las, m = self._subnet(tuple(int(k) for k in ks_s[lo]))
-            zin = np.empty((len(idx), m))
-            sd = np.zeros((len(idx), m, d))
-            c0 = 0
-            for a in range(d):
-                zin[:, c0:c0 + las[a]] = zv[a][live[a]][:, idx].T
-                sd[:, c0:c0 + las[a], a] = zd[a][live[a]][:, idx].T
-                c0 += las[a]
-            vals, jac = grad_realize_batch(net, zin, seed=sd)
-            out[idx] = vals[:, 0]
-            grad[idx] = jac[:, 0, :]
-        return out, grad
-
-    def value(self, pts):
-        return self._eval_points(np.asarray(pts, dtype=np.float64))[0]
-
-    def gradient(self, pts):
-        return self._eval_points(np.asarray(pts, dtype=np.float64))[1]
-
 
 def compiled_field(net, row=0):
     """Cellwise evaluation view of one output row of a compiled network."""
@@ -446,6 +407,13 @@ def _p_for(ell, cfg):
     return max(1, math.ceil(cfg.c_p * max(ell, 1)))
 
 
+def hp_error(u, interp, cfg):
+    """The calibration measurement: catalog function ``u`` against its
+    interpolant on the graded cells, Richardson-settled."""
+    return h1_error(u, interp, quad_cells(interp, cfg.cert_grade),
+                    q=cfg.q_cal, n_q=1, max_doublings=2)
+
+
 def build_vector(us, dim, epsilon, config=None):
     """Calibrate (ell, p), compile, and certify catalog functions on one
     shared grid; returns (net, reports) with one output row and one report
@@ -469,9 +437,7 @@ def build_vector(us, dim, epsilon, config=None):
     for ell in range(cfg.ell_max + 1):
         p = _p_for(ell, cfg)
         interps = [_interpolate(u, dim, ell, p, cfg) for u in us]
-        hp_reps = [h1_error(u, c, quad_cells(c, cfg.cert_grade), q=cfg.q_cal,
-                            n_q=cfg.nq_cal, max_doublings=cfg.cal_doublings)
-                   for u, c in zip(us, interps)]
+        hp_reps = [hp_error(u, c, cfg) for u, c in zip(us, interps)]
         worst = max(r.h1_error for r in hp_reps)
         if worst < best[0]:
             best = (worst, ell, p)
@@ -484,7 +450,7 @@ def build_vector(us, dim, epsilon, config=None):
     net = build_phi_eps_c(interps[0], 0.5 * epsilon, rows=interps)
     dusts = [h1_error(interp, compiled_field(net, row=i),
                       quad_cells(interp, cfg.cert_grade), q=cfg.q_net,
-                      n_q=cfg.nq_net, max_doublings=cfg.cert_doublings)
+                      n_q=1, max_doublings=0)
              for i, interp in enumerate(interps)]
     plan = net.meta["plan"]
     if cfg.grid_check:

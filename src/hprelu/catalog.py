@@ -63,6 +63,26 @@ class WeightedFunction:
             out[:, j] = self.deriv(alpha, *cols)
         return out
 
+    def value_axes(self, axes):
+        """Values on the tensor grid of per-axis point arrays."""
+        d = len(axes)
+        grids = [a.reshape([-1 if i == j else 1 for i in range(d)])
+                 for j, a in enumerate(axes)]
+        shape = tuple(len(a) for a in axes)
+        return np.broadcast_to(self.value(*grids), shape)
+
+    def gradient_axes(self, axes):
+        """Gradients on the tensor grid, components on the last axis."""
+        d = len(axes)
+        grids = [a.reshape([-1 if i == j else 1 for i in range(d)])
+                 for j, a in enumerate(axes)]
+        shape = tuple(len(a) for a in axes)
+        comps = []
+        for j in range(d):
+            alpha = tuple(1 if i == j else 0 for i in range(d))
+            comps.append(np.broadcast_to(self.deriv(alpha, *grids), shape))
+        return np.stack(comps, axis=-1)
+
     def __add__(self, other):
         if not isinstance(other, WeightedFunction) or other.dim != self.dim:
             return NotImplemented

@@ -16,10 +16,10 @@ import time
 
 import numpy as np
 
-from .assembly import NetConfig, _interpolate, _p_for, build_phi_eps_f, quad_cells
+from .assembly import NetConfig, _interpolate, _p_for, build_phi_eps_f, hp_error
 from .catalog import from_spec
 from .emulation import plan_budget, product_net
-from .metrics import fit_rate, h1_error
+from .metrics import fit_rate
 from .network import _fmt, deserialize, realize_batch, serialize, stats
 from .verify import verify_calculus
 
@@ -167,9 +167,7 @@ def cmd_hp_study(args):
         t0 = time.perf_counter()
         p = _p_for(ell, ncfg)
         interp = _interpolate(u, dim, ell, p, ncfg)
-        rep = h1_error(u, interp, quad_cells(interp, ncfg.cert_grade),
-                       q=ncfg.q_cal, n_q=ncfg.nq_cal,
-                       max_doublings=ncfg.cal_doublings)
+        rep = hp_error(u, interp, ncfg)
         return ell, p, interp, rep, time.perf_counter() - t0
 
     if jobs > 1 and len(ells) > 1:

@@ -6,19 +6,30 @@ a tiny seeded jitter so breakpoints of piecewise linear networks never
 coincide with sample points.  The subcell count is doubled until the H1
 number settles; the relative gap between the last two levels is reported
 and gates the ``certified`` flag.
+
+A field is anything with ``value_axes(axes)`` and ``gradient_axes(axes)``
+evaluating on the tensor grid of per-axis point arrays: catalog functions,
+``HpInterpolant`` and ``compiled_field`` views.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import WeightedFunction
 from .legendre import gauss_rule
-from .network import NeuralNetwork, grad_realize_batch, realize_batch
+# not called here; perfbench/spans.py wraps these names in every module
+# that evaluates networks
+from .network import grad_realize_batch, realize_batch  # noqa: F401
 
-__all__ = ["ErrorReport", "FitResult", "h1_error", "fit_rate", "as_field"]
+__all__ = ["ErrorReport", "FitResult", "h1_error", "fit_rate"]
 
 _SEED = 0x5EED
+# subcell jitter as a fraction of the subcell width
+_JITTER = 1e-7
+# Richardson stop: relative gap, plus an absolute floor for distances at
+# rounding-noise scale, where the relative gap never settles
+_RTOL = 1e-3
+_ATOL = 1e-14
 
 
 @dataclass
@@ -38,179 +49,63 @@ class ErrorReport:
             raise AssertionError("h1^2 != l2^2 + seminorm^2")
 
 
-class _Field:
-    """Uniform evaluation interface: scattered always, tensor when cheap."""
-
-    tensor = False
-
-    def value(self, pts):
-        raise NotImplementedError
-
-    def gradient(self, pts):
-        raise NotImplementedError
-
-
-class _NetField(_Field):
-    def __init__(self, net):
-        self.net = net
-
-    def value(self, pts):
-        return realize_batch(self.net, pts)[:, 0]
-
-    def gradient(self, pts):
-        return grad_realize_batch(self.net, pts)[1][:, 0, :]
-
-
-class _FnField(_Field):
-    tensor = True
-
-    def __init__(self, u):
-        self.u = u
-
-    def value(self, pts):
-        return self.u.value(*[pts[:, j] for j in range(self.u.dim)])
-
-    def gradient(self, pts):
-        return self.u.gradient(pts)
-
-    def value_axes(self, axes):
-        d = len(axes)
-        grids = [a.reshape([-1 if i == j else 1 for i in range(d)])
-                 for j, a in enumerate(axes)]
-        shape = tuple(len(a) for a in axes)
-        return np.broadcast_to(self.u.value(*grids), shape)
-
-    def gradient_axes(self, axes):
-        d = len(axes)
-        grids = [a.reshape([-1 if i == j else 1 for i in range(d)])
-                 for j, a in enumerate(axes)]
-        shape = tuple(len(a) for a in axes)
-        comps = []
-        for j in range(d):
-            alpha = tuple(1 if i == j else 0 for i in range(d))
-            comps.append(np.broadcast_to(self.u.deriv(alpha, *grids), shape))
-        return np.stack(comps, axis=-1)
-
-
-class _InterpField(_Field):
-    tensor = True
-
-    def __init__(self, it):
-        self.it = it
-
-    def value(self, pts):
-        return self.it.value(pts)
-
-    def gradient(self, pts):
-        return self.it.gradient(pts)
-
-    def value_axes(self, axes):
-        return self.it.value_axes(axes)
-
-    def gradient_axes(self, axes):
-        return self.it.gradient_axes(axes)
-
-
-class _PairField(_Field):
-    def __init__(self, pair):
-        self.f, self.g = pair
-
-    def value(self, pts):
-        return np.asarray(self.f(pts), dtype=np.float64)
-
-    def gradient(self, pts):
-        return np.asarray(self.g(pts), dtype=np.float64)
-
-
-def as_field(obj):
-    if isinstance(obj, _Field):
-        return obj
-    if isinstance(obj, NeuralNetwork):
-        return _NetField(obj)
-    if isinstance(obj, WeightedFunction):
-        return _FnField(obj)
-    if hasattr(obj, "value_axes"):
-        return _InterpField(obj)
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return _PairField(obj)
-    raise TypeError(f"no field adapter for {type(obj).__name__}")
-
-
-def _axis_quad(cells, n_q, q, rng, jitter):
+def _axis_quad(cells, n_q, q, rng):
     t, w = gauss_rule(q)
     pts, wts = [], []
     for lo, hi in zip(cells[:-1], cells[1:]):
         sub = np.linspace(lo, hi, n_q + 1)
         for a, b in zip(sub[:-1], sub[1:]):
             h = b - a
-            off = jitter * h * (2.0 * rng.random() - 1.0)
+            off = _JITTER * h * (2.0 * rng.random() - 1.0)
             x = 0.5 * ((b - a) * t + (a + b)) + off
             pts.append(np.clip(x, a + 1e-14 * h, b - 1e-14 * h))
             wts.append(0.5 * h * w)
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _sq_errors(ff, gg, axes_pts, axes_wts, chunk=200_000):
+def _sq_errors(f, g, axes_pts, axes_wts):
     """(l2^2, semi^2, linf) over the tensor grid of axes_pts."""
     d = len(axes_pts)
     shape = tuple(len(a) for a in axes_pts)
-    if ff.tensor and gg.tensor:
-        # slab along the first axis so the error tensors stay bounded
-        n0 = shape[0]
-        rest = int(np.prod(shape[1:], dtype=np.int64)) if d > 1 else 1
-        slab = max(1, min(n0, 4_000_000 // max(1, rest)))
-        wt_rest = np.ones(shape[1:])
-        for j, w in enumerate(axes_wts[1:]):
-            wt_rest = wt_rest * w.reshape([-1 if i == j else 1 for i in range(d - 1)])
-        l2 = semi = linf = 0.0
-        for lo in range(0, n0, slab):
-            sl = slice(lo, min(n0, lo + slab))
-            axes_sl = [axes_pts[0][sl]] + list(axes_pts[1:])
-            dv = ff.value_axes(axes_sl) - gg.value_axes(axes_sl)
-            dg = ff.gradient_axes(axes_sl) - gg.gradient_axes(axes_sl)
-            wt = axes_wts[0][sl].reshape((-1,) + (1,) * (d - 1)) * wt_rest
-            l2 += float(np.sum(wt * dv * dv))
-            semi += float(np.sum(wt * np.sum(dg * dg, axis=-1)))
-            linf = max(linf, float(np.max(np.abs(dv))))
-        return l2, semi, linf
-    mesh = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    wmesh = np.meshgrid(*axes_wts, indexing="ij")
-    wts = wmesh[0].ravel().copy()
-    for wm in wmesh[1:]:
-        wts *= wm.ravel()
-    l2 = semi = 0.0
-    linf = 0.0
-    for lo in range(0, len(pts), chunk):
-        sl = slice(lo, lo + chunk)
-        dv = ff.value(pts[sl]) - gg.value(pts[sl])
-        dg = ff.gradient(pts[sl]) - gg.gradient(pts[sl])
-        l2 += float(np.dot(wts[sl], dv * dv))
-        semi += float(np.dot(wts[sl], np.sum(dg * dg, axis=1)))
+    # slab along the first axis so the error tensors stay bounded
+    n0 = shape[0]
+    rest = int(np.prod(shape[1:], dtype=np.int64)) if d > 1 else 1
+    slab = max(1, min(n0, 4_000_000 // max(1, rest)))
+    wt_rest = np.ones(shape[1:])
+    for j, w in enumerate(axes_wts[1:]):
+        wt_rest = wt_rest * w.reshape([-1 if i == j else 1 for i in range(d - 1)])
+    l2 = semi = linf = 0.0
+    for lo in range(0, n0, slab):
+        sl = slice(lo, min(n0, lo + slab))
+        axes_sl = [axes_pts[0][sl]] + list(axes_pts[1:])
+        dv = f.value_axes(axes_sl) - g.value_axes(axes_sl)
+        dg = f.gradient_axes(axes_sl) - g.gradient_axes(axes_sl)
+        wt = axes_wts[0][sl].reshape((-1,) + (1,) * (d - 1)) * wt_rest
+        l2 += float(np.sum(wt * dv * dv))
+        semi += float(np.sum(wt * np.sum(dg * dg, axis=-1)))
         linf = max(linf, float(np.max(np.abs(dv))))
     return l2, semi, linf
 
 
-def h1_error(f, g, cells, q=10, n_q=2, jitter=1e-7, seed=_SEED,
-             rtol=1e-3, atol=1e-14, max_doublings=3):
+def h1_error(f, g, cells, q=10, n_q=2, max_doublings=3):
     """Certified H1 (and L-infinity) distance between two fields.
 
     ``cells`` is a list of per-axis cell boundary arrays (typically the
     graded mesh nodes), so the subdivision is anisotropic in exactly the
-    way the integrand demands.  ``atol`` keeps the Richardson stop
-    meaningful when the distance sits at rounding-noise scale, where the
-    relative gap never settles.
+    way the integrand demands.
     """
-    ff, gg = as_field(f), as_field(g)
+    for field in (f, g):
+        if not (hasattr(field, "value_axes") and hasattr(field, "gradient_axes")):
+            raise TypeError(f"{type(field).__name__} is not a tensor field: "
+                            "it needs value_axes and gradient_axes")
     cells = [np.asarray(c, dtype=np.float64) for c in cells]
-    d = len(cells)
 
     def level(nq):
-        rng = np.random.default_rng(seed)
-        axes = [_axis_quad(c, nq, q, rng, jitter) for c in cells]
+        rng = np.random.default_rng(_SEED)
+        axes = [_axis_quad(c, nq, q, rng) for c in cells]
         pts = [a[0] for a in axes]
         wts = [a[1] for a in axes]
-        return _sq_errors(ff, gg, pts, wts)
+        return _sq_errors(f, g, pts, wts)
 
     nq = n_q
     l2s, semis, linf = level(nq)
@@ -225,7 +120,7 @@ def h1_error(f, g, cells, q=10, n_q=2, jitter=1e-7, seed=_SEED,
         gap = diff / max(h1_new, 1e-300)
         l2s, semis, linf = l2s2, semis2, max(linf, linf2)
         h1 = h1_new
-        if diff <= rtol * h1_new + atol:
+        if diff <= _RTOL * h1_new + _ATOL:
             certified = True
             break
     if max_doublings == 0:

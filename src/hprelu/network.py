@@ -8,6 +8,7 @@ the size statistic counts exactly the nonzero entries.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,9 +86,6 @@ class Layer:
         a = np.zeros((self.rows, self.cols))
         a[self.row_idx, self.col_idx] = self.vals
         return a
-
-    def density(self):
-        return len(self.vals) / (self.rows * self.cols)
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def realize(net, x, backend=None):
     return realize_batch(net, x[None, :], backend=backend)[0]
 
 
-def grad_realize_batch(net, pts, backend=None, chunk=None, seed=None):
+def grad_realize_batch(net, pts, backend=None, seed=None):
     """Values and jacobians on a batch: returns (vals (n, out), jac (n, out, nd)).
 
     The jacobian is the a.e. forward-mode derivative with relu'(0) = 0.
@@ -199,9 +197,8 @@ def grad_realize_batch(net, pts, backend=None, chunk=None, seed=None):
         if seed.ndim != 3 or seed.shape[0] != n or seed.shape[1] != d:
             raise ValueError("seed must have shape (n, input_dim, nd)")
         nd = seed.shape[2]
-    if chunk is None:
-        width = max(lay.rows for lay in net.layers)
-        chunk = max(64, min(n, int(1e7 / max(1, width * nd))))
+    width = max(lay.rows for lay in net.layers)
+    chunk = max(64, min(n, int(1e7 / max(1, width * nd))))
     vals = np.empty((n, net.output_dim))
     jac = np.empty((n, net.output_dim, nd))
     for lo in range(0, n, chunk):
@@ -261,7 +258,8 @@ def deserialize(text):
     """Parse serialized JSON back into a NeuralNetwork (bit-exact weights).
 
     Dimensions must be JSON integers, weight indices integral, and every
-    weight and bias finite; anything else is rejected, naming the layer."""
+    weight and bias a finite number (not a boolean); anything else is
+    rejected, naming the layer."""
     try:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as e:
@@ -277,13 +275,20 @@ def deserialize(text):
         try:
             rows = _count(entry["rows"], "rows")
             cols = _count(entry["cols"], "cols")
-            weights = entry["weights"]
+            weights, bias = entry["weights"], entry["bias"]
             if not isinstance(weights, list):
                 raise ValueError("weights must be a list of triplets")
-            bias = np.asarray(entry["bias"], dtype=np.float64)
+            if not isinstance(bias, list):
+                raise ValueError("bias must be a list")
             w = np.asarray(weights, dtype=np.float64) if weights else np.empty((0, 3))
             if w.ndim != 2 or w.shape[1] != 3:
                 raise ValueError("weights must be [i, j, value] triplets")
+            # JSON true/false would otherwise read as 1/0
+            if bool in set(map(type, chain(bias, chain.from_iterable(weights)))):
+                raise ValueError("weights and biases must not be booleans")
+            bias = np.asarray(bias, dtype=np.float64)
+            if bias.ndim != 1:
+                raise ValueError("bias must be a flat list of numbers")
             if not (np.isfinite(w).all() and np.isfinite(bias).all()):
                 raise ValueError("weights and biases must be finite")
             idx = w[:, :2]

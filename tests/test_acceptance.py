@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 
-from hprelu.assembly import NetConfig, _interpolate, build_phi_eps_f, quad_cells
+from hprelu.assembly import NetConfig, _interpolate, build_phi_eps_f, hp_error
 from hprelu.catalog import analytic_fn, corner_singular, edge_singular, fichera_extend
 from hprelu.emulation import plan_budget, product_net, pwpoly_net
-from hprelu.metrics import fit_rate, h1_error
+from hprelu.metrics import fit_rate
 from hprelu.network import grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate, project_element
 from hprelu.verify import verify_calculus
@@ -55,9 +55,7 @@ def test_criterion_1_hp_convergence_2d():
     errs, ndofs = [], []
     for ell in range(1, 9):
         interp = hp_interpolate(u, TensorMesh.cube(0.5, ell, 2), ell)
-        rep = h1_error(u, interp, quad_cells(interp, cfg.cert_grade),
-                       q=cfg.q_cal, n_q=cfg.nq_cal,
-                       max_doublings=cfg.cal_doublings)
+        rep = hp_error(u, interp, cfg)
         errs.append(rep.h1_error)
         ndofs.append(interp.N1d ** 2)
     elapsed = time.perf_counter() - t0
@@ -80,9 +78,7 @@ def test_criterion_2_hp_convergence_3d():
     errs = []
     for ell in range(1, 5):
         interp = _interpolate(u, 3, ell, ell, cfg)
-        rep = h1_error(u, interp, quad_cells(interp, cfg.cert_grade),
-                       q=cfg.q_cal, n_q=cfg.nq_cal,
-                       max_doublings=cfg.cal_doublings)
+        rep = hp_error(u, interp, cfg)
         errs.append(rep.h1_error)
     elapsed = time.perf_counter() - t0
     fe = fit_rate(list(zip(range(1, 5), errs)), "exp_in_n")

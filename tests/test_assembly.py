@@ -213,16 +213,6 @@ def test_quad_cells_symmetric_axis():
 
 # --------------------------------------------------------- cellwise fields
 
-def test_compiled_field_bitwise_scattered():
-    net = _small_net()
-    f = compiled_field(net)
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(0.0, 1.0, size=(60, 2))
-    vals, jac = grad_realize_batch(net, pts)
-    assert np.array_equal(f.value(pts), vals[:, 0])
-    assert np.array_equal(f.gradient(pts), jac[:, 0, :])
-
-
 def test_compiled_field_bitwise_tensor():
     net = _small_net()
     f = compiled_field(net)

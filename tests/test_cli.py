@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from hprelu.assembly import NetConfig, build_phi_eps_f
+from hprelu.catalog import corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
-from hprelu.network import deserialize, realize_batch
+from hprelu.network import _fmt, deserialize, realize_batch
 
 
 def _read_rows(path):
@@ -81,6 +83,19 @@ def test_hp_study_plot_script(tmp_path):
     script = (tmp_path / "s.gp").read_text()
     assert "plot" in script and out.name in script
     assert "logscale" in script
+
+
+def test_hp_study_measures_like_the_builder(tmp_path):
+    # one calibration measurement: the study row at the builder's level
+    # carries the builder's hp error bit for bit
+    _, rep = build_phi_eps_f(corner_singular(2, 0.5), 2, 1e-1,
+                             NetConfig(sigma=0.17))
+    out = tmp_path / "one.csv"
+    assert main(["hp-study", "--dim", "2", "--func", "corner", "--sigma",
+                 "0.17", "--ell", str(rep.ell), "--out", str(out)]) == 0
+    _, rows = _read_rows(out)
+    assert [r[4] for r in rows] == [str(rep.ell)]
+    assert rows[0][10] == _fmt(rep.hp_h1_error)
 
 
 def test_config_precedence(tmp_path):

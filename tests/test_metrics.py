@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from hprelu.catalog import analytic_fn, corner_singular
+from hprelu.catalog import WeightedFunction, analytic_fn, corner_singular
 from hprelu.mesh import TensorMesh
-from hprelu.metrics import ErrorReport, as_field, fit_rate, h1_error
-from hprelu.network import Layer, NeuralNetwork
+from hprelu.metrics import ErrorReport, fit_rate, h1_error
 from hprelu.projector import hp_interpolate
+
+
+def _fn1(value, deriv, name):
+    """A 1d catalog-style function from its value and derivative."""
+    return WeightedFunction(1, value, lambda alpha, x: deriv(x), name)
+
+
+_ZERO = _fn1(np.zeros_like, np.zeros_like, "zero")
 
 
 def test_pinned_1d():
     # f = x^2, g = x on (0,1): l2^2 = 1/30, semi^2 = 1/3
-    f = (lambda p: p[:, 0] ** 2, lambda p: 2 * p[:, 0:1])
-    g = (lambda p: p[:, 0], lambda p: np.ones_like(p[:, 0:1]))
+    f = _fn1(lambda x: x ** 2, lambda x: 2 * x, "x^2")
+    g = _fn1(lambda x: x, np.ones_like, "x")
     rep = h1_error(f, g, [np.array([0.0, 1.0])])
     assert rep.h1_error == pytest.approx(np.sqrt(11 / 30), rel=1e-6)
     assert rep.h1_error == pytest.approx(0.60553, abs=5e-6)
@@ -34,17 +41,6 @@ def test_identity_report_invariant():
         ErrorReport(1.0, 1.0, 1.0, 1.0, 4, 0.0, True)
 
 
-def test_network_field():
-    # y = 3x through a relu pair; compare against the same affine function
-    l1 = Layer.from_dense(np.array([[1.0], [-1.0]]), np.zeros(2))
-    l2 = Layer.from_dense(np.array([[3.0, -3.0]]), np.zeros(1))
-    net = NeuralNetwork(1, [l1, l2])
-    f = (lambda p: 3 * p[:, 0], lambda p: 3 * np.ones_like(p[:, 0:1]))
-    rep = h1_error(net, f, [np.array([0.0, 1.0])], n_q=1, max_doublings=1)
-    assert rep.h1_error < 1e-12
-    assert rep.certified
-
-
 def test_interp_vs_function_decreases():
     u = corner_singular(2, 0.5)
     errs = []
@@ -58,18 +54,16 @@ def test_interp_vs_function_decreases():
 
 
 def test_no_refinement_uncertified():
-    f = (lambda p: np.abs(p[:, 0] - 0.37), lambda p: np.sign(p[:, 0] - 0.37)[:, None])
-    g = (lambda p: np.zeros(len(p)), lambda p: np.zeros((len(p), 1)))
-    rep = h1_error(f, g, [np.array([0.0, 1.0])], max_doublings=0)
+    f = _fn1(lambda x: np.abs(x - 0.37), lambda x: np.sign(x - 0.37), "|x-0.37|")
+    rep = h1_error(f, _ZERO, [np.array([0.0, 1.0])], max_doublings=0)
     assert not rep.certified
     assert np.isnan(rep.richardson_gap)
 
 
 def test_jitter_determinism():
-    f = (lambda p: p[:, 0] ** 3, lambda p: 3 * p[:, 0:1] ** 2)
-    g = (lambda p: np.zeros(len(p)), lambda p: np.zeros((len(p), 1)))
-    r1 = h1_error(f, g, [np.array([0.0, 1.0])])
-    r2 = h1_error(f, g, [np.array([0.0, 1.0])])
+    f = _fn1(lambda x: x ** 3, lambda x: 3 * x ** 2, "x^3")
+    r1 = h1_error(f, _ZERO, [np.array([0.0, 1.0])])
+    r2 = h1_error(f, _ZERO, [np.array([0.0, 1.0])])
     assert r1.h1_error == r2.h1_error
 
 
@@ -109,6 +103,11 @@ def test_fit_validation():
         fit_rate([(1, 1.0), (2, 0.5), (3, 0.2)], "nope")
 
 
-def test_as_field_rejects():
-    with pytest.raises(TypeError):
-        as_field(42)
+def test_h1_error_rejects_non_fields():
+    cells = [np.array([0.0, 1.0])]
+    pair = (lambda p: p[:, 0], lambda p: np.ones_like(p[:, 0:1]))
+    for bad, name in ((42, "int"), (pair, "tuple")):
+        with pytest.raises(TypeError, match=name):
+            h1_error(bad, _ZERO, cells)
+        with pytest.raises(TypeError, match=name):
+            h1_error(_ZERO, bad, cells)

@@ -162,6 +162,14 @@ _COERCED_LAYERS = [
     # boolean or fractional dimensions
     '{"rows": true, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [0]}',
     '{"rows": 1, "cols": 1.9, "weights": [[0, 0, 1.0]], "bias": [0]}',
+    # booleans inside weight triplets and biases (read as 1 / 0)
+    '{"rows": 2, "cols": 1, "weights": [[true, 0, false]], "bias": [0, 0]}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, true]], "bias": [0]}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [false]}',
+    # a bias that is not a flat list (read as one entry)
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": true}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": 2.0}',
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [[2.0]]}',
 ]
 
 
