@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import concat, depth_align, full_parallel, parallel
+from . import backends
+from .calculus import _pm_stack, concat, depth_align, full_parallel, parallel
 from .emulation import ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
 from .mesh import TensorMesh
-from .network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
+from .network import (Layer, NeuralNetwork, _grad_chunk, grad_realize_batch,
+                      realize_batch)
 from .projector import hp_interpolate, multipatch_interpolate
 
 __all__ = [
@@ -253,85 +255,90 @@ class _CompiledField:
 
     At any point the product block of a tuple with some basis factor
     outside its support is exactly zero, so per mesh cell only the live
-    tuples need to run.  The per-cell subnetwork is assembled by the same
-    tiling and concat ops as the full net and fed the raw basis outputs;
-    under the strict in-order backend its values match the full realization
-    bit for bit.  Gradients chain the subnet jacobian against the per-axis
-    basis derivatives through a seeded forward pass.
+    tuples run.  One network serves every cell: a single tuple's stage
+    (selector, product net, output (+,-) stacked as by ``concat``) runs on
+    a (live tuple x point) batch of basis-net values seeded with their
+    derivatives, and the cell's doubled coefficient row contracts it.  Sums
+    run in the full net's order and points in the chunks the full net
+    restricted to the cell would take, so under the strict in-order
+    backend the values match the full realization bit for bit.
     """
 
-    _CACHE_MAX = 128
-
-    def __init__(self, interp, nets, pi, vmat, row=0):
-        self.interp = interp
-        self.nets = nets
-        self.pi = pi
-        self.vmat = np.atleast_2d(np.asarray(vmat, dtype=np.float64))
-        self.row = int(row)
-        self.d = interp.dim
+    def __init__(self, parts, row):
+        self.interp = interp = parts["interp"]
+        self.nets = parts["nets"]
+        self.vrow = parts["vmat"][row]
+        self.d = d = interp.dim
         self.N = interp.N1d
-        live = [[] for _ in range(interp.mesh.axes[0].n_intervals)]
-        for i, bf in enumerate(interp.basis):
-            for k in bf.support:
-                live[k].append(i)
-        self._live = [np.asarray(v, dtype=np.int64) for v in live]
-        self._subs = {}
+        # the selector stays: its ReLUs zero the jacobian wherever a basis
+        # value is exactly zero
+        stage = _tiled_tuple_stage(parts["pi"], np.arange(d)[None, :], d).layers
+        stage = NeuralNetwork(d, stage[:-1] + (_pm_stack(stage[-1]),))
+        self._stage = stage.packed()
+        self._width = max(lay.rows for lay in stage.layers)
+        self._live = [np.array([i for i, bf in enumerate(interp.basis)
+                                if k in bf.support], dtype=np.int64)
+                      for k in range(interp.mesh.axes[0].n_intervals)]
         self._last = None
-
-    def _subnet(self, kcell):
-        hit = self._subs.get(kcell)
-        if hit is not None:
-            return hit
-        d, N = self.d, self.N
-        live = [self._live[k] for k in kcell]
-        las = [len(v) for v in live]
-        offs = np.concatenate(([0], np.cumsum(las)))
-        m = int(offs[-1])
-        t_live = int(np.prod(las))
-        loc = np.stack(np.unravel_index(np.arange(t_live), las, order="F"),
-                       axis=1)
-        stage = _tiled_tuple_stage(self.pi, loc + offs[:-1][None, :], m)
-        gidx = np.zeros(t_live, dtype=np.int64)
-        stride = 1
-        for a in range(d):
-            gidx += live[a][loc[:, a]] * stride
-            stride *= N
-        rv = self.vmat[self.row, gidx]
-        nz = np.nonzero(rv)[0]
-        head = NeuralNetwork(t_live, [Layer(
-            1, t_live, np.zeros(len(nz), dtype=np.int64), nz, rv[nz],
-            np.zeros(1))])
-        entry = (concat(head, stage), live, las, m)
-        if len(self._subs) >= self._CACHE_MAX:
-            self._subs.pop(next(iter(self._subs)))
-        self._subs[kcell] = entry
-        return entry
 
     def _tables(self, axes):
         """Values and derivatives of every 1d basis net on each axis'
         point set; entries outside a support are exact zeros."""
         zv, zd = [], []
-        for a in range(self.d):
-            x1 = np.asarray(axes[a], dtype=np.float64)[:, None]
-            vv = np.empty((self.N, len(x1)))
-            dd = np.empty_like(vv)
-            for i, bnet in enumerate(self.nets):
-                v, j = grad_realize_batch(bnet, x1)
-                vv[i] = v[:, 0]
-                dd[i] = j[:, 0, 0]
-            zv.append(vv)
-            zd.append(dd)
+        for a in axes:
+            x1 = np.asarray(a, dtype=np.float64)[:, None]
+            pairs = [grad_realize_batch(bnet, x1) for bnet in self.nets]
+            zv.append(np.stack([v[:, 0] for v, _ in pairs]))
+            zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
         return zv, zd
+
+    def _cell(self, kcell, sls, zv, zd):
+        """Values and gradients on the block ``sls`` of points in mesh cell
+        ``kcell``."""
+        d = self.d
+        las = [len(self._live[k]) for k in kcell]
+        t = int(np.prod(las))
+        loc = np.unravel_index(np.arange(t), las, order="F")
+        # basis index per live tuple and axis
+        picks = [self._live[k][i] for k, i in zip(kcell, loc)]
+        rv = self.vrow[np.ravel_multi_index(picks, (self.N,) * d, order="F")]
+        nz = np.nonzero(rv)[0]
+        head = Layer(1, 2 * t, np.zeros(2 * len(nz), dtype=np.int64),
+                     np.concatenate([nz, nz + t]),
+                     np.concatenate([rv[nz], -rv[nz]]), np.zeros(1))
+        head = [(head.indptr, head.col_idx, head.vals, head.bias)]
+        ns = [s.stop - s.start for s in sls]
+        n = int(np.prod(ns))
+        flat = np.unravel_index(np.arange(n), ns)
+        chunk = _grad_chunk(n, t * self._width, d)
+        vals, grad = np.empty(n), np.empty((n, d))
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            c = hi - lo
+            # tuple-major batch: column k*c + j is live tuple k at point j
+            x = np.empty((d, t * c))
+            seed = np.zeros((d, t * c, d))
+            for a in range(d):
+                ix = np.ix_(picks[a], sls[a].start + flat[a][lo:hi])
+                x[a] = zv[a][ix].ravel()
+                seed[a, :, a] = zd[a][ix].ravel()
+            y, jac = backends.run_forward_grad(self._stage, x, seed=seed)
+            jac *= (y > 0.0)[:, :, None]
+            np.maximum(y, 0.0, out=y)
+            # rows k and t+k: the (+,-) outputs of live tuple k
+            y, jac = backends.run_forward_grad(
+                head, y.reshape(2 * t, c), seed=jac.reshape(2 * t, c, d))
+            vals[lo:hi] = y[0]
+            grad[lo:hi] = jac[0]
+        return vals.reshape(ns), grad.reshape(ns + [d])
 
     def _eval_axes(self, axes):
         last = self._last
         if last is not None and len(last[0]) == len(axes) and all(
                 a is b for a, b in zip(last[0], axes)):
             return last[1], last[2]
-        d = self.d
-        maxes = self.interp.mesh.axes
         segs = []
-        for ax, a in zip(maxes, axes):
+        for ax, a in zip(self.interp.mesh.axes, axes):
             ks = ax.find(np.asarray(a))
             bounds = np.concatenate(
                 ([0], np.nonzero(np.diff(ks))[0] + 1, [len(ks)]))
@@ -340,25 +347,11 @@ class _CompiledField:
         zv, zd = self._tables(axes)
         shape = tuple(len(a) for a in axes)
         out = np.empty(shape)
-        grad = np.empty(shape + (d,))
+        grad = np.empty(shape + (self.d,))
         for cell in itertools.product(*segs):
-            kcell = tuple(c[0] for c in cell)
             sls = tuple(c[1] for c in cell)
-            net, live, las, m = self._subnet(kcell)
-            ns = [s.stop - s.start for s in sls]
-            nblk = int(np.prod(ns))
-            grids = np.meshgrid(*[np.arange(n) for n in ns], indexing="ij")
-            flat = [g.ravel() for g in grids]
-            zin = np.empty((nblk, m))
-            sd = np.zeros((nblk, m, d))
-            c0 = 0
-            for a in range(d):
-                zin[:, c0:c0 + las[a]] = zv[a][live[a]][:, sls[a]][:, flat[a]].T
-                sd[:, c0:c0 + las[a], a] = zd[a][live[a]][:, sls[a]][:, flat[a]].T
-                c0 += las[a]
-            vals, jac = grad_realize_batch(net, zin, seed=sd)
-            out[sls] = vals[:, 0].reshape(ns)
-            grad[sls] = jac[:, 0, :].reshape(ns + [d])
+            out[sls], grad[sls] = self._cell(tuple(c[0] for c in cell), sls,
+                                             zv, zd)
         self._last = (list(axes), out, grad)
         return out, grad
 
@@ -370,12 +363,14 @@ class _CompiledField:
 
 
 def compiled_field(net, row=0):
-    """Cellwise evaluation view of one output row of a compiled network."""
+    """Cellwise evaluation view of output row ``row`` of a compiled network."""
     parts = net.meta.get("compiled_parts")
     if parts is None:
         raise ValueError("network carries no compilation structure")
-    return _CompiledField(parts["interp"], parts["nets"], parts["pi"],
-                          parts["vmat"], row=row)
+    rows = len(parts["vmat"])
+    if isinstance(row, bool) or not isinstance(row, int) or not 0 <= row < rows:
+        raise ValueError(f"row must be an int in range({rows}), got {row!r}")
+    return _CompiledField(parts, row)
 
 
 def _linf_grid_check(net, interp, plan, npts):

@@ -62,6 +62,15 @@ def identity_net(dim, depth):
     return NeuralNetwork(dim, [split] + [carry] * (depth - 2) + [merge])
 
 
+def _pm_stack(lay):
+    """The layer over its negation: rows (A; -A), bias (b; -b)."""
+    return Layer(2 * lay.rows, lay.cols,
+                 np.concatenate([lay.row_idx, lay.row_idx + lay.rows]),
+                 np.concatenate([lay.col_idx, lay.col_idx]),
+                 np.concatenate([lay.vals, -lay.vals]),
+                 np.concatenate([lay.bias, -lay.bias]))
+
+
 def concat(outer, inner):
     """Sparse composition: realize(concat(outer, inner)) = outer after inner.
 
@@ -75,15 +84,7 @@ def concat(outer, inner):
             f"cannot compose: inner outputs {inner.output_dim}, outer expects {outer.input_dim}"
         )
     m = inner.output_dim
-    last = inner.layers[-1]
-    stacked = Layer(
-        2 * m,
-        last.cols,
-        np.concatenate([last.row_idx, last.row_idx + m]),
-        np.concatenate([last.col_idx, last.col_idx]),
-        np.concatenate([last.vals, -last.vals]),
-        np.concatenate([last.bias, -last.bias]),
-    )
+    stacked = _pm_stack(inner.layers[-1])
     first = outer.layers[0]
     doubled = Layer(
         first.rows,

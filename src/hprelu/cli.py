@@ -10,6 +10,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -223,20 +224,39 @@ def cmd_nn_build(args):
     return 0
 
 
+def _read_points(path, want):
+    """The x1..xd fields of each non-blank row, as text and as an (n, d)
+    array.  A missing header, a short row, or a coordinate that is not a
+    finite number is rejected, naming the line."""
+    d = len(want)
+    raw, pts = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, [])[:d] != want:
+            raise ValueError(f"points file line 1: expected the header "
+                             f"{','.join(want)}")
+        for row in filter(None, reader):
+            try:
+                if len(row) < d:
+                    raise ValueError(f"{len(row)} values, need {d}")
+                x = [float(v) for v in row[:d]]
+                if not all(map(math.isfinite, x)):
+                    raise ValueError("coordinates must be finite")
+            except ValueError as e:
+                raise ValueError(
+                    f"points file line {reader.line_num}: {e}") from e
+            raw.append(row[:d])
+            pts.append(x)
+    return raw, np.asarray(pts, dtype=np.float64).reshape(-1, d)
+
+
 def cmd_nn_eval(args):
     with open(args.net) as fh:
         net = deserialize(fh.read())
     d = net.input_dim
     want = [f"x{j + 1}" for j in range(d)]
-    with open(args.points, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:d] != want:
-            raise ValueError(
-                f"points file must start with columns {','.join(want)}")
-        raw = [row[:d] for row in reader if row]
-    pts = np.asarray([[float(v) for v in row] for row in raw])
-    vals = realize_batch(net, pts.reshape(-1, d))
+    raw, pts = _read_points(args.points, want)
+    vals = realize_batch(net, pts)
     names = ["value"] if net.output_dim == 1 else [
         f"value{k + 1}" for k in range(net.output_dim)]
     with open(args.out, "w", newline="") as fh:

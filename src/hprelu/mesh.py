@@ -7,8 +7,6 @@ endpoint of (0,1), and a four-patch symmetric grading on (-a,a) toward
 {-a, 0, a}.
 """
 
-import itertools
-
 import numpy as np
 
 __all__ = [
@@ -16,14 +14,13 @@ __all__ = [
     "geometric_mesh",
     "multipatch_axis",
     "TensorMesh",
-    "element_distances",
 ]
 
 
 class Axis1D:
     """One mesh axis: nodes, singular-interval flags, grading parameters."""
 
-    def __init__(self, nodes, singular, sigma, ell, patches=1, halfwidth=None):
+    def __init__(self, nodes, singular, sigma, ell, patches=1):
         self.nodes = np.asarray(nodes, dtype=np.float64)
         self.singular = np.asarray(singular, dtype=bool)
         if self.nodes.ndim != 1 or len(self.nodes) < 2:
@@ -35,15 +32,10 @@ class Axis1D:
         self.sigma = float(sigma)
         self.ell = int(ell)
         self.patches = int(patches)
-        self.halfwidth = halfwidth
 
     @property
     def n_intervals(self):
         return len(self.nodes) - 1
-
-    @property
-    def widths(self):
-        return np.diff(self.nodes)
 
     @property
     def lo(self):
@@ -58,15 +50,6 @@ class Axis1D:
         the last node to the last piece."""
         k = np.searchsorted(self.nodes, np.asarray(x, dtype=np.float64), side="right") - 1
         return np.clip(k, 0, self.n_intervals - 1)
-
-    def to_ref(self, k, x):
-        """Map physical x in interval k to t in (-1,1)."""
-        a, b = self.nodes[k], self.nodes[k + 1]
-        return (2.0 * np.asarray(x) - (a + b)) / (b - a)
-
-    def from_ref(self, k, t):
-        a, b = self.nodes[k], self.nodes[k + 1]
-        return 0.5 * ((b - a) * np.asarray(t) + (a + b))
 
 
 def geometric_mesh(sigma, ell):
@@ -100,7 +83,7 @@ def multipatch_axis(sigma, ell, halfwidth=1.0):
     n = ell + 1
     singular = np.zeros(4 * n, dtype=bool)
     singular[[0, 2 * n - 1, 2 * n, 4 * n - 1]] = True
-    return Axis1D(nodes, singular, sigma, ell, patches=4, halfwidth=a)
+    return Axis1D(nodes, singular, sigma, ell, patches=4)
 
 
 class TensorMesh:
@@ -128,40 +111,3 @@ class TensorMesh:
     def dim(self):
         return len(self.axes)
 
-    @property
-    def n_elements(self):
-        return self.axes[0].n_intervals ** self.dim
-
-    def elements(self):
-        """Iterate element multi-indices, first axis fastest."""
-        n = self.axes[0].n_intervals
-        for rev in itertools.product(range(n), repeat=self.dim):
-            yield rev[::-1]
-
-
-def element_distances(mesh, K, include_edge=None):
-    """(corner distance, edge distance) for element K of a single-patch mesh.
-
-    Corner distance uses the closed form sqrt(sum_i sigma^{2(ell-k_i+1)});
-    the edge distance (3d only) minimizes the same expression over distinct
-    axis pairs.
-    """
-    ax = mesh.axes[0]
-    if ax.patches != 1:
-        raise ValueError("element distances are defined on single-patch meshes")
-    d = mesh.dim
-    K = tuple(int(k) for k in K)
-    if len(K) != d:
-        raise ValueError("element index length must match dimension")
-    if include_edge is None:
-        include_edge = d == 3
-    if include_edge and d != 3:
-        raise ValueError("edge distance is defined only in dimension 3")
-    sig, ell = ax.sigma, ax.ell
-    terms = [sig ** (2 * (ell - k + 1)) for k in K]
-    d_c = float(np.sqrt(sum(terms)))
-    d_e = None
-    if include_edge:
-        d_e = float(np.sqrt(min(terms[i] + terms[j]
-                                for i in range(3) for j in range(i + 1, 3))))
-    return d_c, d_e

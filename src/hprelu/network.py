@@ -175,14 +175,22 @@ def realize(net, x, backend=None):
     return realize_batch(net, x[None, :], backend=backend)[0]
 
 
-def grad_realize_batch(net, pts, backend=None, seed=None):
-    """Values and jacobians on a batch: returns (vals (n, out), jac (n, out, nd)).
+# Cap on the width * points * directions entries of one jacobian chunk.
+_JAC_BUDGET = 10_000_000
+
+
+def _grad_chunk(n, width, nd):
+    """Points per forward-jacobian pass over n points through layers at
+    most ``width`` rows wide, propagating nd directions."""
+    return max(64, min(n, int(_JAC_BUDGET / max(1, width * nd))))
+
+
+def grad_realize_batch(net, pts, backend=None):
+    """Values and jacobians on a batch: returns (vals (n, out), jac (n, out, d)).
 
     The jacobian is the a.e. forward-mode derivative with relu'(0) = 0.
-    nd equals input_dim unless a per-point (n, input_dim, nd) seed matrix is
-    given, in which case only those nd directions are propagated (chain rule
-    against an upstream jacobian).  Work is chunked so the
-    (width * chunk * nd) jacobian buffer stays bounded.
+    Points run in ``_grad_chunk`` chunks so the jacobian buffer stays
+    bounded.
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
@@ -190,23 +198,13 @@ def grad_realize_batch(net, pts, backend=None, seed=None):
     n, d = pts.shape
     if d != net.input_dim:
         raise ValueError(f"points have dim {d}, network expects {net.input_dim}")
-    if seed is None:
-        nd = d
-    else:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.ndim != 3 or seed.shape[0] != n or seed.shape[1] != d:
-            raise ValueError("seed must have shape (n, input_dim, nd)")
-        nd = seed.shape[2]
-    width = max(lay.rows for lay in net.layers)
-    chunk = max(64, min(n, int(1e7 / max(1, width * nd))))
+    chunk = _grad_chunk(n, max(lay.rows for lay in net.layers), d)
     vals = np.empty((n, net.output_dim))
-    jac = np.empty((n, net.output_dim, nd))
+    jac = np.empty((n, net.output_dim, d))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        s = None if seed is None else np.ascontiguousarray(
-            np.moveaxis(seed[lo:hi], 0, 1))
         y, j = backends.run_forward_grad(net.packed(), pts[lo:hi].T,
-                                         backend=backend, seed=s)
+                                         backend=backend)
         vals[lo:hi] = y.T
         jac[lo:hi] = np.moveaxis(j, 1, 0)
     return vals, jac

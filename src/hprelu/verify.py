@@ -64,6 +64,8 @@ def _rel(got, want):
 
 def verify_calculus(trials=1000, seed=0, backend=None):
     """Run `trials` randomized checks per rule; returns a list of RuleCheck."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     out = []
 

@@ -5,10 +5,15 @@ finite differences for jacobians, dense matmul loops for realizations,
 trapezoid refinement for integrals.
 """
 
+import itertools
+
 import numpy as np
 
+from hprelu import backends, network
+from hprelu.assembly import _tiled_tuple_stage
 from hprelu.basis import PiecewisePolynomial
-from hprelu.network import Layer, NeuralNetwork
+from hprelu.calculus import concat
+from hprelu.network import Layer, NeuralNetwork, grad_realize_batch
 
 
 def random_net(rng, input_dim=None, depth=None, width_hi=6, density=0.7):
@@ -75,6 +80,62 @@ def inorder_realize(net, x):
             z = np.maximum(z, 0.0)
         y = z
     return y.T
+
+
+def per_cell_field(net, axes, row=0):
+    """Values and gradients of output row ``row`` of a compiled network on a
+    tensor grid, each mesh cell through a network of its own.
+
+    Per cell: the selector-fed product nets of the live tuples, tiled, under
+    that cell's coefficient row, composed by ``concat``.  It runs on the raw
+    basis-net outputs, seeded with their derivatives, in the point chunks
+    ``network._grad_chunk`` gives for its widest layer.
+    """
+    parts = net.meta["compiled_parts"]
+    interp, pi = parts["interp"], parts["pi"]
+    vrow = parts["vmat"][row]
+    d, N = interp.dim, interp.N1d
+    live = [[i for i, bf in enumerate(interp.basis) if k in bf.support]
+            for k in range(interp.mesh.axes[0].n_intervals)]
+    zv, zd = [], []
+    for a in axes:
+        pairs = [grad_realize_batch(b, np.asarray(a, dtype=float)[:, None])
+                 for b in parts["nets"]]
+        zv.append(np.stack([v[:, 0] for v, _ in pairs]))
+        zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
+    cells = [interp.mesh.axes[0].find(np.asarray(a)) for a in axes]
+    shape = tuple(len(a) for a in axes)
+    out = np.empty(shape)
+    grad = np.empty(shape + (d,))
+    for kcell in itertools.product(*[np.unique(c) for c in cells]):
+        lv = [live[k] for k in kcell]
+        las = [len(v) for v in lv]
+        offs = np.concatenate(([0], np.cumsum(las)))
+        t = int(np.prod(las))
+        loc = np.stack(np.unravel_index(np.arange(t), las, order="F"), axis=1)
+        gidx = sum(np.asarray(lv[a])[loc[:, a]] * N ** a for a in range(d))
+        rv = vrow[gidx]
+        nz = np.nonzero(rv)[0]
+        head = NeuralNetwork(t, [Layer(1, t, np.zeros(len(nz)), nz, rv[nz],
+                                       np.zeros(1))])
+        sub = concat(head, _tiled_tuple_stage(pi, loc + offs[:-1], offs[-1]))
+        pts = [np.nonzero(c == k)[0] for c, k in zip(cells, kcell)]
+        idx = [g.ravel() for g in np.meshgrid(*pts, indexing="ij")]
+        zin = np.hstack([zv[a][lv[a]][:, idx[a]].T for a in range(d)])
+        seed = np.zeros(zin.shape + (d,))
+        for a in range(d):
+            seed[:, offs[a]:offs[a + 1], a] = zd[a][lv[a]][:, idx[a]].T
+        n = len(zin)
+        chunk = network._grad_chunk(n, max(lay.rows for lay in sub.layers), d)
+        for lo in range(0, n, chunk):
+            sl = slice(lo, min(n, lo + chunk))
+            y, j = backends.run_forward_grad(
+                sub.packed(), zin[sl].T,
+                seed=np.ascontiguousarray(np.moveaxis(seed[sl], 0, 1)))
+            at = tuple(i[sl] for i in idx)
+            out[at] = y[0]
+            grad[at] = j[0]
+    return out, grad
 
 
 def fd_jacobian(f, x, h=1e-6):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hprelu import assembly
+from hprelu import assembly, network
 from hprelu.assembly import (
     NetConfig,
     _tiled_tuple_stage,
@@ -31,6 +31,8 @@ from hprelu.network import (
     serialize,
 )
 from hprelu.projector import HpInterpolant, hp_interpolate
+
+from helpers import per_cell_field
 
 _CACHE = {}
 
@@ -225,6 +227,46 @@ def test_compiled_field_bitwise_tensor():
     assert np.array_equal(f.value_axes(axes), vals[:, 0].reshape(13, 11))
     assert np.array_equal(f.gradient_axes(axes),
                           jac[:, 0, :].reshape(13, 11, 2))
+
+
+@pytest.mark.parametrize("dim, p, n, budget", [(2, 4, 40, 100_000),
+                                               (3, 2, 12, 140_000)])
+def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
+                                                 budget):
+    # With random coefficients the head rows of the cells with the most
+    # live tuples (50 terms in 2d, 54 in 3d) take the BLAS branch, whose
+    # sums can change with the chunk bounds.  The budgets cut those cells
+    # into chunks of 133 (2d) and 101 (3d) points, off any SIMD block
+    # multiple.
+    monkeypatch.setattr(network, "_JAC_BUDGET", budget)
+    split = []
+
+    def spy(npts, width, nd):
+        chunk = network._grad_chunk(npts, width, nd)
+        split.append(chunk < npts)
+        return chunk
+
+    monkeypatch.setattr(assembly, "_grad_chunk", spy)
+    base = _corner_interp(ell=1, p=p, lam=0.6, dim=dim)
+    rng = np.random.default_rng(3)
+    interp = HpInterpolant(base.mesh, p,
+                           rng.uniform(-1.0, 1.0, base.coeffs.shape))
+    net = build_phi_eps_c(interp, 1e-1)
+    axes = [np.linspace(0.0, 1.0, n)] * dim
+    want_v, want_g = per_cell_field(net, axes)
+    f = compiled_field(net)
+    # bit for bit, the signs of zeros included
+    assert np.array_equal(f.value_axes(axes).view(np.uint64),
+                          want_v.view(np.uint64))
+    assert np.array_equal(f.gradient_axes(axes).view(np.uint64),
+                          want_g.view(np.uint64))
+    assert any(split)
+
+
+@pytest.mark.parametrize("row", [-1, 1, 2.7, True, "0", None])
+def test_compiled_field_checks_row(row):
+    with pytest.raises(ValueError, match="row"):
+        compiled_field(_small_net(), row=row)
 
 
 def test_compiled_field_needs_structure():

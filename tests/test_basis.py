@@ -79,7 +79,7 @@ def test_bubble_h1_seminorm_closed_form():
     for b in build_basis(ax, 5):
         if b.kind != "bubble":
             continue
-        h = ax.widths[b.interval]
+        h = np.diff(ax.nodes)[b.interval]
         assert b.h1_seminorm == pytest.approx(
             1.0 / np.sqrt(h * (2 * b.mode - 3)), rel=1e-12)
 
@@ -87,7 +87,7 @@ def test_bubble_h1_seminorm_closed_form():
 def test_hat_norms_closed_form():
     ax = geometric_mesh(0.5, 2)
     bs = build_basis(ax, 2)
-    w = ax.widths
+    w = np.diff(ax.nodes)
     # interior hat at node 1 spans intervals 0 and 1
     b = bs[1]
     assert b.h1_seminorm == pytest.approx(np.sqrt(1 / w[0] + 1 / w[1]), rel=1e-12)
@@ -103,5 +103,5 @@ def test_bubble_l2_independent_oracle():
         c = np.array(b.ref_coeffs[0])
         sq = P.polymul(c, c)
         integral = P.polyval(1.0, P.polyint(sq)) - P.polyval(-1.0, P.polyint(sq))
-        h = ax.widths[b.interval]
+        h = np.diff(ax.nodes)[b.interval]
         assert b.l2_norm == pytest.approx(np.sqrt(0.5 * h * integral), rel=1e-11)

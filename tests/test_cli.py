@@ -10,6 +10,7 @@ from hprelu.assembly import NetConfig, build_phi_eps_f
 from hprelu.catalog import corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
 from hprelu.network import _fmt, deserialize, realize_batch
+from hprelu.verify import verify_calculus
 
 
 def _read_rows(path):
@@ -149,6 +150,34 @@ def test_nn_eval_rejects_bad_header(tmp_path):
     pts.write_text("a,b\n0.1,0.2\n")
     assert main(["nn-eval", "--net", str(net_path), "--points", str(pts),
                  "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("x1,x2\n0.1,0.2\n0.3\n", 3),
+    ("x1,x2\n0.1,abc\n", 2),
+    ("x1,x2\n0.1,nan\n", 2),
+    ("x1,x2\n0.1,0.2\n\n-inf,0.5\n", 4),
+], ids=["empty", "short-row", "not-a-number", "nan", "inf-after-blank"])
+def test_nn_eval_rejects_bad_points(tmp_path, capsys, text, line):
+    net_path = tmp_path / "net.json"
+    main(["mul-net", "--d", "2", "--eps", "1e-2", "--out", str(net_path)])
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert main(["nn-eval", "--net", str(net_path), "--points", str(pts),
+                 "--out", str(out)]) == 2
+    assert f"points file line {line}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_calculus_rejects_no_trials(capsys, trials):
+    assert main(["verify-calculus", "--trials", trials]) == 2
+    assert "ok" not in capsys.readouterr().out
+    with pytest.raises(ValueError, match="trials"):
+        verify_calculus(trials=int(trials))
 
 
 def test_verify_calculus_passes(capsys):
