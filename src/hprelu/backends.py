@@ -1,15 +1,19 @@
 """Batched evaluation kernels for sparse affine layers.
 
 Two interchangeable implementations: numba-jitted loops (default when numba
-imports) and a pure-numpy path.  Both accumulate narrow rows strictly in
+imports) and a numpy/scipy path.  Both accumulate narrow rows strictly in
 stored order, which the product constructions rely on for their exact
-structural zeros.  Select with the HPRELU_BACKEND environment variable:
-"auto" (default), "numba" or "numpy".
+structural zeros.  The numpy path runs every row of at most
+``_EXACT_ROW_NNZ`` entries through scipy's compiled CSR loop
+(``csr_matvecs``), which adds the terms in stored order from the bias, and
+each wider row through a BLAS dot.  Select with the HPRELU_BACKEND
+environment variable: "auto" (default), "numba" or "numpy".
 """
 
 import os
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 try:
     from numba import njit, prange
@@ -63,10 +67,12 @@ def _csr_affine_nb(indptr, cols, vals, bias, x, out):
     return out
 
 
-# Rows at or below this nnz count are accumulated term by term in stored
-# order, matching the numba kernel bit for bit.  The exact-cancellation
-# guarantees of the product layers live on such narrow rows; wide rows
-# (coefficient contractions) only carry tolerance-based contracts.
+# Rows at or below this nnz count go through scipy's csr_matvecs, which
+# adds vals[k] * x[col] term by term in stored order, matching the numba
+# kernel bit for bit.  The exact-cancellation guarantees of the product
+# layers live on such narrow rows.  Wider rows (coefficient contractions)
+# use a BLAS dot, whose summation order is its own; they only carry
+# tolerance-based contracts.
 _EXACT_ROW_NNZ = 32
 
 
@@ -79,14 +85,15 @@ def _csr_affine_np(indptr, cols, vals, bias, x):
         return out
     counts = np.diff(indptr)
     small = counts <= _EXACT_ROW_NNZ
-    for k in np.unique(counts[small]):
-        if k == 0:
-            continue
-        rsel = np.nonzero(small & (counts == k))[0]
-        base = indptr[rsel]
-        for j in range(k):
-            idx = base + j
-            out[rsel] += vals[idx, None] * x[cols[idx]]
+    if small.all():
+        _sparsetools.csr_matvecs(rows, x.shape[0], npts, indptr, cols, vals,
+                                 x.ravel(), out.ravel())
+        return out
+    # the narrow rows as their own CSR: wide rows keep no entries here
+    narrow_ptr = np.concatenate(([0], np.cumsum(counts * small)))
+    keep = np.repeat(small, counts)
+    _sparsetools.csr_matvecs(rows, x.shape[0], npts, narrow_ptr, cols[keep],
+                             vals[keep], x.ravel(), out.ravel())
     for r in np.nonzero(~small)[0]:
         lo, hi = indptr[r], indptr[r + 1]
         step = max(1, _CHUNK_BUDGET // max(1, hi - lo))

@@ -62,23 +62,37 @@ def dense_realize(net, x):
     return y
 
 
-def inorder_realize(net, x):
+def inorder_realize(net, x, jac=False):
     """Reference realization summed in stored order, one entry at a time.
 
     Each row starts from its bias and adds vals[j] * y[col_idx[j]] for its
     stored entries in order; ReLU follows every layer but the last.  Uses
     neither backend, so it is an oracle for their bitwise agreement.
     x is (npts, input_dim); returns (npts, output_dim).
+
+    With ``jac=True`` it also carries the forward-mode jacobian the same
+    way, and returns (values, jacobian (npts, output_dim, input_dim)):
+    each jacobian row starts from +0.0 with no bias, and after every layer
+    but the last it is multiplied by the ReLU mask ``z > 0``.
     """
     y = np.asarray(x, dtype=np.float64).T
+    d, n = y.shape
+    dy = np.zeros((d, n, d))
+    dy[np.arange(d), :, np.arange(d)] = 1.0
     for k, lay in enumerate(net.layers):
-        z = np.empty((lay.rows, y.shape[1]))
+        z = np.empty((lay.rows, n))
         z[:] = lay.bias[:, None]
+        dz = np.zeros((lay.rows, n, d))
         for i, j, v in zip(lay.row_idx, lay.col_idx, lay.vals):
             z[i] += v * y[j]
+            if jac:
+                dz[i] += v * dy[j]
         if k < net.depth - 1:
+            dz *= (z > 0.0)[:, :, None]
             z = np.maximum(z, 0.0)
-        y = z
+        y, dy = z, dz
+    if jac:
+        return y.T, np.moveaxis(dy, 1, 0)
     return y.T
 
 

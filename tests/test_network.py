@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hprelu import backends
 from hprelu.network import (
     Layer,
     NeuralNetwork,
@@ -17,7 +18,7 @@ from hprelu.network import (
     stats,
 )
 
-from helpers import dense_realize, fd_jacobian, random_net
+from helpers import dense_realize, fd_jacobian, inorder_realize, random_net
 
 
 def test_single_affine_layer():
@@ -225,3 +226,66 @@ def test_serialize_round_trip_property(net):
         assert la.vals.tobytes() == lb.vals.tobytes()
         assert la.bias.tobytes() == lb.bias.tobytes()
     assert serialize(back) == text
+
+
+# Signed zeros and small values that cancel exactly, plus arbitrary floats.
+_signed = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -2.0]),
+                    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _narrow_nets(draw):
+    """Nets whose rows hold 0 to _EXACT_ROW_NNZ entries each."""
+    widths = draw(st.lists(st.integers(1, 40), min_size=2, max_size=4))
+    layers = []
+    for rows, cols in zip(widths[1:], widths[:-1]):
+        ri, ci = [], []
+        for r in range(rows):
+            row = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                                max_size=min(cols, backends._EXACT_ROW_NNZ)))
+            ri += [r] * len(row)
+            ci += row
+        vals = draw(st.lists(_signed, min_size=len(ci), max_size=len(ci)))
+        bias = draw(st.lists(_signed, min_size=rows, max_size=rows))
+        layers.append(Layer(rows, cols, ri, ci, vals, bias))
+    net = NeuralNetwork(widths[0], layers)
+    pts = draw(st.lists(st.lists(_signed, min_size=widths[0], max_size=widths[0]),
+                        min_size=1, max_size=5))
+    return net, np.array(pts, dtype=np.float64)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_narrow_nets())
+def test_numpy_narrow_rows_sum_in_order(case):
+    net, pts = case
+    want, want_jac = inorder_realize(net, pts, jac=True)
+    y = backends.run_forward(net.packed(), pts.T, backend="numpy")
+    assert np.array_equal(_bits(y.T), _bits(want))
+    y, jac = backends.run_forward_grad(net.packed(), pts.T, backend="numpy")
+    assert np.array_equal(_bits(y.T), _bits(want))
+    assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
+
+
+def test_numpy_wide_rows_use_blas_dot():
+    # rows over _EXACT_ROW_NNZ entries keep the BLAS dot after the bias;
+    # the narrow rows beside them still sum in stored order
+    rng = np.random.default_rng(5)
+    nnz = [33, 5, 70, 0, 32]
+    ri = np.repeat(np.arange(len(nnz)), nnz)
+    ci = np.concatenate([np.sort(rng.choice(80, k, replace=False)) for k in nnz])
+    lay = Layer(len(nnz), 80, ri, ci, rng.standard_normal(len(ci)),
+                [0.3, -0.0, -1.7, -0.0, 2.0])
+    net = NeuralNetwork(80, [lay])
+    x = rng.standard_normal((80, 17))
+    indptr, cols, vals, bias = net.packed()[0]
+    out = backends.run_forward(net.packed(), x, backend="numpy")
+    for r in (0, 2):
+        lo, hi = indptr[r], indptr[r + 1]
+        assert np.array_equal(_bits(out[r]),
+                              _bits(bias[r] + vals[lo:hi] @ x[cols[lo:hi]]))
+    want = inorder_realize(net, x.T).T
+    assert np.array_equal(_bits(out[[1, 3, 4]]), _bits(want[[1, 3, 4]]))
