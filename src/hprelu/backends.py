@@ -6,14 +6,25 @@ stored order, which the product constructions rely on for their exact
 structural zeros.  The numpy path runs every row of at most
 ``_EXACT_ROW_NNZ`` entries through scipy's compiled CSR loop
 (``csr_matvecs``), which adds the terms in stored order from the bias, and
-each wider row through a BLAS dot.  Select with the HPRELU_BACKEND
+each wider row through a BLAS dot.  scipy is imported on the first numpy
+kernel call, not with the package.  Select with the HPRELU_BACKEND
 environment variable: "auto" (default), "numba" or "numpy".
+
+The forward-jacobian pass splits the layers into runs.  A maximal run of
+narrow layers (every row at most ``_EXACT_ROW_NNZ`` entries) goes tile by
+tile over the points: one cache-sized tile passes through every layer of
+the run before the next starts, its jacobian held direction-major
+``(rows, nd, tile)`` so the ReLU mask broadcasts over the directions.  A
+layer with a wide row runs alone on the whole batch, as the value pass
+does.  No bit moves: the in-order kernels sum each column on its own, so a
+tile gives the same column sums as the whole batch, while the BLAS dot of
+a wide row may depend on the column range and therefore never sees a tile.
 """
 
+import functools
 import os
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 try:
     from numba import njit, prange
@@ -36,6 +47,12 @@ ENV_VAR = "HPRELU_BACKEND"
 # Cap on the nnz*points working-set per chunk in the numpy path.
 _CHUNK_BUDGET = 16_000_000
 
+# A narrow run's tile holds about _TILE_BYTES of values and jacobian in its
+# widest layer, so one layer's input and output stay within a 2 MiB L2.
+# The floor keeps small batches (serving, single points) in one tile.
+_TILE_BYTES = 1 << 20
+_TILE_MIN = 256
+
 
 def resolve_backend(name=None):
     """Return "numba" or "numpy" for a requested/env backend name."""
@@ -49,6 +66,15 @@ def resolve_backend(name=None):
     if name == "auto":
         return "numba" if HAS_NUMBA else "numpy"
     return name
+
+
+@functools.cache
+def _matvecs():
+    """scipy's compiled CSR loop; importing scipy.sparse costs a few tenths
+    of a second, so the package defers it to the first numpy kernel call."""
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools.csr_matvecs
 
 
 @njit(cache=True)
@@ -76,24 +102,28 @@ def _csr_affine_nb(indptr, cols, vals, bias, x, out):
 _EXACT_ROW_NNZ = 32
 
 
+def _csr_narrow_np(indptr, cols, vals, bias, x, out):
+    """``_csr_affine_nb`` on scipy's loop, for layers with no wide row."""
+    out[:] = bias[:, None]
+    _matvecs()(out.shape[0], x.shape[0], x.shape[1], indptr, cols, vals,
+               x.ravel(), out.ravel())
+    return out
+
+
 def _csr_affine_np(indptr, cols, vals, bias, x):
     rows = indptr.shape[0] - 1
     npts = x.shape[1]
     out = np.empty((rows, npts))
-    out[:] = bias[:, None]
-    if len(vals) == 0:
-        return out
     counts = np.diff(indptr)
     small = counts <= _EXACT_ROW_NNZ
     if small.all():
-        _sparsetools.csr_matvecs(rows, x.shape[0], npts, indptr, cols, vals,
-                                 x.ravel(), out.ravel())
-        return out
+        return _csr_narrow_np(indptr, cols, vals, bias, x, out)
+    out[:] = bias[:, None]
     # the narrow rows as their own CSR: wide rows keep no entries here
     narrow_ptr = np.concatenate(([0], np.cumsum(counts * small)))
     keep = np.repeat(small, counts)
-    _sparsetools.csr_matvecs(rows, x.shape[0], npts, narrow_ptr, cols[keep],
-                             vals[keep], x.ravel(), out.ravel())
+    _matvecs()(rows, x.shape[0], npts, narrow_ptr, cols[keep], vals[keep],
+               x.ravel(), out.ravel())
     for r in np.nonzero(~small)[0]:
         lo, hi = indptr[r], indptr[r + 1]
         step = max(1, _CHUNK_BUDGET // max(1, hi - lo))
@@ -124,6 +154,57 @@ def run_forward(packed, x, backend=None):
     return y
 
 
+def _runs(packed):
+    """(start, stop, narrow) for each maximal run of narrow layers and each
+    layer with a row over ``_EXACT_ROW_NNZ`` entries."""
+    out = []
+    for i, (indptr, _, _, _) in enumerate(packed):
+        narrow = len(indptr) < 2 or np.diff(indptr).max() <= _EXACT_ROW_NNZ
+        if narrow and out and out[-1][2]:
+            out[-1][1] = i + 1
+        else:
+            out.append([i, i + 1, narrow])
+    return out
+
+
+def _narrow_run(layers, y, jac, relu_last, kernel):
+    """Run narrow layers tile by tile over the points.
+
+    y is (in, npts) and jac (in, npts, nd), point-major as the public pass
+    holds them; each tile's jacobian is moved to direction-major
+    (rows, nd, tile) on the way in and back on the way out.  Returns the
+    run's (out, npts) values and (out, npts, nd) jacobian.
+    """
+    npts, nd = jac.shape[1], jac.shape[2]
+    rows = [len(indptr) - 1 for indptr, _, _, _ in layers]
+    # the jacobian is the same layer without its bias; every row then
+    # starts from +0.0 in both kernels
+    zeros = [np.zeros(r) for r in rows]
+    width = max(rows + [y.shape[0]])
+    tile = max(_TILE_MIN, _TILE_BYTES // (8 * width * (1 + nd)))
+    y_out = np.empty((rows[-1], npts))
+    jac_out = np.empty((rows[-1], npts, nd))
+    relu = [True] * (len(layers) - 1) + [relu_last]
+    for p0 in range(0, npts, tile):
+        p1 = min(npts, p0 + tile)
+        n = p1 - p0
+        yt = np.ascontiguousarray(y[:, p0:p1])
+        jt = np.ascontiguousarray(jac[:, p0:p1].transpose(0, 2, 1))
+        for (indptr, cols, vals, bias), r, zero, act in zip(layers, rows,
+                                                           zeros, relu):
+            z = kernel(indptr, cols, vals, bias, yt, np.empty((r, n)))
+            jnew = np.empty((r, nd, n))
+            kernel(indptr, cols, vals, zero, jt.reshape(-1, nd * n),
+                   jnew.reshape(r, nd * n))
+            if act:
+                jnew *= (z > 0.0)[:, None, :]
+                np.maximum(z, 0.0, out=z)
+            yt, jt = z, jnew
+        y_out[:, p0:p1] = yt
+        jac_out[:, p0:p1] = jt.transpose(0, 2, 1)
+    return y_out, jac_out
+
+
 def run_forward_grad(packed, x, backend=None, seed=None):
     """Forward pass with jacobian accumulation.
 
@@ -133,40 +214,46 @@ def run_forward_grad(packed, x, backend=None, seed=None):
     per-point identity; an explicit (in_dim, npts, nd) seed propagates only
     nd directions, which is what chain-rule callers want when the input
     dimension is large.
+
+    Maximal runs of narrow layers go tile by tile over the points, each
+    tile through the whole run while it sits in cache; a layer with a wide
+    row runs alone on the whole batch.  Every column sums in the same order
+    either way, so the result is bit for bit that of one layer at a time.
     """
     backend = resolve_backend(backend)
+    kernel = _csr_affine_nb if backend == "numba" else _csr_narrow_np
     d = x.shape[0]
     npts = x.shape[1]
     last = len(packed) - 1
     y = np.ascontiguousarray(x, dtype=np.float64)
     if seed is None:
         nd = d
-        jac = np.zeros((d, npts * nd))
-        for k in range(d):
-            jac[k, k::nd] = 1.0
+        jac = np.zeros((d, npts, nd))
+        jac[np.arange(d), :, np.arange(d)] = 1.0
     else:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.ndim != 3 or seed.shape[0] != d or seed.shape[1] != npts:
+        jac = np.asarray(seed, dtype=np.float64)
+        if jac.ndim != 3 or jac.shape[0] != d or jac.shape[1] != npts:
             raise ValueError("seed must have shape (in_dim, npts, nd)")
-        nd = seed.shape[2]
-        jac = np.ascontiguousarray(seed.reshape(d, npts * nd))
-    for i, (indptr, cols, vals, bias) in enumerate(packed):
+        nd = jac.shape[2]
+    for start, stop, narrow in _runs(packed):
+        if narrow:
+            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last,
+                                 kernel)
+            continue
+        indptr, cols, vals, bias = packed[start]
         rows = indptr.shape[0] - 1
-        # the jacobian is the same layer without its bias; every row then
-        # starts from +0.0 in both kernels
-        zero = np.zeros(rows)
+        flat = np.ascontiguousarray(jac.reshape(jac.shape[0], npts * nd))
         if backend == "numba":
-            z = np.empty((rows, y.shape[1]))
+            z = np.empty((rows, npts))
             _csr_affine_nb(indptr, cols, vals, bias, y, z)
             jnew = np.empty((rows, npts * nd))
-            _csr_affine_nb(indptr, cols, vals, zero, jac, jnew)
+            _csr_affine_nb(indptr, cols, vals, np.zeros(rows), flat, jnew)
         else:
             z = _csr_affine_np(indptr, cols, vals, bias, y)
-            jnew = _csr_affine_np(indptr, cols, vals, zero, jac)
-        if i < last:
-            alive = z > 0.0
-            jnew *= np.repeat(alive, nd, axis=1)
+            jnew = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
+        if start < last:
+            jnew *= np.repeat(z > 0.0, nd, axis=1)
             np.maximum(z, 0.0, out=z)
         y = z
-        jac = jnew
-    return y, jac.reshape(y.shape[0], npts, nd)
+        jac = jnew.reshape(rows, npts, nd)
+    return y, jac

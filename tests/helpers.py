@@ -62,7 +62,7 @@ def dense_realize(net, x):
     return y
 
 
-def inorder_realize(net, x, jac=False):
+def inorder_realize(net, x, jac=False, seed=None):
     """Reference realization summed in stored order, one entry at a time.
 
     Each row starts from its bias and adds vals[j] * y[col_idx[j]] for its
@@ -71,18 +71,23 @@ def inorder_realize(net, x, jac=False):
     x is (npts, input_dim); returns (npts, output_dim).
 
     With ``jac=True`` it also carries the forward-mode jacobian the same
-    way, and returns (values, jacobian (npts, output_dim, input_dim)):
-    each jacobian row starts from +0.0 with no bias, and after every layer
-    but the last it is multiplied by the ReLU mask ``z > 0``.
+    way, and returns (values, jacobian (npts, output_dim, nd)): each
+    jacobian row starts from +0.0 with no bias, and after every layer but
+    the last it is multiplied by the ReLU mask ``z > 0``.  The input
+    jacobian is ``seed`` (input_dim, npts, nd), by default the identity
+    with nd = input_dim, as in ``backends.run_forward_grad``.
     """
     y = np.asarray(x, dtype=np.float64).T
     d, n = y.shape
-    dy = np.zeros((d, n, d))
-    dy[np.arange(d), :, np.arange(d)] = 1.0
+    if seed is None:
+        dy = np.zeros((d, n, d))
+        dy[np.arange(d), :, np.arange(d)] = 1.0
+    else:
+        dy = np.asarray(seed, dtype=np.float64)
     for k, lay in enumerate(net.layers):
         z = np.empty((lay.rows, n))
         z[:] = lay.bias[:, None]
-        dz = np.zeros((lay.rows, n, d))
+        dz = np.zeros((lay.rows, n, dy.shape[2]))
         for i, j, v in zip(lay.row_idx, lay.col_idx, lay.vals):
             z[i] += v * y[j]
             if jac:

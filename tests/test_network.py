@@ -1,5 +1,9 @@
 """Network type, realization, stats, gradients and JSON round trips."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,8 +238,9 @@ _signed = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -2.0]),
 
 
 @st.composite
-def _narrow_nets(draw):
-    """Nets whose rows hold 0 to _EXACT_ROW_NNZ entries each."""
+def _narrow_nets(draw, max_pts=5):
+    """Nets whose rows hold 0 to _EXACT_ROW_NNZ entries each, on 1 to
+    ``max_pts`` points."""
     widths = draw(st.lists(st.integers(1, 40), min_size=2, max_size=4))
     layers = []
     for rows, cols in zip(widths[1:], widths[:-1]):
@@ -250,7 +255,7 @@ def _narrow_nets(draw):
         layers.append(Layer(rows, cols, ri, ci, vals, bias))
     net = NeuralNetwork(widths[0], layers)
     pts = draw(st.lists(st.lists(_signed, min_size=widths[0], max_size=widths[0]),
-                        min_size=1, max_size=5))
+                        min_size=1, max_size=max_pts))
     return net, np.array(pts, dtype=np.float64)
 
 
@@ -289,3 +294,120 @@ def test_numpy_wide_rows_use_blas_dot():
                               _bits(bias[r] + vals[lo:hi] @ x[cols[lo:hi]]))
     want = inorder_realize(net, x.T).T
     assert np.array_equal(_bits(out[[1, 3, 4]]), _bits(want[[1, 3, 4]]))
+
+
+_BACKENDS = ["numpy", "numba"] if backends.HAS_NUMBA else ["numpy"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_narrow_nets(max_pts=9), st.data())
+def test_tiled_grad_matches_inorder(case, data):
+    # tiles shorter than the batch, the last one often short, with the
+    # default seed or one of nd != in_dim directions
+    net, pts = case
+    d, n = net.input_dim, len(pts)
+    tile = data.draw(st.integers(1, max(1, n - 1)))
+    seed = None
+    if data.draw(st.booleans()):
+        nd = data.draw(st.integers(1, 4).filter(lambda k: k != d))
+        seed = np.reshape(data.draw(st.lists(_signed, min_size=d * n * nd,
+                                             max_size=d * n * nd)), (d, n, nd))
+    want, want_jac = inorder_realize(net, pts, jac=True, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends, "_TILE_BYTES", 0)
+        mp.setattr(backends, "_TILE_MIN", tile)
+        for backend in _BACKENDS:
+            y, jac = backends.run_forward_grad(net.packed(), pts.T,
+                                               backend=backend, seed=seed)
+            assert np.array_equal(_bits(y.T), _bits(want))
+            assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
+
+
+def _wide_mid_and_last_net(rng):
+    """Narrow runs around a layer with a 40-entry row and a last layer
+    whose rows hold 50 entries."""
+    def dense(rows, cols, nnz):
+        a = np.zeros((rows, cols))
+        for r in range(rows):
+            a[r, rng.choice(cols, nnz[r], replace=False)] = rng.standard_normal(nnz[r])
+        b = rng.standard_normal(rows)
+        b[::3] = -0.0
+        return Layer.from_dense(a, b)
+
+    layers = [dense(40, 3, [2] * 40), dense(40, 40, [4] * 40),
+              dense(6, 40, [40, 3, 5, 0, 1, 2]), dense(50, 6, [3] * 50),
+              dense(2, 50, [50, 50])]
+    return NeuralNetwork(3, layers)
+
+
+@pytest.mark.parametrize("nd", [None, 2])
+def test_wide_layers_run_whole_under_tiling(monkeypatch, nd):
+    # a wide layer's BLAS sums may depend on the column range, so it never
+    # sees a tile; with tiles forced on (7 points) or off, the pass equals
+    # one layer at a time on the whole batch, bit for bit
+    rng = np.random.default_rng(3)
+    net = _wide_mid_and_last_net(rng)
+    x = rng.standard_normal((3, 301))
+    seed = None if nd is None else rng.standard_normal((3, 301, nd))
+    assert [max(np.diff(p[0])) > backends._EXACT_ROW_NNZ
+            for p in net.packed()] == [False, False, True, False, True]
+    # one layer at a time on the whole batch, as before tiling
+    y, jac = x, seed
+    if seed is None:
+        jac = np.eye(3)[:, None, :].repeat(301, axis=1)
+    for i, (indptr, cols, vals, bias) in enumerate(net.packed()):
+        rows = len(indptr) - 1
+        z = backends._csr_affine_np(indptr, cols, vals, bias, y)
+        jac = backends._csr_affine_np(indptr, cols, vals, np.zeros(rows),
+                                      jac.reshape(len(y), -1)).reshape(rows, 301, -1)
+        if i < net.depth - 1:
+            jac *= (z > 0.0)[:, :, None]
+            np.maximum(z, 0.0, out=z)
+        y = z
+    for tile in (7, 10**9):
+        monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+        monkeypatch.setattr(backends, "_TILE_MIN", tile)
+        got = backends.run_forward_grad(net.packed(), x, seed=seed,
+                                        backend="numpy")
+        for a, b in zip(got, (y, jac)):
+            assert a.shape == b.shape
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
+    # the benchmark counts MACs at the module-level run_forward_grad, so a
+    # pass over many tiles must enter it once
+    rng = np.random.default_rng(8)
+    net = random_net(rng, input_dim=2, depth=4, width_hi=9)
+    orig = backends.run_forward_grad
+    calls, kernel_calls = [], []
+    kernel = backends._csr_narrow_np
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    def count(*args):
+        kernel_calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(backends, "run_forward_grad", spy)
+    monkeypatch.setattr(backends, "_csr_narrow_np", count)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", 4)
+    backends.run_forward_grad(net.packed(), rng.standard_normal((2, 100)),
+                              backend="numpy")
+    assert len(calls) == 1
+    # a value and a jacobian call per layer per tile: 25 tiles of 4 points
+    assert len(kernel_calls) == 2 * net.depth * 25
+
+
+def test_import_defers_scipy():
+    # scipy.sparse costs a few tenths of a second to import; nn-info and
+    # --help should not pay it
+    src = Path(backends.__file__).resolve().parents[1]
+    code = ("import sys, hprelu.cli; "
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
