@@ -11,6 +11,11 @@ builds in O(T) vectorized steps.
 Budget split: coefficient mass ‖c‖_1 times the basis accuracy eps1 (raised
 to the tensor rank) must cover half the target, the product accuracy eps2
 the other half.  Both are asserted on every build.
+
+Certification runs the compiled net on tensor grids, cell by cell, through
+one tuple's stage (``_CompiledField``), by lanes: rows that read the same
+input axes.  Only the all-axes lane sees the whole (live tuple x point)
+batch; the others run once per cell on the points of their own axes.
 """
 
 import itertools
@@ -250,6 +255,71 @@ def quad_cells(interp, grade=8):
     return out
 
 
+def _lane_plan(stage, d):
+    """Split a packed stage into lanes, the rows that read the same axes.
+
+    Input a carries the axis mask ``1 << a`` and each row the OR of the
+    masks of the columns it reads; rows with one mask form a lane.  Returns
+    ``(rows, steps)``: ``rows[l, s]`` lists in order the rows of layer l
+    (0 is the input) in lane s.  A step ``(s, l, srcs, packed)`` runs lane s
+    through layers l .. l + len(packed) - 1; its first layer reads the
+    lanes ``srcs`` of layer l - 1, stacked in that order.  A step ends where
+    another lane reads its rows or its lane reads another.
+    """
+    mask = 1 << np.arange(d)
+    rows = {(0, 1 << a): np.array([a]) for a in range(d)}
+    steps, last = [], {}
+    for l, (indptr, cols, vals, bias) in enumerate(stage, 1):
+        cnt = np.diff(indptr)
+        new = np.zeros(len(cnt), dtype=np.int64)
+        np.bitwise_or.at(new, np.repeat(np.arange(len(cnt)), cnt), mask[cols])
+        lanes = {}
+        for s in np.unique(new).tolist():
+            r = rows[l, s] = np.nonzero(new == s)[0]
+            ptr = np.concatenate(([0], np.cumsum(cnt[r])))
+            # each row keeps its entries in stored order
+            take = np.repeat(indptr[r] - ptr[:-1], cnt[r]) + np.arange(ptr[-1])
+            srcs = np.unique(mask[cols[take]]).tolist()
+            pos, off = np.empty(len(mask), dtype=cols.dtype), 0
+            for a in srcs:
+                pos[rows[l - 1, a]] = off + np.arange(len(rows[l - 1, a]))
+                off += len(rows[l - 1, a])
+            lanes[s] = srcs, (ptr, pos[cols[take]], vals[take], bias[r])
+        crossed = {a for s, (srcs, _) in lanes.items() for a in srcs if a != s}
+        prev, last, mask = last, {}, new
+        for s, (srcs, layer) in lanes.items():
+            if srcs == [s] and s in prev and s not in crossed:
+                last[s] = prev[s]
+                last[s][3].append(layer)
+            else:
+                last[s] = (s, l, srcs, [layer])
+                steps.append(last[s])
+    return rows, steps
+
+
+def _lane_axes(mask, size):
+    return [a for a in range(len(size)) if mask >> a & 1]
+
+
+def _coords(mask, size):
+    """Columns ``(q, n)`` of lane ``mask``: for each of the n columns and
+    each of its axes a, ``q[a]`` numbers the column's (live basis index,
+    point) pair, of ``size[a]``; the last axis runs fastest."""
+    axes = _lane_axes(mask, size)
+    q, rest = {}, np.arange(int(np.prod([size[a] for a in axes])))
+    for a in reversed(axes):
+        rest, q[a] = np.divmod(rest, size[a])
+    return q, len(rest)
+
+
+def _lane_index(mask, at, size):
+    """Column of lane ``mask`` holding each column of ``at``."""
+    idx = 0
+    for a in _lane_axes(mask, size):
+        idx = idx * size[a] + at[0][a]
+    return idx
+
+
 class _CompiledField:
     """Tensor-grid evaluation of a compiled net that skips dead blocks.
 
@@ -258,10 +328,23 @@ class _CompiledField:
     tuples run.  One network serves every cell: a single tuple's stage
     (selector, product net, output (+,-) stacked as by ``concat``) runs on
     a (live tuple x point) batch of basis-net values seeded with their
-    derivatives, and the cell's doubled coefficient row contracts it.  Sums
-    run in the full net's order and points in the chunks the full net
-    restricted to the cell would take, so under the strict in-order
-    backend the values match the full realization bit for bit.
+    derivatives, and the cell's doubled coefficient row contracts it.
+
+    The stage runs by lanes (``_lane_plan``).  A row that reads only the
+    axes in a set S takes the same value at every tuple and point that
+    agree on S, so each lane but the all-axes one runs once per cell on the
+    (live index x point) pairs of its own axes, seeded per axis.  The
+    all-axes lane runs per chunk, tile by tile over the tuple-major
+    columns, and gathers the rows of the lanes it reads by index.  The head
+    then contracts the whole chunk.
+
+    No bit moves against the full realization.  Every row keeps its
+    entries in stored order and every column its inputs, and the in-order
+    kernels sum each column on its own.  A direction outside a lane's axes
+    is +0.0 in the full net: its seed is +0.0, each row's sum starts at
+    +0.0 and adding +-0.0 leaves it there.  The per-axis seeds give exactly
+    these zeros.  Points run in the chunks the full net restricted to the
+    cell would take, which fixes the head's sums.
     """
 
     def __init__(self, parts, row):
@@ -274,8 +357,13 @@ class _CompiledField:
         # value is exactly zero
         stage = _tiled_tuple_stage(parts["pi"], np.arange(d)[None, :], d).layers
         stage = NeuralNetwork(d, stage[:-1] + (_pm_stack(stage[-1]),))
-        self._stage = stage.packed()
         self._width = max(lay.rows for lay in stage.layers)
+        self._rows, self._steps = _lane_plan(stage.packed(), d)
+        # the product reads every factor, so the all-axes lane holds the
+        # whole last layer
+        self._full = (1 << d) - 1
+        self._out = stage.depth, self._full
+        assert len(self._rows[self._out]) == stage.layers[-1].rows
         self._live = [np.array([i for i, bf in enumerate(interp.basis)
                                 if k in bf.support], dtype=np.int64)
                       for k in range(interp.mesh.axes[0].n_intervals)]
@@ -291,6 +379,35 @@ class _CompiledField:
             zv.append(np.stack([v[:, 0] for v, _ in pairs]))
             zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
         return zv, zd
+
+    def _inputs(self, s, l, srcs, st, at, size):
+        """Rows of the lanes ``srcs`` of layer l, stacked, on the columns
+        ``at`` of lane s."""
+        rows = sum(len(self._rows[l, src]) for src in srcs)
+        x, seed = np.empty((rows, at[1])), np.empty((rows, at[1], self.d))
+        off = 0
+        for src in srcs:
+            y, jac = st[l, src]
+            sl = slice(off, off + len(y))
+            off = sl.stop
+            # a lane's own rows lie on its columns; the all-axes lane never
+            # reads the input, as products take d >= 2 factors
+            if src == s:
+                x[sl], seed[sl] = y, jac
+                continue
+            idx = _lane_index(src, at, size)
+            # every index is in range: "clip" only spares take a buffer
+            np.take(y, idx, axis=1, out=x[sl], mode="clip")
+            np.take(jac, idx, axis=1, out=seed[sl], mode="clip")
+        return x, seed
+
+    def _run(self, step, st, at, size):
+        s, l, srcs, packed = step
+        x, seed = self._inputs(s, l - 1, srcs, st, at, size)
+        y, jac = backends.run_forward_grad(packed, x, seed=seed)
+        jac *= (y > 0.0)[:, :, None]
+        np.maximum(y, 0.0, out=y)
+        st[l + len(packed) - 1, s] = y, jac
 
     def _cell(self, kcell, sls, zv, zd):
         """Values and gradients on the block ``sls`` of points in mesh cell
@@ -310,21 +427,35 @@ class _CompiledField:
         ns = [s.stop - s.start for s in sls]
         n = int(np.prod(ns))
         flat = np.unravel_index(np.arange(n), ns)
+        # input a on every (live basis index, point) pair of axis a
+        size = [la * m for la, m in zip(las, ns)]
+        st = {}
+        for a in range(d):
+            ix = np.ix_(self._live[kcell[a]], range(sls[a].start, sls[a].stop))
+            seed = np.zeros((1, size[a], d))
+            seed[0, :, a] = zd[a][ix].ravel()
+            st[0, 1 << a] = zv[a][ix].reshape(1, -1), seed
+        for step in self._steps:
+            if step[0] != self._full:
+                self._run(step, st, _coords(step[0], size), size)
+        full = [step for step in self._steps if step[0] == self._full]
+        tile = backends._tile_points(self._width, d)
         chunk = _grad_chunk(n, t * self._width, d)
         vals, grad = np.empty(n), np.empty((n, d))
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             c = hi - lo
             # tuple-major batch: column k*c + j is live tuple k at point j
-            x = np.empty((d, t * c))
-            seed = np.zeros((d, t * c, d))
-            for a in range(d):
-                ix = np.ix_(picks[a], sls[a].start + flat[a][lo:hi])
-                x[a] = zv[a][ix].ravel()
-                seed[a, :, a] = zd[a][ix].ravel()
-            y, jac = backends.run_forward_grad(self._stage, x, seed=seed)
-            jac *= (y > 0.0)[:, :, None]
-            np.maximum(y, 0.0, out=y)
+            y = np.empty((2, t * c))
+            jac = np.empty((2, t * c, d))
+            for p0 in range(0, t * c, tile):
+                k, j = np.divmod(np.arange(p0, min(t * c, p0 + tile)), c)
+                at = ({a: loc[a][k] * ns[a] + flat[a][lo + j]
+                       for a in range(d)}, len(k))
+                ts = dict(st)
+                for step in full:
+                    self._run(step, ts, at, size)
+                y[:, p0:p0 + len(k)], jac[:, p0:p0 + len(k)] = ts[self._out]
             # rows k and t+k: the (+,-) outputs of live tuple k
             y, jac = backends.run_forward_grad(
                 head, y.reshape(2 * t, c), seed=jac.reshape(2 * t, c, d))

@@ -154,6 +154,12 @@ def run_forward(packed, x, backend=None):
     return y
 
 
+def _tile_points(width, nd):
+    """Points per tile of a pass through layers at most ``width`` rows
+    wide, carrying values and nd jacobian directions."""
+    return max(_TILE_MIN, _TILE_BYTES // (8 * width * (1 + nd)))
+
+
 def _runs(packed):
     """(start, stop, narrow) for each maximal run of narrow layers and each
     layer with a row over ``_EXACT_ROW_NNZ`` entries."""
@@ -180,8 +186,7 @@ def _narrow_run(layers, y, jac, relu_last, kernel):
     # the jacobian is the same layer without its bias; every row then
     # starts from +0.0 in both kernels
     zeros = [np.zeros(r) for r in rows]
-    width = max(rows + [y.shape[0]])
-    tile = max(_TILE_MIN, _TILE_BYTES // (8 * width * (1 + nd)))
+    tile = _tile_points(max(rows + [y.shape[0]]), nd)
     y_out = np.empty((rows[-1], npts))
     jac_out = np.empty((rows[-1], npts, nd))
     relu = [True] * (len(layers) - 1) + [relu_last]

@@ -1,27 +1,15 @@
-"""Legendre polynomials (sup-normalized), antiderivatives, and Gauss rules.
+"""Legendre polynomials (sup-normalized), shape-function coefficients and
+Gauss rules.
 
-Values come from the three-term recurrence; monomial coefficient arrays are
-kept for the low degrees used by element polynomials, where the recurrence
-is exact enough in float64.
+Value tables come from the three-term recurrence; monomial coefficient
+arrays are kept for the low degrees used by element polynomials, where the
+recurrence is exact enough in float64.
 """
 
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-
-
-def legendre(n, t):
-    """L_n(t), vectorized; L_n(1) = 1."""
-    t = np.asarray(t, dtype=np.float64)
-    if n == 0:
-        return np.ones_like(t)
-    if n == 1:
-        return t.copy()
-    pm, pc = np.ones_like(t), t.copy()
-    for k in range(1, n):
-        pm, pc = pc, ((2 * k + 1) * t * pc - k * pm) / (k + 1)
-    return pc
 
 
 def legendre_table(nmax, t):
@@ -34,14 +22,6 @@ def legendre_table(nmax, t):
     for k in range(1, nmax):
         out[k + 1] = ((2 * k + 1) * t * out[k] - k * out[k - 1]) / (k + 1)
     return out
-
-
-def legendre_antideriv(n, t):
-    """int_{-1}^t L_n; equals (L_{n+1} - L_{n-1})/(2n+1) for n >= 1."""
-    t = np.asarray(t, dtype=np.float64)
-    if n == 0:
-        return t + 1.0
-    return (legendre(n + 1, t) - legendre(n - 1, t)) / (2 * n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -74,15 +54,6 @@ def zeta_coeffs(i):
     anti = np.concatenate(([0.0], c / (1.0 + np.arange(len(c)))))
     anti[0] = -P.polyval(-1.0, anti)
     return tuple(0.5 * anti)
-
-
-def zeta_value(i, t):
-    t = np.asarray(t, dtype=np.float64)
-    if i == 1:
-        return 0.5 * (1.0 + t)
-    if i == 2:
-        return 0.5 * (1.0 - t)
-    return 0.5 * legendre_antideriv(i - 2, t)
 
 
 @lru_cache(maxsize=None)

@@ -281,19 +281,3 @@ class HpInterpolant:
         for j in range(self.dim):
             t = np.moveaxis(np.tensordot(mats[j], t, axes=([1], [j])), 0, j)
         return t
-
-    def to_json_dict(self):
-        basis = [{
-            "kind": b.kind,
-            "nodes": [float(v) for v in b.nodes],
-            "coeffs": [[float(c) for c in piece] for piece in b.ref_coeffs],
-        } for b in self.basis]
-        return {
-            "sigma": self.sigma,
-            "ell": self.ell,
-            "p": self.p,
-            "dim": self.dim,
-            "patches": self.patches,
-            "basis": basis,
-            "coeffs": [float(v) for v in self.vvec()],
-        }

@@ -183,3 +183,36 @@ def trapz_refine(f, a, b, tol=1e-10, max_doublings=22):
             return new
         val = new
     return val
+
+
+def legendre(n, t):
+    """L_n(t) by the three-term recurrence, vectorized; L_n(1) = 1: the
+    oracle for ``legendre.legendre_table``."""
+    t = np.asarray(t, dtype=np.float64)
+    if n == 0:
+        return np.ones_like(t)
+    if n == 1:
+        return t.copy()
+    pm, pc = np.ones_like(t), t.copy()
+    for k in range(1, n):
+        pm, pc = pc, ((2 * k + 1) * t * pc - k * pm) / (k + 1)
+    return pc
+
+
+def legendre_antideriv(n, t):
+    """int_{-1}^t L_n; equals (L_{n+1} - L_{n-1})/(2n+1) for n >= 1."""
+    t = np.asarray(t, dtype=np.float64)
+    if n == 0:
+        return t + 1.0
+    return (legendre(n + 1, t) - legendre(n - 1, t)) / (2 * n + 1)
+
+
+def zeta_value(i, t):
+    """Reference shape function i at t, from its definition: the oracle for
+    ``legendre.zeta_coeffs``."""
+    t = np.asarray(t, dtype=np.float64)
+    if i == 1:
+        return 0.5 * (1.0 + t)
+    if i == 2:
+        return 0.5 * (1.0 - t)
+    return 0.5 * legendre_antideriv(i - 2, t)

@@ -1,11 +1,12 @@
 """Compilation of interpolants into networks and the end-to-end builders."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from hprelu import assembly, network
+from hprelu import assembly, backends, network
 from hprelu.assembly import (
     NetConfig,
     _tiled_tuple_stage,
@@ -17,7 +18,8 @@ from hprelu.assembly import (
     plan_assembly,
     quad_cells,
 )
-from hprelu.calculus import concat, parallel
+from hprelu.basis import build_basis
+from hprelu.calculus import _pm_stack, concat, parallel
 from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.emulation import plan_budget, product_net
 from hprelu.mesh import TensorMesh
@@ -42,6 +44,14 @@ def _corner_interp(ell=2, p=2, lam=0.5, sigma=0.5, dim=2):
     if key not in _CACHE:
         u = corner_singular(dim, lam)
         _CACHE[key] = hp_interpolate(u, TensorMesh.cube(sigma, ell, dim), p)
+    return _CACHE[key]
+
+
+def _lane_net(dim):
+    key = ("lane", dim)
+    if key not in _CACHE:
+        _CACHE[key] = build_phi_eps_c(
+            _corner_interp(ell=1, p=2, lam=0.6, dim=dim), 1e-1)
     return _CACHE[key]
 
 
@@ -229,30 +239,40 @@ def test_compiled_field_bitwise_tensor():
                           jac[:, 0, :].reshape(13, 11, 2))
 
 
-@pytest.mark.parametrize("dim, p, n, budget", [(2, 4, 40, 100_000),
-                                               (3, 2, 12, 140_000)])
+@pytest.mark.parametrize(
+    "dim, p, n, budget, domain, tile",
+    [(2, 4, 40, 100_000, "unit", None), (3, 2, 12, 140_000, "unit", None),
+     (3, 2, 12, 140_000, "unit", 97), (2, 3, 100, 40_000, "sym", None)],
+    ids=["2-4-40-100000", "3-2-12-140000", "3-2-12-140000-tile97",
+         "2-3-100-40000-sym"])
 def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
-                                                 budget):
+                                                 budget, domain, tile):
     # With random coefficients the head rows of the cells with the most
     # live tuples (50 terms in 2d, 54 in 3d) take the BLAS branch, whose
     # sums can change with the chunk bounds.  The budgets cut those cells
     # into chunks of 133 (2d) and 101 (3d) points, off any SIMD block
-    # multiple.
+    # multiple.  ``tile`` shrinks the tiles of the all-axes lane (and of
+    # every narrow run) to that many columns, so one chunk spans many.
     monkeypatch.setattr(network, "_JAC_BUDGET", budget)
-    split = []
+    if tile is not None:
+        monkeypatch.setattr(backends, "_TILE_MIN", tile)
+        monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    calls = []
 
     def spy(npts, width, nd):
         chunk = network._grad_chunk(npts, width, nd)
-        split.append(chunk < npts)
+        calls.append((npts, width, chunk))
         return chunk
 
     monkeypatch.setattr(assembly, "_grad_chunk", spy)
-    base = _corner_interp(ell=1, p=p, lam=0.6, dim=dim)
+    mesh = (TensorMesh.cube(0.5, 1, dim) if domain == "unit"
+            else TensorMesh.sym_cube(0.5, 1, dim))
     rng = np.random.default_rng(3)
-    interp = HpInterpolant(base.mesh, p,
-                           rng.uniform(-1.0, 1.0, base.coeffs.shape))
+    N = len(build_basis(mesh.axes[0], p))
+    interp = HpInterpolant(mesh, p, rng.uniform(-1.0, 1.0, (N,) * dim))
     net = build_phi_eps_c(interp, 1e-1)
-    axes = [np.linspace(0.0, 1.0, n)] * dim
+    ax = mesh.axes[0]
+    axes = [np.linspace(ax.lo, ax.hi, n)] * dim
     want_v, want_g = per_cell_field(net, axes)
     f = compiled_field(net)
     # bit for bit, the signs of zeros included
@@ -260,7 +280,82 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
                           want_v.view(np.uint64))
     assert np.array_equal(f.gradient_axes(axes).view(np.uint64),
                           want_g.view(np.uint64))
-    assert any(split)
+    assert any(chunk < npts for npts, _, chunk in calls)
+    if tile is not None:
+        # tuples x points of some chunk exceed one tile
+        assert any(width // f._width * min(npts, chunk) > tile
+                   for npts, width, chunk in calls)
+
+
+def _stage(net):
+    """The packed single-tuple stage the compiled field of ``net`` runs by
+    lanes."""
+    d = net.meta["dim"]
+    pi = net.meta["compiled_parts"]["pi"]
+    layers = _tiled_tuple_stage(pi, np.arange(d)[None, :], d).layers
+    return NeuralNetwork(d, layers[:-1] + (_pm_stack(layers[-1]),)).packed()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lane_plan_partitions_the_stage(dim):
+    net = _lane_net(dim)
+    f = compiled_field(net)
+    stage = _stage(net)
+    full = (1 << dim) - 1
+    covered = []
+    full_nnz = 0
+    for s, l0, srcs, packed in f._steps:
+        # edges stay in the lane or come from a strict-subset lane
+        assert srcs and all(a | s == s for a in srcs)
+        for i, (indptr, cols, vals, bias) in enumerate(packed):
+            lay = l0 + i
+            covered.append((lay, s))
+            # the stage rows of this lane and the stage rows its columns name
+            rows = f._rows[lay, s]
+            ins = np.concatenate([f._rows[lay - 1, a]
+                                  for a in (srcs if i == 0 else [s])])
+            sp, sc, sv, sb = stage[lay - 1]
+            take = np.concatenate([np.arange(sp[r], sp[r + 1]) for r in rows])
+            assert np.array_equal(np.diff(indptr), np.diff(sp)[rows])
+            assert np.array_equal(ins[cols], sc[take])
+            assert np.array_equal(vals.view(np.uint64), sv[take].view(np.uint64))
+            assert np.array_equal(bias.view(np.uint64), sb[rows].view(np.uint64))
+            if s == full:
+                full_nnz += len(vals)
+    # one step per (layer, lane), and the lanes partition every layer
+    assert sorted(covered) == sorted(k for k in f._rows if k[0] > 0)
+    for lay, (indptr, _, _, _) in enumerate(stage, 1):
+        rows = np.concatenate([r for (l, _), r in f._rows.items() if l == lay])
+        assert np.array_equal(np.sort(rows), np.arange(len(indptr) - 1))
+    assert 0 < full_nnz < sum(len(vals) for _, _, vals, _ in stage)
+
+
+def test_reduced_lanes_run_once_per_cell(monkeypatch):
+    # the budget splits the largest cells into several chunks
+    monkeypatch.setattr(network, "_JAC_BUDGET", 140_000)
+    f = compiled_field(_lane_net(3))
+    runs, chunks = collections.Counter(), []
+    orig = backends.run_forward_grad
+
+    def run(packed, x, backend=None, seed=None):
+        runs[id(packed)] += 1
+        return orig(packed, x, backend=backend, seed=seed)
+
+    def spy(npts, width, nd):
+        chunks.append((npts, network._grad_chunk(npts, width, nd)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(backends, "run_forward_grad", run)
+    monkeypatch.setattr(assembly, "_grad_chunk", spy)
+    f.value_axes([np.linspace(0.0, 1.0, 12)] * 3)
+    # one chunk size per cell
+    cells = len(chunks)
+    assert cells > 1 and any(c < n for n, c in chunks)
+    for s, _, _, packed in f._steps:
+        if s == 7:
+            assert runs[id(packed)] >= sum(-(-n // c) for n, c in chunks)
+        else:
+            assert runs[id(packed)] == cells
 
 
 @pytest.mark.parametrize("row", [-1, 1, 2.7, True, "0", None])

@@ -4,15 +4,14 @@ from numpy.polynomial import legendre as npleg
 
 from hprelu.legendre import (
     gauss_rule,
-    legendre,
-    legendre_antideriv,
     legendre_coeffs,
     legendre_table,
     polyder,
     polyval,
     zeta_coeffs,
-    zeta_value,
 )
+
+from helpers import legendre, legendre_antideriv, zeta_value
 
 
 def test_pinned_values():

@@ -256,15 +256,6 @@ def test_multipatch_linear():
                                atol=1e-12)
 
 
-def test_json_export():
-    u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, TensorMesh.cube(0.5, 1, 2), 2)
-    d = it.to_json_dict()
-    assert set(d) == {"sigma", "ell", "p", "dim", "patches", "basis", "coeffs"}
-    assert len(d["coeffs"]) == it.N1d ** 2
-    assert d["patches"] == 1 and d["ell"] == 1
-
-
 def test_ell0_is_multilinear():
     u = corner_singular(2, 0.5)
     it = hp_interpolate(u, TensorMesh.cube(0.5, 0, 2), 3)
