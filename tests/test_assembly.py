@@ -352,7 +352,7 @@ def test_reduced_lanes_run_once_per_cell(monkeypatch):
     cells = len(chunks)
     assert cells > 1 and any(c < n for n, c in chunks)
     for s, _, _, packed in f._steps:
-        if s == 7:
+        if s == f._full:
             assert runs[id(packed)] >= sum(-(-n // c) for n, c in chunks)
         else:
             assert runs[id(packed)] == cells
