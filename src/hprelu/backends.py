@@ -1,50 +1,27 @@
-"""Batched evaluation kernels for sparse affine layers.
+"""Batched evaluation kernel for sparse affine layers.
 
-Two interchangeable implementations: numba-jitted loops (default when numba
-imports) and a numpy/scipy path.  Both accumulate narrow rows strictly in
-stored order, which the product constructions rely on for their exact
-structural zeros.  The numpy path runs every row of at most
-``_EXACT_ROW_NNZ`` entries through scipy's compiled CSR loop
-(``csr_matvecs``), which adds the terms in stored order from the bias, and
-each wider row through a BLAS dot.  scipy is imported on the first numpy
-kernel call, not with the package.  Select with the HPRELU_BACKEND
-environment variable: "auto" (default), "numba" or "numpy".
-
-The forward-jacobian pass splits the layers into runs.  A maximal run of
-narrow layers (every row at most ``_EXACT_ROW_NNZ`` entries) goes tile by
-tile over the points: one cache-sized tile passes through every layer of
-the run before the next starts, its jacobian held direction-major
-``(rows, nd, tile)`` so the ReLU mask broadcasts over the directions.  A
-layer with a wide row runs alone on the whole batch, as the value pass
-does.  No bit moves: the in-order kernels sum each column on its own, so a
-tile gives the same column sums as the whole batch, while the BLAS dot of
-a wide row may depend on the column range and therefore never sees a tile.
+Every row of at most ``_EXACT_ROW_NNZ`` entries runs through scipy's
+compiled CSR loop (``csr_matvecs``), which starts the row from its bias and
+adds the terms in stored order; the product constructions rely on that
+order for their exact structural zeros.  Each wider row, a coefficient
+contraction, runs through a BLAS dot.  scipy is imported on the first
+kernel call, not with the package.
 """
 
 import functools
-import os
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
+# HAS_NUMBA and resolve_backend exist only for the benchmark's environment
+# record (perfbench/worker.py); there is one kernel.
+HAS_NUMBA = False
 
 
-ENV_VAR = "HPRELU_BACKEND"
+def resolve_backend():
+    return "numpy"
 
-# Cap on the nnz*points working-set per chunk in the numpy path.
+
+# Cap on the nnz*points working-set per BLAS chunk of a wide row.
 _CHUNK_BUDGET = 16_000_000
 
 # A narrow run's tile holds about _TILE_BYTES of values and jacobian in its
@@ -54,56 +31,25 @@ _TILE_BYTES = 1 << 20
 _TILE_MIN = 256
 
 
-def resolve_backend(name=None):
-    """Return "numba" or "numpy" for a requested/env backend name."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "auto")
-    name = name.lower()
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}; expected auto, numba or numpy")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return name
-
-
 @functools.cache
 def _matvecs():
     """scipy's compiled CSR loop; importing scipy.sparse costs a few tenths
-    of a second, so the package defers it to the first numpy kernel call."""
+    of a second, so the package defers it to the first kernel call."""
     from scipy.sparse import _sparsetools
 
     return _sparsetools.csr_matvecs
 
 
-@njit(cache=True)
-def _csr_affine_nb(indptr, cols, vals, bias, x, out):
-    rows = indptr.shape[0] - 1
-    npts = x.shape[1]
-    for r in range(rows):
-        b = bias[r]
-        for p in range(npts):
-            out[r, p] = b
-        for k in range(indptr[r], indptr[r + 1]):
-            c = cols[k]
-            v = vals[k]
-            for p in range(npts):
-                out[r, p] += v * x[c, p]
-    return out
-
-
 # Rows at or below this nnz count go through scipy's csr_matvecs, which
-# adds vals[k] * x[col] term by term in stored order, matching the numba
-# kernel bit for bit.  The exact-cancellation guarantees of the product
-# layers live on such narrow rows.  Wider rows (coefficient contractions)
-# use a BLAS dot, whose summation order is its own; they only carry
-# tolerance-based contracts.
+# adds vals[k] * x[col] term by term in stored order.  The
+# exact-cancellation guarantees of the product layers live on such narrow
+# rows.  Wider rows (coefficient contractions) use a BLAS dot, whose
+# summation order is its own; they only carry tolerance-based contracts.
 _EXACT_ROW_NNZ = 32
 
 
 def _csr_narrow_np(indptr, cols, vals, bias, x, out):
-    """``_csr_affine_nb`` on scipy's loop, for layers with no wide row."""
+    """Bias plus in-order row sums into ``out``, for a layer of narrow rows."""
     out[:] = bias[:, None]
     _matvecs()(out.shape[0], x.shape[0], x.shape[1], indptr, cols, vals,
                x.ravel(), out.ravel())
@@ -133,21 +79,16 @@ def _csr_affine_np(indptr, cols, vals, bias, x):
     return out
 
 
-def run_forward(packed, x, backend=None):
+def run_forward(packed, x):
     """Realize the packed layer list on a (in_dim, npts) batch.
 
     ReLU is applied after every layer except the last.  Returns the final
     (out_dim, npts) array.
     """
-    backend = resolve_backend(backend)
     last = len(packed) - 1
     y = np.ascontiguousarray(x, dtype=np.float64)
     for i, (indptr, cols, vals, bias) in enumerate(packed):
-        if backend == "numba":
-            z = np.empty((indptr.shape[0] - 1, y.shape[1]))
-            _csr_affine_nb(indptr, cols, vals, bias, y, z)
-        else:
-            z = _csr_affine_np(indptr, cols, vals, bias, y)
+        z = _csr_affine_np(indptr, cols, vals, bias, y)
         if i < last:
             np.maximum(z, 0.0, out=z)
         y = z
@@ -173,18 +114,17 @@ def _runs(packed):
     return out
 
 
-def _narrow_run(layers, y, jac, relu_last, kernel):
+def _narrow_run(layers, y, jac, relu_last):
     """Run narrow layers tile by tile over the points.
 
     y is (in, npts) and jac (in, npts, nd), point-major as the public pass
-    holds them; each tile's jacobian is moved to direction-major
-    (rows, nd, tile) on the way in and back on the way out.  Returns the
+    holds them; within a tile the jacobian is direction-major (rows, nd,
+    tile), so the ReLU mask broadcasts over the directions.  Returns the
     run's (out, npts) values and (out, npts, nd) jacobian.
     """
     npts, nd = jac.shape[1], jac.shape[2]
     rows = [len(indptr) - 1 for indptr, _, _, _ in layers]
-    # the jacobian is the same layer without its bias; every row then
-    # starts from +0.0 in both kernels
+    # the jacobian is the same layer without its bias, from +0.0 per row
     zeros = [np.zeros(r) for r in rows]
     tile = _tile_points(max(rows + [y.shape[0]]), nd)
     y_out = np.empty((rows[-1], npts))
@@ -197,10 +137,10 @@ def _narrow_run(layers, y, jac, relu_last, kernel):
         jt = np.ascontiguousarray(jac[:, p0:p1].transpose(0, 2, 1))
         for (indptr, cols, vals, bias), r, zero, act in zip(layers, rows,
                                                            zeros, relu):
-            z = kernel(indptr, cols, vals, bias, yt, np.empty((r, n)))
+            z = _csr_narrow_np(indptr, cols, vals, bias, yt, np.empty((r, n)))
             jnew = np.empty((r, nd, n))
-            kernel(indptr, cols, vals, zero, jt.reshape(-1, nd * n),
-                   jnew.reshape(r, nd * n))
+            _csr_narrow_np(indptr, cols, vals, zero, jt.reshape(-1, nd * n),
+                           jnew.reshape(r, nd * n))
             if act:
                 jnew *= (z > 0.0)[:, None, :]
                 np.maximum(z, 0.0, out=z)
@@ -210,7 +150,7 @@ def _narrow_run(layers, y, jac, relu_last, kernel):
     return y_out, jac_out
 
 
-def run_forward_grad(packed, x, backend=None, seed=None):
+def run_forward_grad(packed, x, seed=None):
     """Forward pass with jacobian accumulation.
 
     x is (in_dim, npts).  Returns (y, jac) with y of shape (out_dim, npts)
@@ -222,11 +162,10 @@ def run_forward_grad(packed, x, backend=None, seed=None):
 
     Maximal runs of narrow layers go tile by tile over the points, each
     tile through the whole run while it sits in cache; a layer with a wide
-    row runs alone on the whole batch.  Every column sums in the same order
-    either way, so the result is bit for bit that of one layer at a time.
+    row runs alone on the whole batch, since the sums of its BLAS dot may
+    depend on the column range.  The in-order loop sums each column on its
+    own, so the result is bit for bit that of one layer at a time.
     """
-    backend = resolve_backend(backend)
-    kernel = _csr_affine_nb if backend == "numba" else _csr_narrow_np
     d = x.shape[0]
     npts = x.shape[1]
     last = len(packed) - 1
@@ -242,20 +181,13 @@ def run_forward_grad(packed, x, backend=None, seed=None):
         nd = jac.shape[2]
     for start, stop, narrow in _runs(packed):
         if narrow:
-            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last,
-                                 kernel)
+            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last)
             continue
         indptr, cols, vals, bias = packed[start]
         rows = indptr.shape[0] - 1
         flat = np.ascontiguousarray(jac.reshape(jac.shape[0], npts * nd))
-        if backend == "numba":
-            z = np.empty((rows, npts))
-            _csr_affine_nb(indptr, cols, vals, bias, y, z)
-            jnew = np.empty((rows, npts * nd))
-            _csr_affine_nb(indptr, cols, vals, np.zeros(rows), flat, jnew)
-        else:
-            z = _csr_affine_np(indptr, cols, vals, bias, y)
-            jnew = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
+        z = _csr_affine_np(indptr, cols, vals, bias, y)
+        jnew = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
         if start < last:
             jnew *= np.repeat(z > 0.0, nd, axis=1)
             np.maximum(z, 0.0, out=z)

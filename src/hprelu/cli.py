@@ -31,7 +31,7 @@ COLUMNS = ("dim", "func", "params", "sigma", "ell", "p", "N1d", "coeff_l1",
 # external spellings accepted next to the catalog keys
 _FUNC_ALIASES = {"corner_r_alpha": "corner"}
 
-_PARAM_FLAGS = ("lam", "lam_c", "lam_e", "axis", "value", "corner")
+_PARAM_FLAGS = ("lam", "lam_c", "lam_e", "axis", "value")
 
 
 def _jobs(flag):
@@ -47,6 +47,26 @@ def _jobs(flag):
     return jobs
 
 
+# The type argparse gives each flag: a config file (and its "params") must
+# give the flag's key a value of that type, and a boolean is none of them.
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          dict: "an object"}
+_CONFIG_TYPES = {
+    "dim": int, "ell_max": int, "axis": int, "func": str, "ell": str,
+    "domain": str, "params": dict, "sigma": float, "cp": float,
+    "halfwidth": float, "eps": float, "lam": float, "lam_c": float,
+    "lam_e": float, "value": float}
+
+
+def _check_config(cfg, prefix=""):
+    for key in [k for k in _CONFIG_TYPES if k in cfg]:
+        kind, v = _CONFIG_TYPES[key], cfg[key]
+        if type(v) not in ((int, float) if kind is float else (kind,)) or (
+                type(v) is float and not math.isfinite(v)):
+            raise ValueError(f"config key '{prefix}{key}' must be "
+                             f"{_KINDS[kind]}, got {v!r}")
+
+
 def _load_config(path):
     if not path:
         return {}
@@ -54,6 +74,8 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    _check_config(cfg)
+    _check_config(cfg.get("params", {}), "params.")
     return cfg
 
 
@@ -71,12 +93,9 @@ def _net_config(args, cfg, dim):
     fields = {
         "sigma": _pick(args.sigma, cfg, "sigma", base.sigma),
         "c_p": _pick(args.cp, cfg, "cp", base.c_p),
-        "domain": _pick(getattr(args, "domain", None), cfg, "domain",
-                        base.domain),
-        "halfwidth": _pick(getattr(args, "halfwidth", None), cfg, "halfwidth",
-                           base.halfwidth),
-        "ell_max": _pick(getattr(args, "ell_max", None), cfg, "ell_max",
-                         base.ell_max),
+        "domain": _pick(args.domain, cfg, "domain", base.domain),
+        "halfwidth": _pick(args.halfwidth, cfg, "halfwidth", base.halfwidth),
+        "ell_max": _pick(args.ell_max, cfg, "ell_max", base.ell_max),
     }
     return dataclasses.replace(base, **fields)
 
@@ -86,10 +105,10 @@ def _resolve_func(args, cfg, dim):
     if name is None:
         raise ValueError("no function given (--func or config)")
     params = dict(cfg.get("params", {}))
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         params["lam"] = args.alpha
     for key in _PARAM_FLAGS:
-        v = getattr(args, key, None)
+        v = getattr(args, key)
         if v is not None:
             params[key] = v
     name = _FUNC_ALIASES.get(name, name)
@@ -158,7 +177,7 @@ def _plot_script(csv_path, title):
 
 def cmd_hp_study(args):
     cfg = _load_config(args.config)
-    dim = int(_pick(args.dim, cfg, "dim", 2))
+    dim = _pick(args.dim, cfg, "dim", 2)
     u, fname, params = _resolve_func(args, cfg, dim)
     ncfg = _net_config(args, cfg, dim)
     ells = _parse_ells(_pick(args.ell, cfg, "ell", "1..6"))
@@ -206,7 +225,7 @@ def cmd_hp_study(args):
 
 def cmd_nn_build(args):
     cfg = _load_config(args.config)
-    dim = int(_pick(args.dim, cfg, "dim", 2))
+    dim = _pick(args.dim, cfg, "dim", 2)
     u, fname, params = _resolve_func(args, cfg, dim)
     ncfg = _net_config(args, cfg, dim)
     eps = float(_pick(args.eps, cfg, "eps", 1e-2))

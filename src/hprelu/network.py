@@ -158,21 +158,21 @@ def stats(net):
     )
 
 
-def realize_batch(net, pts, backend=None):
+def realize_batch(net, pts):
     """Evaluate the network on an (n, input_dim) point array -> (n, out)."""
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != net.input_dim:
         raise ValueError(f"points have dim {pts.shape[1]}, network expects {net.input_dim}")
-    y = backends.run_forward(net.packed(), pts.T, backend=backend)
+    y = backends.run_forward(net.packed(), pts.T)
     return y.T
 
 
-def realize(net, x, backend=None):
+def realize(net, x):
     """Evaluate the network on a single input vector."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return realize_batch(net, x[None, :], backend=backend)[0]
+    return realize_batch(net, x[None, :])[0]
 
 
 # Cap on the width * points * directions entries of one jacobian chunk.
@@ -185,7 +185,7 @@ def _grad_chunk(n, width, nd):
     return max(64, min(n, int(_JAC_BUDGET / max(1, width * nd))))
 
 
-def grad_realize_batch(net, pts, backend=None):
+def grad_realize_batch(net, pts):
     """Values and jacobians on a batch: returns (vals (n, out), jac (n, out, d)).
 
     The jacobian is the a.e. forward-mode derivative with relu'(0) = 0.
@@ -203,17 +203,16 @@ def grad_realize_batch(net, pts, backend=None):
     jac = np.empty((n, net.output_dim, d))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        y, j = backends.run_forward_grad(net.packed(), pts[lo:hi].T,
-                                         backend=backend)
+        y, j = backends.run_forward_grad(net.packed(), pts[lo:hi].T)
         vals[lo:hi] = y.T
         jac[lo:hi] = np.moveaxis(j, 1, 0)
     return vals, jac
 
 
-def grad_realize(net, x, backend=None):
+def grad_realize(net, x):
     """Jacobian (out_dim, input_dim) of the realization at one point."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _, jac = grad_realize_batch(net, x[None, :], backend=backend)
+    _, jac = grad_realize_batch(net, x[None, :])
     return jac[0]
 
 

@@ -62,7 +62,7 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want))) / scale if got.size else 0.0
 
 
-def verify_calculus(trials=1000, seed=0, backend=None):
+def verify_calculus(trials=1000, seed=0):
     """Run `trials` randomized checks per rule; returns a list of RuleCheck."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -81,7 +81,7 @@ def verify_calculus(trials=1000, seed=0, backend=None):
             bad += 1
         pts = rng.standard_normal((8, inner.input_dim))
         want = _dense_eval(outer, _dense_eval(inner, pts))
-        err = max(err, _rel(realize_batch(net, pts, backend=backend), want))
+        err = max(err, _rel(realize_batch(net, pts), want))
     out.append(RuleCheck("concat", trials, err, bad))
 
     err = 0.0
@@ -96,7 +96,7 @@ def verify_calculus(trials=1000, seed=0, backend=None):
             bad += 1
         pts = rng.standard_normal((8, d))
         want = np.concatenate([_dense_eval(n, pts) for n in nets], axis=1)
-        err = max(err, _rel(realize_batch(par, pts, backend=backend), want))
+        err = max(err, _rel(realize_batch(par, pts), want))
     out.append(RuleCheck("parallel", trials, err, bad))
 
     err = 0.0
@@ -115,7 +115,7 @@ def verify_calculus(trials=1000, seed=0, backend=None):
         want = np.concatenate(
             [_dense_eval(n, pts[:, offs[k]:offs[k + 1]])
              for k, n in enumerate(nets)], axis=1)
-        err = max(err, _rel(realize_batch(fp, pts, backend=backend), want))
+        err = max(err, _rel(realize_batch(fp, pts), want))
     out.append(RuleCheck("full_parallel", trials, err, bad))
 
     err = 0.0
@@ -130,7 +130,7 @@ def verify_calculus(trials=1000, seed=0, backend=None):
             if after.size > 2 * before.size + 4 * before.output_dim * pad:
                 bad += 1
             pts = rng.standard_normal((6, before.input_dim))
-            err = max(err, _rel(realize_batch(after, pts, backend=backend),
+            err = max(err, _rel(realize_batch(after, pts),
                                 _dense_eval(before, pts)))
     out.append(RuleCheck("depth_align", trials, err, bad))
 
@@ -143,7 +143,7 @@ def verify_calculus(trials=1000, seed=0, backend=None):
         if net.depth != depth or net.size > 2 * dim * depth:
             bad += 1
         pts = rng.standard_normal((8, dim))
-        err = max(err, _rel(realize_batch(net, pts, backend=backend), pts))
+        err = max(err, _rel(realize_batch(net, pts), pts))
     out.append(RuleCheck("identity", trials, err, bad))
 
     return out

@@ -66,8 +66,8 @@ def inorder_realize(net, x, jac=False, seed=None):
     """Reference realization summed in stored order, one entry at a time.
 
     Each row starts from its bias and adds vals[j] * y[col_idx[j]] for its
-    stored entries in order; ReLU follows every layer but the last.  Uses
-    neither backend, so it is an oracle for their bitwise agreement.
+    stored entries in order; ReLU follows every layer but the last.  Does
+    not use the kernel, so it is an oracle for its bitwise order.
     x is (npts, input_dim); returns (npts, output_dim).
 
     With ``jac=True`` it also carries the forward-mode jacobian the same

@@ -337,9 +337,9 @@ def test_reduced_lanes_run_once_per_cell(monkeypatch):
     runs, chunks = collections.Counter(), []
     orig = backends.run_forward_grad
 
-    def run(packed, x, backend=None, seed=None):
+    def run(packed, x, seed=None):
         runs[id(packed)] += 1
-        return orig(packed, x, backend=backend, seed=seed)
+        return orig(packed, x, seed=seed)
 
     def spy(npts, width, nd):
         chunks.append((npts, network._grad_chunk(npts, width, nd)))

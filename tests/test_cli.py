@@ -113,6 +113,23 @@ def test_config_precedence(tmp_path):
     assert float(rows[0][3]) == 0.4  # file beat the default
 
 
+@pytest.mark.parametrize("entry,key", [
+    ({"dim": 2.7}, "'dim'"), ({"sigma": "0.5"}, "'sigma'"),
+    ({"params": [1, 2]}, "'params'"), ({"ell": 2}, "'ell'"),
+    ({"dim": True}, "'dim'"), ({"params": {"lam": False}}, "'params.lam'")],
+    ids=["float-dim", "str-sigma", "list-params", "int-ell", "bool-dim",
+         "bool-lam"])
+def test_config_values_are_typed(tmp_path, capsys, entry, key):
+    # a config value of another type than its flag's is rejected, naming
+    # the key, instead of being coerced or failing deep in the build
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"func": "corner", "ell": "1..2", **entry}))
+    out = tmp_path / "o.csv"
+    assert main(["hp-study", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_eval_info_roundtrip(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     rep_path = tmp_path / "rep.csv"

@@ -1,6 +1,5 @@
 """Product, polynomial, and piecewise-polynomial network builders."""
 
-import importlib.util
 import math
 
 import numpy as np
@@ -20,13 +19,6 @@ from hprelu.mesh import geometric_mesh
 from hprelu.network import grad_realize_batch, realize, realize_batch
 
 from helpers import inorder_realize, random_continuous_pwpoly
-
-BACKENDS = (
-    pytest.param("numba", marks=pytest.mark.skipif(
-        importlib.util.find_spec("numba") is None, reason="numba not installed")),
-    "numpy",
-)
-
 
 # ------------------------------------------------------------------ square
 
@@ -111,21 +103,20 @@ def test_product_rejects_uncertified_levels():
         product_net(2, ToleranceBudget(epsilon=1e-6, M=1.0, levels=2))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_product_zero_on_zero_exact(backend):
+def test_product_zero_on_zero_exact():
     net = product_net(3, plan_budget(3, 1e-3, 2.0))
     rng = np.random.default_rng(11)
     xz = rng.uniform(-5.0, 5.0, size=(100, 2))
     pts = np.zeros((100, 3))
     pts[:, 0] = xz[:, 0]
     pts[:, 2] = xz[:, 1]
-    out = realize_batch(net, pts, backend=backend)[:, 0]
+    out = realize_batch(net, pts)[:, 0]
     assert np.all(out == 0.0)
     # every coordinate slot, in-box and out-of-box
     for j in range(3):
         pts = rng.uniform(-4.0, 4.0, size=(50, 3))
         pts[:, j] = 0.0
-        out = realize_batch(net, pts, backend=backend)[:, 0]
+        out = realize_batch(net, pts)[:, 0]
         assert np.all(out == 0.0)
 
 
@@ -168,13 +159,12 @@ def test_product_meta_reports_budget():
     assert net.meta["size_constant"] > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backends_agree_on_product(backend):
+def test_product_matches_inorder():
     net = product_net(2, plan_budget(2, 1e-3, 1.0))
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1.0, 1.0, size=(64, 2))
     ref = inorder_realize(net, pts)
-    got = realize_batch(net, pts, backend=backend)
+    got = realize_batch(net, pts)
     assert np.array_equal(ref, got)
 
 
@@ -190,14 +180,13 @@ def test_pwpoly_two_element_quadratic_nodal_exact():
     assert all(a == b for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pwpoly_random_nodal_exact(backend):
+def test_pwpoly_random_nodal_exact():
     rng = np.random.default_rng(23)
     for _ in range(10):
         v = random_continuous_pwpoly(rng, int(rng.integers(1, 5)),
                                       int(rng.integers(1, 7)))
         net = pwpoly_net(v, 1e-2)
-        got = realize_batch(net, v.nodes[:, None], backend=backend)[:, 0]
+        got = realize_batch(net, v.nodes[:, None])[:, 0]
         assert np.array_equal(got, np.asarray(net.meta["node_values"]))
         assert np.max(np.abs(got - v.node_values())) == 0.0
 

@@ -15,7 +15,6 @@ from hprelu.network import (
     NeuralNetwork,
     deserialize,
     grad_realize,
-    grad_realize_batch,
     realize,
     realize_batch,
     serialize,
@@ -47,21 +46,6 @@ def test_realize_matches_dense_reference():
         got = realize_batch(net, pts)
         want = np.stack([dense_realize(net, p) for p in pts])
         assert np.allclose(got, want, atol=1e-13)
-
-
-def test_backends_agree():
-    pytest.importorskip("numba", reason="numba not installed")
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        net = random_net(rng)
-        pts = rng.standard_normal((7, net.input_dim))
-        a = realize_batch(net, pts, backend="numpy")
-        b = realize_batch(net, pts, backend="numba")
-        assert np.allclose(a, b, atol=1e-14)
-        va, ja = grad_realize_batch(net, pts, backend="numpy")
-        vb, jb = grad_realize_batch(net, pts, backend="numba")
-        assert np.allclose(va, vb, atol=1e-14)
-        assert np.allclose(ja, jb, atol=1e-14)
 
 
 def test_gradient_against_finite_differences():
@@ -268,9 +252,9 @@ def _bits(a):
 def test_numpy_narrow_rows_sum_in_order(case):
     net, pts = case
     want, want_jac = inorder_realize(net, pts, jac=True)
-    y = backends.run_forward(net.packed(), pts.T, backend="numpy")
+    y = backends.run_forward(net.packed(), pts.T)
     assert np.array_equal(_bits(y.T), _bits(want))
-    y, jac = backends.run_forward_grad(net.packed(), pts.T, backend="numpy")
+    y, jac = backends.run_forward_grad(net.packed(), pts.T)
     assert np.array_equal(_bits(y.T), _bits(want))
     assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
 
@@ -287,16 +271,13 @@ def test_numpy_wide_rows_use_blas_dot():
     net = NeuralNetwork(80, [lay])
     x = rng.standard_normal((80, 17))
     indptr, cols, vals, bias = net.packed()[0]
-    out = backends.run_forward(net.packed(), x, backend="numpy")
+    out = backends.run_forward(net.packed(), x)
     for r in (0, 2):
         lo, hi = indptr[r], indptr[r + 1]
         assert np.array_equal(_bits(out[r]),
                               _bits(bias[r] + vals[lo:hi] @ x[cols[lo:hi]]))
     want = inorder_realize(net, x.T).T
     assert np.array_equal(_bits(out[[1, 3, 4]]), _bits(want[[1, 3, 4]]))
-
-
-_BACKENDS = ["numpy", "numba"] if backends.HAS_NUMBA else ["numpy"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -316,11 +297,9 @@ def test_tiled_grad_matches_inorder(case, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backends, "_TILE_BYTES", 0)
         mp.setattr(backends, "_TILE_MIN", tile)
-        for backend in _BACKENDS:
-            y, jac = backends.run_forward_grad(net.packed(), pts.T,
-                                               backend=backend, seed=seed)
-            assert np.array_equal(_bits(y.T), _bits(want))
-            assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
+        y, jac = backends.run_forward_grad(net.packed(), pts.T, seed=seed)
+    assert np.array_equal(_bits(y.T), _bits(want))
+    assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
 
 
 def _wide_mid_and_last_net(rng):
@@ -367,8 +346,7 @@ def test_wide_layers_run_whole_under_tiling(monkeypatch, nd):
     for tile in (7, 10**9):
         monkeypatch.setattr(backends, "_TILE_BYTES", 0)
         monkeypatch.setattr(backends, "_TILE_MIN", tile)
-        got = backends.run_forward_grad(net.packed(), x, seed=seed,
-                                        backend="numpy")
+        got = backends.run_forward_grad(net.packed(), x, seed=seed)
         for a, b in zip(got, (y, jac)):
             assert a.shape == b.shape
             assert np.array_equal(_bits(a), _bits(b))
@@ -395,8 +373,7 @@ def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
     monkeypatch.setattr(backends, "_csr_narrow_np", count)
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
-    backends.run_forward_grad(net.packed(), rng.standard_normal((2, 100)),
-                              backend="numpy")
+    backends.run_forward_grad(net.packed(), rng.standard_normal((2, 100)))
     assert len(calls) == 1
     # a value and a jacobian call per layer per tile: 25 tiles of 4 points
     assert len(kernel_calls) == 2 * net.depth * 25
