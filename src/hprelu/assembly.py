@@ -294,7 +294,8 @@ def _lane_plan(stage, d):
             else:
                 last[s] = (s, l, srcs, [layer])
                 steps.append(last[s])
-    return rows, steps
+    return rows, [(s, l, srcs, backends.Packed(packed))
+                  for s, l, srcs, packed in steps]
 
 
 def _lane_axes(mask, size):

@@ -6,6 +6,10 @@ adds the terms in stored order; the product constructions rely on that
 order for their exact structural zeros.  Each wider row, a coefficient
 contraction, runs through a BLAS dot.  scipy is imported on the first
 kernel call, not with the package.
+
+The value-and-jacobian pass runs narrow layers in cache-sized tiles of
+points, each held plane-major: the values, then one contiguous plane per
+direction (``_narrow_run``).
 """
 
 import functools
@@ -26,9 +30,14 @@ _CHUNK_BUDGET = 16_000_000
 
 # A narrow run's tile holds about _TILE_BYTES of values and jacobian in its
 # widest layer, so one layer's input and output stay within a 2 MiB L2.
-# The floor keeps small batches (serving, single points) in one tile.
+# Each tile pays a fixed cost per layer: 1 + nd kernel calls, the bias fill
+# and the mask.  The floor is the smallest tile that amortises it.  In a
+# sweep of 8-256 points on the two benchmark nets (2,535 and 5,831 rows
+# wide) at 25-1,000 points a batch, 8 and 16 ran 10-20% slower than 32 on
+# the 2,535-row net, and 64 or more ran 10-30% slower on the 5,831-row net
+# from 100 points up, its tiles outgrowing the cache.
 _TILE_BYTES = 1 << 20
-_TILE_MIN = 256
+_TILE_MIN = 32
 
 
 @functools.cache
@@ -48,28 +57,26 @@ def _matvecs():
 _EXACT_ROW_NNZ = 32
 
 
-def _csr_narrow_np(indptr, cols, vals, bias, x, out):
-    """Bias plus in-order row sums into ``out``, for a layer of narrow rows."""
-    out[:] = bias[:, None]
+def _csr_add(indptr, cols, vals, x, out):
+    """Add each row's terms of one (in, n) plane into ``out`` in order."""
     _matvecs()(out.shape[0], x.shape[0], x.shape[1], indptr, cols, vals,
                x.ravel(), out.ravel())
-    return out
 
 
 def _csr_affine_np(indptr, cols, vals, bias, x):
     rows = indptr.shape[0] - 1
     npts = x.shape[1]
     out = np.empty((rows, npts))
+    out[:] = bias[:, None]
     counts = np.diff(indptr)
     small = counts <= _EXACT_ROW_NNZ
     if small.all():
-        return _csr_narrow_np(indptr, cols, vals, bias, x, out)
-    out[:] = bias[:, None]
+        _csr_add(indptr, cols, vals, x, out)
+        return out
     # the narrow rows as their own CSR: wide rows keep no entries here
-    narrow_ptr = np.concatenate(([0], np.cumsum(counts * small)))
     keep = np.repeat(small, counts)
-    _matvecs()(rows, x.shape[0], npts, narrow_ptr, cols[keep], vals[keep],
-               x.ravel(), out.ravel())
+    _csr_add(np.concatenate(([0], np.cumsum(counts * small))), cols[keep],
+             vals[keep], x, out)
     for r in np.nonzero(~small)[0]:
         lo, hi = indptr[r], indptr[r + 1]
         step = max(1, _CHUNK_BUDGET // max(1, hi - lo))
@@ -101,52 +108,60 @@ def _tile_points(width, nd):
     return max(_TILE_MIN, _TILE_BYTES // (8 * width * (1 + nd)))
 
 
-def _runs(packed):
-    """(start, stop, narrow) for each maximal run of narrow layers and each
-    layer with a row over ``_EXACT_ROW_NNZ`` entries."""
-    out = []
-    for i, (indptr, _, _, _) in enumerate(packed):
-        narrow = len(indptr) < 2 or np.diff(indptr).max() <= _EXACT_ROW_NNZ
-        if narrow and out and out[-1][2]:
-            out[-1][1] = i + 1
-        else:
-            out.append([i, i + 1, narrow])
-    return out
+class Packed(list):
+    """A packed layer list, one (indptr, cols, vals, bias) tuple per layer.
+
+    ``runs`` holds (start, stop, narrow) for each maximal run of narrow
+    layers and each layer with a row over ``_EXACT_ROW_NNZ`` entries,
+    computed once: a list held for many passes (a network's, a
+    certification lane's) is built as one, and ``run_forward_grad`` packs
+    any other list on each call.
+    """
+
+    def __init__(self, layers=()):
+        super().__init__(layers)
+        self.runs = []
+        for i, (indptr, _, _, _) in enumerate(self):
+            narrow = len(indptr) < 2 or np.diff(indptr).max() <= _EXACT_ROW_NNZ
+            if narrow and self.runs and self.runs[-1][2]:
+                self.runs[-1][1] = i + 1
+            else:
+                self.runs.append([i, i + 1, narrow])
 
 
 def _narrow_run(layers, y, jac, relu_last):
     """Run narrow layers tile by tile over the points.
 
     y is (in, npts) and jac (in, npts, nd), point-major as the public pass
-    holds them; within a tile the jacobian is direction-major (rows, nd,
-    tile), so the ReLU mask broadcasts over the directions.  Returns the
-    run's (out, npts) values and (out, npts, nd) jacobian.
+    holds them.  A tile is one plane-major (1 + nd, rows, tile) array: the
+    values, then one contiguous plane per direction, each summed by its own
+    kernel call; the jacobian planes start from +0.0 where the values start
+    from the bias, and the ReLU mask multiplies them plane by plane.
+    Returns the run's (out, npts) values and (out, npts, nd) jacobian.
     """
     npts, nd = jac.shape[1], jac.shape[2]
     rows = [len(indptr) - 1 for indptr, _, _, _ in layers]
-    # the jacobian is the same layer without its bias, from +0.0 per row
-    zeros = [np.zeros(r) for r in rows]
     tile = _tile_points(max(rows + [y.shape[0]]), nd)
     y_out = np.empty((rows[-1], npts))
     jac_out = np.empty((rows[-1], npts, nd))
     relu = [True] * (len(layers) - 1) + [relu_last]
     for p0 in range(0, npts, tile):
         p1 = min(npts, p0 + tile)
-        n = p1 - p0
-        yt = np.ascontiguousarray(y[:, p0:p1])
-        jt = np.ascontiguousarray(jac[:, p0:p1].transpose(0, 2, 1))
-        for (indptr, cols, vals, bias), r, zero, act in zip(layers, rows,
-                                                           zeros, relu):
-            z = _csr_narrow_np(indptr, cols, vals, bias, yt, np.empty((r, n)))
-            jnew = np.empty((r, nd, n))
-            _csr_narrow_np(indptr, cols, vals, zero, jt.reshape(-1, nd * n),
-                           jnew.reshape(r, nd * n))
+        t = np.empty((1 + nd, y.shape[0], p1 - p0))
+        t[0] = y[:, p0:p1]
+        t[1:] = jac[:, p0:p1].transpose(2, 0, 1)
+        for (indptr, cols, vals, bias), r, act in zip(layers, rows, relu):
+            o = np.empty((1 + nd, r, p1 - p0))
+            o[0] = bias[:, None]
+            o[1:] = 0.0
+            for k in range(1 + nd):
+                _csr_add(indptr, cols, vals, t[k], o[k])
             if act:
-                jnew *= (z > 0.0)[:, None, :]
-                np.maximum(z, 0.0, out=z)
-            yt, jt = z, jnew
-        y_out[:, p0:p1] = yt
-        jac_out[:, p0:p1] = jt.transpose(0, 2, 1)
+                o[1:] *= o[0] > 0.0
+                np.maximum(o[0], 0.0, out=o[0])
+            t = o
+        y_out[:, p0:p1] = t[0]
+        jac_out[:, p0:p1] = t[1:].transpose(1, 2, 0)
     return y_out, jac_out
 
 
@@ -164,7 +179,9 @@ def run_forward_grad(packed, x, seed=None):
     tile through the whole run while it sits in cache; a layer with a wide
     row runs alone on the whole batch, since the sums of its BLAS dot may
     depend on the column range.  The in-order loop sums each column on its
-    own, so the result is bit for bit that of one layer at a time.
+    own, so the result is bit for bit that of one layer at a time.  A
+    ``Packed`` list brings its run split along; any other list of packed
+    layers is split on each call.
     """
     d = x.shape[0]
     npts = x.shape[1]
@@ -179,7 +196,9 @@ def run_forward_grad(packed, x, seed=None):
         if jac.ndim != 3 or jac.shape[0] != d or jac.shape[1] != npts:
             raise ValueError("seed must have shape (in_dim, npts, nd)")
         nd = jac.shape[2]
-    for start, stop, narrow in _runs(packed):
+    if not isinstance(packed, Packed):
+        packed = Packed(packed)
+    for start, stop, narrow in packed.runs:
         if narrow:
             y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last)
             continue

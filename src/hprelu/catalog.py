@@ -128,6 +128,8 @@ def corner_singular(dim, lam, corner=None):
     if corner is None:
         corner = (0.0,) * dim
     corner = tuple(float(c) for c in corner)
+    if len(corner) != dim:
+        raise ValueError("corner length must match dimension")
     if dim == 2 and not lam > GAMMA_SHIFT:
         raise ValueError(
             f"inadmissible corner exponent in 2d: need lam > {GAMMA_SHIFT} "

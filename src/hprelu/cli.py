@@ -49,20 +49,33 @@ def _jobs(flag):
 
 # The type argparse gives each flag: a config file (and its "params") must
 # give the flag's key a value of that type, and a boolean is none of them.
+# The list-valued catalog parameters have no flag; they take lists of
+# finite numbers (axis_coeffs one list per axis).
 _KINDS = {int: "an integer", float: "a finite number", str: "a string",
-          dict: "an object"}
+          dict: "an object", list: "a list of finite numbers",
+          "lists": "a list of lists of finite numbers"}
 _CONFIG_TYPES = {
     "dim": int, "ell_max": int, "axis": int, "func": str, "ell": str,
     "domain": str, "params": dict, "sigma": float, "cp": float,
     "halfwidth": float, "eps": float, "lam": float, "lam_c": float,
-    "lam_e": float, "value": float}
+    "lam_e": float, "value": float, "corner": list, "freq": list,
+    "phase": list, "rate": list, "axis_coeffs": "lists"}
+
+
+def _typed(v, kind):
+    if kind is float:
+        return type(v) in (int, float) and math.isfinite(v)
+    if kind is list:
+        return type(v) is list and all(_typed(x, float) for x in v)
+    if kind == "lists":
+        return type(v) is list and all(_typed(x, list) for x in v)
+    return type(v) is kind
 
 
 def _check_config(cfg, prefix=""):
     for key in [k for k in _CONFIG_TYPES if k in cfg]:
         kind, v = _CONFIG_TYPES[key], cfg[key]
-        if type(v) not in ((int, float) if kind is float else (kind,)) or (
-                type(v) is float and not math.isfinite(v)):
+        if not _typed(v, kind):
             raise ValueError(f"config key '{prefix}{key}' must be "
                              f"{_KINDS[kind]}, got {v!r}")
 

@@ -140,9 +140,9 @@ class NeuralNetwork:
 
     def packed(self):
         if self._packed is None:
-            self._packed = [
+            self._packed = backends.Packed(
                 (lay.indptr, lay.col_idx, lay.vals, lay.bias) for lay in self.layers
-            ]
+            )
         return self._packed
 
 

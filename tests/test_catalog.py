@@ -87,6 +87,8 @@ def test_admissibility_gates():
         edge_singular(0.6, axis=5)
     with pytest.raises(ValueError):
         corner_singular(4, 1.0)
+    with pytest.raises(ValueError, match="corner length"):
+        corner_singular(2, 0.5, (0.5,))
 
 
 def test_metadata():

@@ -116,9 +116,12 @@ def test_config_precedence(tmp_path):
 @pytest.mark.parametrize("entry,key", [
     ({"dim": 2.7}, "'dim'"), ({"sigma": "0.5"}, "'sigma'"),
     ({"params": [1, 2]}, "'params'"), ({"ell": 2}, "'ell'"),
-    ({"dim": True}, "'dim'"), ({"params": {"lam": False}}, "'params.lam'")],
+    ({"dim": True}, "'dim'"), ({"params": {"lam": False}}, "'params.lam'"),
+    ({"params": {"corner": 5}}, "'params.corner'"),
+    ({"params": {"freq": [1, "2"]}}, "'params.freq'"),
+    ({"params": {"axis_coeffs": [1, 2]}}, "'params.axis_coeffs'")],
     ids=["float-dim", "str-sigma", "list-params", "int-ell", "bool-dim",
-         "bool-lam"])
+         "bool-lam", "int-corner", "str-freq", "flat-axis-coeffs"])
 def test_config_values_are_typed(tmp_path, capsys, entry, key):
     # a config value of another type than its flag's is rejected, naming
     # the key, instead of being coerced or failing deep in the build

@@ -358,25 +358,59 @@ def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
     rng = np.random.default_rng(8)
     net = random_net(rng, input_dim=2, depth=4, width_hi=9)
     orig = backends.run_forward_grad
-    calls, kernel_calls = [], []
-    kernel = backends._csr_narrow_np
+    calls = []
 
     def spy(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    def count(*args):
-        kernel_calls.append(1)
-        return kernel(*args)
-
+    kernel_calls = _count_kernel_calls(monkeypatch)
     monkeypatch.setattr(backends, "run_forward_grad", spy)
-    monkeypatch.setattr(backends, "_csr_narrow_np", count)
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
     backends.run_forward_grad(net.packed(), rng.standard_normal((2, 100)))
     assert len(calls) == 1
-    # a value and a jacobian call per layer per tile: 25 tiles of 4 points
-    assert len(kernel_calls) == 2 * net.depth * 25
+    # one call per plane (the values and nd = 2 directions) per layer per
+    # tile: 25 tiles of 4 points
+    assert len(kernel_calls) == (1 + 2) * net.depth * 25
+
+
+def _count_kernel_calls(monkeypatch):
+    kernel, calls = backends._csr_add, []
+
+    def count(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(backends, "_csr_add", count)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [600, 3000])
+def test_tile_floor(monkeypatch, rows):
+    # a 3000-row layer gives the cache formula fewer points than the floor,
+    # a 600-row one more; below the floor a batch is one tile, over the
+    # tile it splits
+    rng = np.random.default_rng(4)
+    hidden = Layer(rows, 2, np.arange(rows).repeat(2),
+                   np.tile([0, 1], rows), rng.standard_normal(2 * rows),
+                   rng.standard_normal(rows))
+    out = Layer(1, rows, np.zeros(20, dtype=np.int64),
+                rng.choice(rows, 20, replace=False), rng.standard_normal(20),
+                [0.5])
+    net = NeuralNetwork(2, [hidden, out])
+    tile = backends._tile_points(rows, 2)
+    assert (tile == backends._TILE_MIN) == (rows == 3000)
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    for npts, tiles in [(backends._TILE_MIN - 1, 1), (tile, 1),
+                        (tile + 1, 2), (3 * tile + 1, 4)]:
+        kernel_calls.clear()
+        x = rng.standard_normal((2, npts))
+        y, jac = backends.run_forward_grad(net.packed(), x)
+        assert len(kernel_calls) == (1 + 2) * net.depth * tiles
+        want, want_jac = inorder_realize(net, x.T, jac=True)
+        assert np.array_equal(_bits(y.T), _bits(want))
+        assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
 
 
 def test_import_defers_scipy():
