@@ -118,7 +118,7 @@ class Packed(list):
     any other list on each call.
     """
 
-    def __init__(self, layers=()):
+    def __init__(self, layers):
         super().__init__(layers)
         self.runs = []
         for i, (indptr, _, _, _) in enumerate(self):

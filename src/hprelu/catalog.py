@@ -224,6 +224,10 @@ def _sep_factors(dim, kind, params):
 
 def analytic_fn(dim, kind, params):
     """Entire separable function: product over axes of 1d analytic factors."""
+    need = {"constant": "value", "polynomial": "axis_coeffs", "trig": "freq",
+            "exp": "rate"}.get(kind)
+    if need is not None and need not in params:
+        raise ValueError(f"{kind} needs the parameter {need!r}")
     if kind == "constant":
         v = float(params["value"])
 

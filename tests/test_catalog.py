@@ -89,6 +89,10 @@ def test_admissibility_gates():
         corner_singular(4, 1.0)
     with pytest.raises(ValueError, match="corner length"):
         corner_singular(2, 0.5, (0.5,))
+    for kind, key in [("constant", "value"), ("polynomial", "axis_coeffs"),
+                      ("trig", "freq"), ("exp", "rate")]:
+        with pytest.raises(ValueError, match=repr(key)):
+            analytic_fn(2, kind, {})
 
 
 def test_metadata():
