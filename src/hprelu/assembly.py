@@ -14,8 +14,9 @@ the other half.  Both are asserted on every build.
 
 Certification runs the compiled net on tensor grids, cell by cell, through
 one tuple's stage (``_CompiledField``), by lanes: rows that read the same
-input axes.  Only the all-axes lane sees the whole (live tuple x point)
-batch; the others run once per cell on the points of their own axes.
+input axes.  Only the all-axes lane sees the (tuple x point) batch, of the
+cell's live tuples with a nonzero coefficient; the others run once per
+cell on the points of their own axes.
 """
 
 import itertools
@@ -326,26 +327,31 @@ class _CompiledField:
 
     At any point the product block of a tuple with some basis factor
     outside its support is exactly zero, so per mesh cell only the live
-    tuples run.  One network serves every cell: a single tuple's stage
+    tuples count, and of those only the ones with a nonzero coefficient
+    reach the head.  One network serves every cell: a single tuple's stage
     (selector, product net, output (+,-) stacked as by ``concat``) runs on
-    a (live tuple x point) batch of basis-net values seeded with their
-    derivatives, and the cell's doubled coefficient row contracts it.
+    a (nonzero tuple x point) batch of basis-net values seeded with their
+    derivatives, and the cell's doubled coefficient row, its nonzero
+    entries in tuple order, contracts it.  A cell with no nonzero tuple
+    gives +0.0 values and gradients, as its empty head would.
 
     The stage runs by lanes (``_lane_plan``).  A row that reads only the
     axes in a set S takes the same value at every tuple and point that
     agree on S, so each lane but the all-axes one runs once per cell on the
     (live index x point) pairs of its own axes, seeded per axis.  The
     all-axes lane runs per chunk, tile by tile over the tuple-major
-    columns, and gathers the rows of the lanes it reads by index.  The head
-    then contracts the whole chunk.
+    columns of the nonzero tuples, and gathers the rows of the lanes it
+    reads by index.  The head then contracts the whole chunk.
 
     No bit moves against the full realization.  Every row keeps its
     entries in stored order and every column its inputs, and the in-order
     kernels sum each column on its own.  A direction outside a lane's axes
     is +0.0 in the full net: its seed is +0.0, each row's sum starts at
     +0.0 and adding +-0.0 leaves it there.  The per-axis seeds give exactly
-    these zeros.  Points run in the chunks the full net restricted to the
-    cell would take, which fixes the head's sums.
+    these zeros.  The head reads the nonzero tuples' outputs in the order
+    the full net's head does.  Points run in the chunks the full net
+    restricted to the cell would take, counting all its live tuples, which
+    fixes the head's sums.
     """
 
     def __init__(self, parts, row):
@@ -421,11 +427,17 @@ class _CompiledField:
         picks = [self._live[k][i] for k, i in zip(kcell, loc)]
         rv = self.vrow[np.ravel_multi_index(picks, (self.N,) * d, order="F")]
         nz = np.nonzero(rv)[0]
-        head = Layer(1, 2 * t, np.zeros(2 * len(nz), dtype=np.int64),
-                     np.concatenate([nz, nz + t]),
-                     np.concatenate([rv[nz], -rv[nz]]), np.zeros(1))
-        head = [(head.indptr, head.col_idx, head.vals, head.bias)]
+        m = len(nz)
         ns = [s.stop - s.start for s in sls]
+        if not m:
+            # an empty head: every value and gradient is its +0.0 bias
+            return np.zeros(ns), np.zeros(ns + [d])
+        # only the nonzero tuples run; loc[a][k] for nonzero tuple k
+        loc = [la[nz] for la in loc]
+        head = Layer(1, 2 * m, np.zeros(2 * m, dtype=np.int64),
+                     np.arange(2 * m), np.concatenate([rv[nz], -rv[nz]]),
+                     np.zeros(1))
+        head = [(head.indptr, head.col_idx, head.vals, head.bias)]
         n = int(np.prod(ns))
         flat = np.unravel_index(np.arange(n), ns)
         # input a on every (live basis index, point) pair of axis a
@@ -441,25 +453,26 @@ class _CompiledField:
                 self._run(step, st, _coords(step[0], size), size)
         full = [step for step in self._steps if step[0] == self._full]
         tile = backends._tile_points(self._width, d)
+        # the chunks of the full net restricted to the cell, all t tuples
         chunk = _grad_chunk(n, t * self._width, d)
         vals, grad = np.empty(n), np.empty((n, d))
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             c = hi - lo
-            # tuple-major batch: column k*c + j is live tuple k at point j
-            y = np.empty((2, t * c))
-            jac = np.empty((2, t * c, d))
-            for p0 in range(0, t * c, tile):
-                k, j = np.divmod(np.arange(p0, min(t * c, p0 + tile)), c)
+            # tuple-major batch: column k*c + j is nonzero tuple k at point j
+            y = np.empty((2, m * c))
+            jac = np.empty((2, m * c, d))
+            for p0 in range(0, m * c, tile):
+                k, j = np.divmod(np.arange(p0, min(m * c, p0 + tile)), c)
                 at = ({a: loc[a][k] * ns[a] + flat[a][lo + j]
                        for a in range(d)}, len(k))
                 ts = dict(st)
                 for step in full:
                     self._run(step, ts, at, size)
                 y[:, p0:p0 + len(k)], jac[:, p0:p0 + len(k)] = ts[self._out]
-            # rows k and t+k: the (+,-) outputs of live tuple k
+            # rows k and m+k: the (+,-) outputs of nonzero tuple k
             y, jac = backends.run_forward_grad(
-                head, y.reshape(2 * t, c), seed=jac.reshape(2 * t, c, d))
+                head, y.reshape(2 * m, c), seed=jac.reshape(2 * m, c, d))
             vals[lo:hi] = y[0]
             grad[lo:hi] = jac[0]
         return vals.reshape(ns), grad.reshape(ns + [d])

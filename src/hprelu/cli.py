@@ -308,6 +308,7 @@ def cmd_nn_info(args):
     print(f"output_dim {st.output_dim}")
     print(f"depth {st.depth}")
     print(f"size {st.size}")
+    print(f"live_size {st.live_size}")
     print(f"neurons {st.neurons}")
     print(f"max_width {max(st.widths)}")
     return 0

@@ -92,6 +92,7 @@ class Layer:
 class NetworkStats:
     depth: int
     size: int
+    live_size: int
     neurons: int
     input_dim: int
     output_dim: int
@@ -139,18 +140,50 @@ class NeuralNetwork:
         return self.input_dim + sum(lay.rows for lay in self.layers)
 
     def packed(self):
+        """The layers as a ``backends.Packed`` list of their live rows.
+
+        A row is live if it is an output or a stored entry of a live row of
+        the next layer reads it.  An explicit 0.0 entry counts as a read, so
+        a 0 * inf NaN still reaches its sum.  A dead row reaches no output,
+        so dropping it moves no bit.  Live rows keep their order and their
+        terms in stored order, their columns renumbered monotonically to the
+        live rows they read.  The inputs always stay.
+        """
         if self._packed is None:
+            live = [np.ones(self.output_dim, dtype=bool)]
+            for lay in self.layers[:0:-1]:
+                read = np.zeros(lay.cols, dtype=bool)
+                read[lay.col_idx[live[-1][lay.row_idx]]] = True
+                live.append(read)
+            live.append(np.ones(self.input_dim, dtype=bool))
+            live.reverse()
             self._packed = backends.Packed(
-                (lay.indptr, lay.col_idx, lay.vals, lay.bias) for lay in self.layers
-            )
+                _live_rows(lay, ins, outs)
+                for lay, ins, outs in zip(self.layers, live, live[1:]))
         return self._packed
 
 
+def _live_rows(lay, ins, outs):
+    """Packed (indptr, cols, vals, bias) of the rows ``outs`` of a layer
+    whose live inputs are ``ins``."""
+    if outs.all() and ins.all():
+        return lay.indptr, lay.col_idx, lay.vals, lay.bias
+    keep = outs[lay.row_idx]
+    cols = (np.cumsum(ins) - 1)[lay.col_idx[keep]]
+    indptr = np.concatenate(([0], np.cumsum(np.diff(lay.indptr)[outs])))
+    return indptr, cols, lay.vals[keep], lay.bias[outs]
+
+
 def stats(net):
-    """Depth, nonzero count, neuron count and per-layer widths."""
+    """Depth, nonzero count, neuron count and per-layer widths.
+
+    ``live_size`` counts the nonzero weights and biases of the live rows
+    (``packed``), the terms a pass multiplies."""
     return NetworkStats(
         depth=net.depth,
         size=net.size,
+        live_size=sum(int(np.count_nonzero(vals) + np.count_nonzero(bias))
+                      for _, _, vals, bias in net.packed()),
         neurons=net.neurons,
         input_dim=net.input_dim,
         output_dim=net.output_dim,

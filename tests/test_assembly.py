@@ -287,6 +287,63 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
                    for npts, width, chunk in calls)
 
 
+def _zero_cell_interp():
+    """A 2d interpolant whose live coefficients on mesh cell (0, 0) are all
+    zero, with one more zero tuple on cell (1, 1)."""
+    mesh = TensorMesh.cube(0.5, 1, 2)
+    basis = build_basis(mesh.axes[0], 2)
+    rng = np.random.default_rng(11)
+    c = rng.uniform(-1.0, 1.0, (len(basis),) * 2)
+    live = [i for i, bf in enumerate(basis) if 0 in bf.support]
+    c[np.ix_(live, live)] = 0.0
+    c[2, 4] = 0.0
+    return HpInterpolant(mesh, 2, c)
+
+
+def test_packing_drops_the_zero_tuples():
+    # a tuple whose coefficient is zero feeds no head entry, so the served
+    # net packs none of its stage rows and keeps every other row
+    interp = _zero_cell_interp()
+    net = build_phi_eps_c(interp, 1e-1)
+    rt = deserialize(serialize(net))
+    T = net.meta["tuples"]
+    kept = np.flatnonzero(interp.vvec())
+    assert 0 < len(kept) < T
+    db = net.meta["depth_basis"]
+    for k, (lay, (indptr, _, vals, _)) in enumerate(zip(rt.layers, rt.packed())):
+        share = (len(kept), T) if db <= k < net.depth - 1 else (1, 1)
+        assert (len(indptr) - 1) * share[1] == lay.rows * share[0]
+        assert len(vals) * share[1] == len(lay.vals) * share[0]
+    # the selector rows of the nonzero tuples, in order, read the basis
+    # outputs they read before
+    sel = rt.layers[db]
+    per = sel.rows // T
+    rows = (kept[:, None] * per + np.arange(per)).ravel()
+    take = np.concatenate([np.arange(sel.indptr[r], sel.indptr[r + 1])
+                           for r in rows])
+    _, cols, vals, bias = rt.packed()[db]
+    assert np.array_equal(cols, sel.col_idx[take])
+    assert np.array_equal(vals.view(np.uint64), sel.vals[take].view(np.uint64))
+    assert np.array_equal(bias.view(np.uint64), sel.bias[rows].view(np.uint64))
+
+
+def test_compiled_field_on_a_zero_cell():
+    # no nonzero tuple runs on cell (0, 0): +0.0 values and gradients, as
+    # the cell's empty head gives
+    net = build_phi_eps_c(_zero_cell_interp(), 1e-1)
+    axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)]
+    want_v, want_g = per_cell_field(net, axes)
+    f = compiled_field(net)
+    v, g = f.value_axes(axes), f.gradient_axes(axes)
+    assert np.array_equal(v.view(np.uint64), want_v.view(np.uint64))
+    assert np.array_equal(g.view(np.uint64), want_g.view(np.uint64))
+    ax = net.meta["compiled_parts"]["interp"].mesh.axes[0]
+    zero = np.ix_(*[ax.find(a) == 0 for a in axes])
+    assert v[zero].size and not v[zero].view(np.uint64).any()
+    assert not g[zero].view(np.uint64).any()
+    assert np.count_nonzero(v) > 0
+
+
 def _stage(net):
     """The packed single-tuple stage the compiled field of ``net`` runs by
     lanes."""

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from hprelu.assembly import NetConfig, build_phi_eps_f
+from hprelu.assembly import NetConfig, build_phi_eps_c, build_phi_eps_f
 from hprelu.catalog import corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
-from hprelu.network import _fmt, deserialize, realize_batch
+from hprelu.mesh import TensorMesh
+from hprelu.network import _fmt, deserialize, realize_batch, serialize
+from hprelu.projector import HpInterpolant
 from hprelu.verify import verify_calculus
 
 
@@ -161,6 +163,20 @@ def test_build_eval_info_roundtrip(tmp_path, capsys):
     assert info["input_dim"] == "2"
     assert info["size"] == rows[0][8]
     assert info["depth"] == rows[0][9]
+
+
+def test_nn_info_live_size(tmp_path, capsys):
+    # one zero coefficient of nine: its tuple's stage rows reach no output,
+    # so a pass multiplies 603 fewer weights and biases than the net stores
+    c = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
+    c[1, 2] = 0.0
+    net = build_phi_eps_c(HpInterpolant(TensorMesh.cube(0.5, 1, 2), 1, c), 1e-1)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(serialize(net))
+    capsys.readouterr()
+    assert main(["nn-info", "--net", str(net_path)]) == 0
+    info = dict(l.split() for l in capsys.readouterr().out.splitlines())
+    assert (info["size"], info["live_size"]) == ("5517", "4914")
 
 
 def test_nn_eval_rejects_bad_header(tmp_path):

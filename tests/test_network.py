@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hprelu import backends
@@ -15,6 +15,7 @@ from hprelu.network import (
     NeuralNetwork,
     deserialize,
     grad_realize,
+    grad_realize_batch,
     realize,
     realize_batch,
     serialize,
@@ -395,9 +396,10 @@ def test_tile_floor(monkeypatch, rows):
     hidden = Layer(rows, 2, np.arange(rows).repeat(2),
                    np.tile([0, 1], rows), rng.standard_normal(2 * rows),
                    rng.standard_normal(rows))
-    out = Layer(1, rows, np.zeros(20, dtype=np.int64),
-                rng.choice(rows, 20, replace=False), rng.standard_normal(20),
-                [0.5])
+    # rows / 20 narrow outputs of 20 hidden rows each: every hidden row is
+    # read, so packing keeps the whole layer
+    out = Layer(rows // 20, rows, np.arange(rows) // 20, rng.permutation(rows),
+                rng.standard_normal(rows), np.full(rows // 20, 0.5))
     net = NeuralNetwork(2, [hidden, out])
     tile = backends._tile_points(rows, 2)
     assert (tile == backends._TILE_MIN) == (rows == 3000)
@@ -411,6 +413,69 @@ def test_tile_floor(monkeypatch, rows):
         want, want_jac = inorder_realize(net, x.T, jac=True)
         assert np.array_equal(_bits(y.T), _bits(want))
         assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
+
+
+def _reaches_output(net, k, r):
+    """Whether row r of layer k leads to an output along stored entries,
+    explicit zeros included."""
+    if k == net.depth - 1:
+        return True
+    nxt = net.layers[k + 1]
+    return any(_reaches_output(net, k + 1, i)
+               for i, j in zip(nxt.row_idx, nxt.col_idx) if j == r)
+
+
+@st.composite
+def _nets_with_dead_rows(draw):
+    """Narrow nets with rows that no later row reads, rows without entries,
+    explicit 0.0 entries and at times a layer with no entries, so that the
+    layer before it has no live row; on points that may hold +-inf."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    cut = draw(st.sampled_from([None] + list(range(1, len(widths) - 1))))
+    layers = []
+    for k, (rows, cols) in enumerate(zip(widths[1:], widths[:-1])):
+        ri, ci = [], []
+        for r in range(rows):
+            row = [] if k == cut else draw(st.lists(
+                st.integers(0, cols - 1), unique=True, max_size=cols))
+            ri += [r] * len(row)
+            ci += row
+        vals = draw(st.lists(st.one_of(st.just(0.0), _signed),
+                             min_size=len(ci), max_size=len(ci)))
+        bias = draw(st.lists(_signed, min_size=rows, max_size=rows))
+        layers.append(Layer(rows, cols, ri, ci, vals, bias))
+    net = NeuralNetwork(widths[0], layers)
+    inf = st.one_of(_signed, st.sampled_from([np.inf, -np.inf]))
+    pts = draw(st.lists(st.lists(inf, min_size=widths[0], max_size=widths[0]),
+                        min_size=1, max_size=4))
+    return net, np.array(pts, dtype=np.float64)
+
+
+# a hidden row read only through a stored 0.0, on an infinite input: the
+# output is 0 * inf + 1 = NaN, and 1.0 if that row were dropped
+_ZERO_READS_INF = (
+    NeuralNetwork(1, [Layer(1, 1, [0], [0], [1.0], [0.0]),
+                      Layer(1, 1, [0], [0], [0.0], [1.0])]),
+    np.array([[np.inf], [2.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets_with_dead_rows())
+@example(_ZERO_READS_INF)
+def test_packing_keeps_only_live_rows(case):
+    # packing drops the rows that reach no output and moves no bit, NaNs
+    # and signed zeros included
+    net, pts = case
+    assert [len(p[0]) - 1 for p in net.packed()] == [
+        sum(_reaches_output(net, k, r) for r in range(lay.rows))
+        for k, lay in enumerate(net.layers)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        want, want_jac = inorder_realize(net, pts, jac=True)
+        got = realize_batch(net, pts)
+        vals, jac = grad_realize_batch(net, pts)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(vals), _bits(want))
+    assert np.array_equal(_bits(jac), _bits(want_jac))
 
 
 def test_import_defers_scipy():
