@@ -53,16 +53,6 @@ class WeightedFunction:
             return self._value(*coords)
         return self._deriv(alpha, *coords)
 
-    def gradient(self, pts):
-        """Convenience: gradient rows at pts of shape (n, dim)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        cols = [pts[:, j] for j in range(self.dim)]
-        out = np.empty((len(pts), self.dim))
-        for j in range(self.dim):
-            alpha = tuple(1 if i == j else 0 for i in range(self.dim))
-            out[:, j] = self.deriv(alpha, *cols)
-        return out
-
     def value_axes(self, axes):
         """Values on the tensor grid of per-axis point arrays."""
         d = len(axes)

@@ -27,7 +27,6 @@ from .network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
 __all__ = [
     "ToleranceBudget",
     "plan_budget",
-    "square_net",
     "product_net",
     "pwpoly_net",
     "basis_net",
@@ -195,21 +194,6 @@ def _product_chains(layers, in_cols, keep, a, b, M, m):
 
 # chain inputs (u + w, u, w) / 4 for the product of two [0, 2] channels
 _NONNEG_TFORMS = [([0, 1], [0.25, 0.25], 0.0), ([0], [0.25], 0.0), ([1], [0.25], 0.0)]
-
-
-def square_net(levels):
-    """Sawtooth square on [0,1]: the PWL interpolant of t^2 at k 2^-levels."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    m = levels
-    layers = []
-    lb, base = _square_chains(layers, 1, [], [([0], [1.0], 0.0)], m)
-    lb.row(*_chain_out(base, 1, m, 1.0))
-    layers.append(lb.done())
-    net = NeuralNetwork(1, layers)
-    net.meta.update(kind="square", levels=m,
-                    value_err=_sq_value_err(m), deriv_err=_sq_deriv_err(m))
-    return net
 
 
 # ---------------------------------------------------------- binary product

@@ -1,7 +1,10 @@
-"""Element projector and graded tensor-product interpolation.
+"""Graded tensor-product hp interpolation.
 
 The element operator matches traces at both endpoints and the first p-1
-weighted Legendre moments of the derivative; its tensorization over a
+weighted Legendre moments of the derivative: a hat's coefficient is a
+nodal value, a bubble's the moment (2n+1)(v', L_n) on the reference
+interval.  ``hp_interpolate`` is its one implementation, a single element
+being the one-interval, non-singular mesh.  The tensorization over a
 graded mesh is assembled pattern-by-pattern (trace vs moment per axis) on
 shared Gauss grids, with the quadrature order doubled until the
 coefficient array settles to 1e-12.
@@ -12,60 +15,14 @@ import itertools
 import numpy as np
 
 from .basis import build_basis
-from .legendre import gauss_rule, legendre_table, zeta_coeffs
+from .legendre import gauss_rule, legendre_table
 from .mesh import TensorMesh
 
-__all__ = ["project_element", "hp_interpolate", "multipatch_interpolate", "HpInterpolant"]
+__all__ = ["hp_interpolate", "multipatch_interpolate", "HpInterpolant"]
 
 _REL_TOL = 1e-12
 _MAX_DOUBLINGS = 4
 _CHUNK_ENTRIES = 40_000_000
-
-
-def _as_pair(v):
-    if isinstance(v, tuple):
-        f, df = v
-        return f, df
-    return (lambda t: v(t)), (lambda t: v.deriv(t))
-
-
-def project_element(v, p):
-    """Degree-p coefficients (ascending, in t on (-1,1)) of the element
-    projection of v, plus the functional values that produced them.
-
-    Functional 1 is the trace at t=1, functional 2 the trace at t=-1,
-    functional n>=3 the moment (2n-3) int v' L_{n-2}.
-    """
-    if p < 1:
-        raise ValueError("degree must be >= 1")
-    f, df = _as_pair(v)
-    c1 = float(np.asarray(f(np.array(1.0))))
-    c2 = float(np.asarray(f(np.array(-1.0))))
-    fvals = np.zeros(p + 1)
-    fvals[0], fvals[1] = c1, c2
-    if p > 1:
-        prev = None
-        g = max(p + 4, 20)
-        for _ in range(_MAX_DOUBLINGS + 1):
-            t, w = gauss_rule(g)
-            dv = np.asarray(df(t), dtype=np.float64)
-            lt = legendre_table(p - 1, t)
-            cur = np.array([(2 * n + 1) * np.dot(w, dv * lt[n]) for n in range(1, p)])
-            if prev is not None:
-                rel = np.max(np.abs(cur - prev)) / (1.0 + np.max(np.abs(cur)))
-                if rel < _REL_TOL:
-                    break
-            prev, g = cur, 2 * g
-        else:
-            raise RuntimeError(
-                f"element quadrature did not settle below {_REL_TOL:g} "
-                f"(last change {rel:.3e} at order {g // 2})")
-        fvals[2:] = cur
-    coeffs = np.zeros(p + 1)
-    for i in range(1, p + 2):
-        zc = np.array(zeta_coeffs(i))
-        coeffs[:len(zc)] += fvals[i - 1] * zc
-    return coeffs, fvals
 
 
 class _AxisQuad:

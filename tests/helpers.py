@@ -13,7 +13,11 @@ from hprelu import backends, network
 from hprelu.assembly import _tiled_tuple_stage
 from hprelu.basis import PiecewisePolynomial
 from hprelu.calculus import concat
-from hprelu.network import Layer, NeuralNetwork, grad_realize_batch
+from hprelu.catalog import WeightedFunction
+from hprelu.emulation import _chain_out, _square_chains
+from hprelu.mesh import Axis1D, TensorMesh
+from hprelu.network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
+from hprelu.projector import hp_interpolate
 
 
 def random_net(rng, input_dim=None, depth=None, width_hi=6, density=0.7):
@@ -155,6 +159,41 @@ def per_cell_field(net, axes, row=0):
             out[at] = y[0]
             grad[at] = j[0]
     return out, grad
+
+
+def one_element(f, df, p):
+    """Degree-p interpolant of f (derivative df) on the single element
+    (-1, 1): ``hp_interpolate`` on a one-interval, non-singular 1D mesh.
+    Its coefficients are the trace at -1, the trace at +1, then the moments
+    (2n+1)(f', L_n) for n = 1..p-1."""
+    u = WeightedFunction(1, f, lambda alpha, t: df(t), "element")
+    return hp_interpolate(u, TensorMesh([Axis1D([-1.0, 1.0], [False], 0.5, 0)]), p)
+
+
+def square_net(levels):
+    """Sawtooth square on [0,1], the PWL interpolant of t^2 at k 2^-levels:
+    the paper's square primitive as one chain of the library's emitter."""
+    layers = []
+    lb, base = _square_chains(layers, 1, [], [([0], [1.0], 0.0)], levels)
+    lb.row(*_chain_out(base, 1, levels, 1.0))
+    layers.append(lb.done())
+    return NeuralNetwork(1, layers)
+
+
+def assert_linf_envelope(net, interp, plan, npts):
+    """Every output row of a compiled net stays inside the structural
+    L-infinity envelope (2^d + 1) * ||c||_1 (5% slack) on an npts^d grid
+    of the interpolant's domain."""
+    d = interp.dim
+    lo = interp.mesh.axes[0].lo + 1e-9
+    hi = interp.mesh.axes[0].hi - 1e-9
+    axis = np.linspace(lo, hi, npts)
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    vals = realize_batch(net, pts)
+    bound = (2.0 ** d + 1.0) * max(plan.c_l1, 1e-30) * 1.05
+    peak = float(np.max(np.abs(vals)))
+    assert peak <= bound, (peak, bound)
 
 
 def fd_jacobian(f, x, h=1e-6):

@@ -34,7 +34,7 @@ from hprelu.network import (
 )
 from hprelu.projector import HpInterpolant, hp_interpolate
 
-from helpers import per_cell_field
+from helpers import assert_linf_envelope, per_cell_field
 
 _CACHE = {}
 
@@ -464,7 +464,8 @@ def test_build_f_singular_certifies():
 
 def test_build_f_grid_check_envelope():
     u = corner_singular(2, 0.5)
-    _, rep = build_phi_eps_f(u, 2, 1e-1, NetConfig(sigma=0.17, grid_check=15))
+    net, rep = build_phi_eps_f(u, 2, 1e-1, NetConfig(sigma=0.17))
+    assert_linf_envelope(net, net.meta["compiled_parts"]["interp"], rep.plan, 15)
     assert rep.certified
 
 
@@ -516,22 +517,31 @@ def test_vector_three_singular_certified():
     assert realize_batch(net, pts).shape == (10, 3)
 
 
-def test_vector_grid_check_covers_every_row(monkeypatch):
-    seen = []
-    check = assembly._linf_grid_check
-
-    def spy(net, interp, plan, npts):
-        seen.append(net.output_dim)
-        return check(net, interp, plan, npts)
-
-    monkeypatch.setattr(assembly, "_linf_grid_check", spy)
+def test_vector_grid_check_covers_every_row():
     u = _poly_u()
-    net, reps = build_vector([u, u * 2.0], 2, 1e-2, NetConfig(grid_check=7))
-    assert seen == [2]
+    net, reps = build_vector([u, u * 2.0], 2, 1e-2)
+    interp = net.meta["compiled_parts"]["interp"]
+    assert net.output_dim == 2
+    assert_linf_envelope(net, interp, reps[0].plan, 7)
     # a second output row past the envelope trips the check
     bad = NeuralNetwork(2, [Layer(2, 2, [], [], [], [0.0, 1e6])])
     with pytest.raises(AssertionError):
-        check(bad, net.meta["compiled_parts"]["interp"], reps[0].plan, 3)
+        assert_linf_envelope(bad, interp, reps[0].plan, 3)
+
+
+@pytest.mark.parametrize("epsilon, ell_max, match", [
+    (-1.0, 12, "got -1.0"), (0.0, 12, "got 0.0"), (2.0, 12, "got 2.0"),
+    (float("nan"), 12, "got nan"), ("0.1", 12, "got '0.1'"),
+    (1e-1, -1, "ell_max must be >= 0, got -1")],
+    ids=["negative", "zero", "two", "nan", "str", "negative-ell-max"])
+def test_vector_rejects_bad_targets_before_calibrating(monkeypatch, epsilon,
+                                                       ell_max, match):
+    def no_calibration(*args):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(assembly, "_interpolate", no_calibration)
+    with pytest.raises(ValueError, match=match):
+        build_vector([_poly_u()], 2, epsilon, NetConfig(ell_max=ell_max))
 
 
 def test_vector_rejects_empty():

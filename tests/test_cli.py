@@ -165,6 +165,20 @@ def test_build_eval_info_roundtrip(tmp_path, capsys):
     assert info["depth"] == rows[0][9]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "-1", "epsilon must be a number in (0, 2), got -1.0"),
+    ("--eps", "nan", "epsilon must be a number in (0, 2), got nan"),
+    ("--ell-max", "-1", "ell_max must be >= 0, got -1")],
+    ids=["negative-eps", "nan-eps", "negative-ell-max"])
+def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
+    # rejected before calibration, as an input error, not a failed build
+    out = tmp_path / "net.json"
+    assert main(["nn-build", "--func", "corner", "--dim", "2", flag, value,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nn_info_live_size(tmp_path, capsys):
     # one zero coefficient of nine: its tuple's stage rows reach no output,
     # so a pass multiplies 603 fewer weights and biases than the net stores

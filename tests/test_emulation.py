@@ -12,13 +12,12 @@ from hprelu.emulation import (
     plan_budget,
     product_net,
     pwpoly_net,
-    square_net,
 )
 from hprelu.legendre import zeta_coeffs
 from hprelu.mesh import geometric_mesh
 from hprelu.network import grad_realize_batch, realize, realize_batch
 
-from helpers import inorder_realize, random_continuous_pwpoly
+from helpers import inorder_realize, random_continuous_pwpoly, square_net
 
 # ------------------------------------------------------------------ square
 
@@ -53,11 +52,6 @@ def test_square_exact_at_dyadics():
     t = k / 2.0 ** m
     got = realize_batch(net, t[:, None])[:, 0]
     assert np.array_equal(got, t * t)
-
-
-def test_square_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        square_net(0)
 
 
 # ----------------------------------------------------------------- budgets

@@ -6,12 +6,9 @@ from numpy.polynomial import legendre as npleg
 
 from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.mesh import TensorMesh
-from hprelu.projector import (
-    HpInterpolant,
-    hp_interpolate,
-    multipatch_interpolate,
-    project_element,
-)
+from hprelu.projector import HpInterpolant, hp_interpolate, multipatch_interpolate
+
+from helpers import one_element
 
 
 # ---------------------------------------------------------------- oracles
@@ -81,20 +78,24 @@ def oracle_value(a, mesh, K, pts):
 
 # ---------------------------------------------------------- element tests
 
+def _at(interp, t):
+    return interp.value(np.asarray(t, dtype=np.float64)[:, None])
+
+
 def test_reproduce_t2():
-    coeffs, _ = project_element((lambda t: t ** 2, lambda t: 2 * t), 2)
-    np.testing.assert_allclose(coeffs, [0, 0, 1], atol=1e-13)
+    t = np.linspace(-1.0, 1.0, 33)
+    it = one_element(lambda t: t ** 2, lambda t: 2 * t, 2)
+    np.testing.assert_allclose(_at(it, t), t ** 2, atol=1e-13)
 
 
 def test_t3_degree_one():
-    coeffs, _ = project_element((lambda t: t ** 3, lambda t: 3 * t ** 2), 1)
-    np.testing.assert_allclose(coeffs, [0, 1], atol=1e-13)
+    t = np.linspace(-1.0, 1.0, 33)
+    it = one_element(lambda t: t ** 3, lambda t: 3 * t ** 2, 1)
+    np.testing.assert_allclose(_at(it, t), t, atol=1e-13)
 
 
 def test_cos_endpoints():
-    coeffs, _ = project_element((np.cos, lambda t: -np.sin(t)), 3)
-    at1 = np.polynomial.polynomial.polyval(1.0, coeffs)
-    atm1 = np.polynomial.polynomial.polyval(-1.0, coeffs)
+    at1, atm1 = _at(one_element(np.cos, lambda t: -np.sin(t), 3), [1.0, -1.0])
     assert at1 == pytest.approx(np.cos(1.0), abs=1e-12)
     assert atm1 == pytest.approx(np.cos(-1.0), abs=1e-12)
 
@@ -110,23 +111,24 @@ def test_element_against_oracle():
     f = lambda t: np.sin(2 * t + 0.3)
     df = lambda t: 2 * np.cos(2 * t + 0.3)
     p = 5
-    coeffs, fvals = project_element((f, df), p)
-    # assemble the same polynomial from oracle functionals and zeta shapes
+    it = one_element(f, df, p)
+    # oracle functionals in the element's order: trace at -1, trace at +1,
+    # then (2n+1)(f', L_n); the shapes they weight are zeta 2, 1, 3, ...
     t, w = npleg.leggauss(80)
-    want = fvals * 0
-    want[0], want[1] = f(1.0), f(-1.0)
+    want = np.zeros(p + 1)
+    want[0], want[1] = f(-1.0), f(1.0)
     for n in range(1, p):
         want[n + 1] = (2 * n + 1) * np.dot(w, df(t) * leg_val(n, t))
-    np.testing.assert_allclose(fvals, want, atol=1e-12)
+    np.testing.assert_allclose(it.coeffs, want, atol=1e-12)
     grid = np.linspace(-1, 1, 33)
-    direct = sum(want[i - 1] * zeta_val(i, grid) for i in range(1, p + 2))
-    np.testing.assert_allclose(
-        np.polynomial.polynomial.polyval(grid, coeffs), direct, atol=1e-11)
+    shapes = [2, 1] + list(range(3, p + 2))
+    direct = sum(c * zeta_val(m, grid) for c, m in zip(want, shapes))
+    np.testing.assert_allclose(_at(it, grid), direct, atol=1e-11)
 
 
 def test_degree_validation():
     with pytest.raises(ValueError):
-        project_element((np.cos, np.sin), 0)
+        one_element(np.cos, np.sin, 0)
 
 
 # ------------------------------------------------------------ global tests
