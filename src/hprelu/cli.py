@@ -309,6 +309,7 @@ def cmd_nn_info(args):
     print(f"depth {st.depth}")
     print(f"size {st.size}")
     print(f"live_size {st.live_size}")
+    print(f"live_rows {st.live_rows}")
     print(f"neurons {st.neurons}")
     print(f"max_width {max(st.widths)}")
     return 0

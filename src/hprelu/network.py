@@ -93,6 +93,7 @@ class NetworkStats:
     depth: int
     size: int
     live_size: int
+    live_rows: int
     neurons: int
     input_dim: int
     output_dim: int
@@ -140,7 +141,8 @@ class NeuralNetwork:
         return self.input_dim + sum(lay.rows for lay in self.layers)
 
     def packed(self):
-        """The layers as a ``backends.Packed`` list of their live rows.
+        """The layers as a ``backends.Packed`` list of their live rows, each
+        bit-identical row held once.
 
         A row is live if it is an output or a stored entry of a live row of
         the next layer reads it.  An explicit 0.0 entry counts as a read, so
@@ -148,6 +150,12 @@ class NeuralNetwork:
         so dropping it moves no bit.  Live rows keep their order and their
         terms in stored order, their columns renumbered monotonically to the
         live rows they read.  The inputs always stay.
+
+        Then ``_merge_rows`` keeps, in each layer but the output, only the
+        first of the rows that compute the same thing: same bias bits and
+        the same terms in the same order, a term being the kept row it
+        reads and its value bits.  Identical operations in identical order
+        give identical bits, so this too moves no bit.
         """
         if self._packed is None:
             live = [np.ones(self.output_dim, dtype=bool)]
@@ -157,9 +165,9 @@ class NeuralNetwork:
                 live.append(read)
             live.append(np.ones(self.input_dim, dtype=bool))
             live.reverse()
-            self._packed = backends.Packed(
-                _live_rows(lay, ins, outs)
-                for lay, ins, outs in zip(self.layers, live, live[1:]))
+            self._packed = backends.Packed(_merge_rows(
+                [_live_rows(lay, ins, outs)
+                 for lay, ins, outs in zip(self.layers, live, live[1:])]))
         return self._packed
 
 
@@ -174,16 +182,121 @@ def _live_rows(lay, ins, outs):
     return indptr, cols, lay.vals[keep], lay.bias[outs]
 
 
+def _merge_rows(layers):
+    """Hold each bit-identical row of a packed layer list once.
+
+    Forward from the first layer ``_first_duplicate`` flags, each layer's
+    columns are renumbered to the rows the previous layer kept, and then,
+    unless it is the output layer, its rows are grouped on their bit keys
+    (``_row_keys``) and only the first row of each group stays.  Rows over
+    ``backends._EXACT_ROW_NNZ`` entries run through a BLAS dot, whose sums
+    need not follow the operands alone, so they are never merged.
+    """
+    rep = None
+    for k in range(_first_duplicate(layers), len(layers)):
+        indptr, cols, vals, bias = layers[k]
+        if rep is not None:
+            cols = rep[cols]
+        if k < len(layers) - 1:
+            cnt = np.diff(indptr)
+            rows = np.flatnonzero(cnt <= backends._EXACT_ROW_NNZ)
+            keys = _row_keys(indptr, cols, vals, bias, rows)
+            _, first, group = np.unique(_as_bytes(keys), return_index=True,
+                                        return_inverse=True)
+            owner = np.arange(len(cnt))
+            owner[rows] = rows[first][group]
+            kept = owner == np.arange(len(cnt))
+            rep = (np.cumsum(kept) - 1)[owner]
+            keep = np.repeat(kept, cnt)
+            indptr = np.concatenate(([0], np.cumsum(cnt[kept])))
+            cols, vals, bias = cols[keep], vals[keep], bias[kept]
+        layers[k] = indptr, cols, vals, bias
+    return layers
+
+
+def _row_keys(indptr, cols, vals, bias, rows):
+    """One int64 key row per row of ``rows``, equal exactly when the rows
+    are bit-identical: its term count, its bias bits, then (column, value
+    bits) for each term in stored order, zero-padded."""
+    cnt = np.diff(indptr)[rows]
+    keys = np.zeros((len(rows), 2 + 2 * int(cnt.max(initial=0))), dtype=np.int64)
+    keys[:, 0] = cnt
+    keys[:, 1] = bias[rows].view(np.int64)
+    at = np.repeat(np.arange(len(rows)), cnt)
+    pos = np.arange(len(at)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    take = indptr[rows][at] + pos
+    keys[at, 2 + 2 * pos] = cols[take]
+    keys[at, 3 + 2 * pos] = vals[take].view(np.int64)
+    return keys
+
+
+def _first_duplicate(layers):
+    """The first layer but the output that may hold two bit-identical
+    narrow rows, or the output layer if none does: the first layer in which
+    two narrow rows share their ``_fingerprints``.  Nets with nothing to
+    merge, like the basis nets a build measures, pay only this pass."""
+    if len(layers) == 1:
+        return 0
+    keys = _fingerprints(layers[:-1])
+    keys = keys[keys[:, 1] <= backends._EXACT_ROW_NNZ]
+    uniq, count = np.unique(_as_bytes(keys), return_counts=True)
+    return int(uniq.view(np.int64).reshape(-1, 5)[count > 1, 0].min(
+        initial=len(layers) - 1))
+
+
+def _fingerprints(layers):
+    """One row per row of the packed ``layers``, in one pass over them all:
+    its layer, term count and bias bits, and two wrapping sums, of (column
+    + 1) times the high and the low 32 bits of each value.  Bit-identical
+    rows share them.  Split, a value's sign bit stays in the sums; at bit
+    63 of a whole pattern any even weight would shift it out, and rows that
+    differ only in signs would collide."""
+    indptrs, cols, vals, bias = zip(*layers)
+    sizes = [len(indptr) for indptr in indptrs]
+    nnz = [len(c) for c in cols]
+    # each row's bounds in the concatenated terms: the last entry of an
+    # indptr starts no row
+    ptr = np.concatenate(indptrs) + np.repeat(np.cumsum(nnz) - nnz, sizes)
+    starts = np.ones(len(ptr), dtype=bool)
+    starts[np.cumsum(sizes) - 1] = False
+    lo, hi = ptr[starts], ptr[1:][starts[:-1]]
+    keys = np.empty((len(lo), 5), dtype=np.int64)
+    keys[:, 0] = np.repeat(np.arange(len(sizes)), np.subtract(sizes, 1))
+    keys[:, 1] = hi - lo
+    keys[:, 2] = np.concatenate(bias).view(np.int64)
+    # the term arrays span the whole net, so they are worked in place;
+    # after its cumsum, csum[i] sums the first i terms
+    cols = np.concatenate(cols)
+    cols += 1
+    bits = np.concatenate(vals).view(np.int64)
+    csum = np.zeros(len(bits) + 1, dtype=np.int64)
+    for j, half, arg in ((3, np.right_shift, 32), (4, np.bitwise_and, 0xFFFFFFFF)):
+        half(bits, arg, out=csum[1:])
+        csum[1:] *= cols
+        np.cumsum(csum, out=csum)
+        keys[:, j] = csum[hi] - csum[lo]
+    return keys
+
+
+def _as_bytes(keys):
+    """The rows of a C-ordered 2d array as single opaque items, equal when
+    their bytes are."""
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
+
 def stats(net):
     """Depth, nonzero count, neuron count and per-layer widths.
 
-    ``live_size`` counts the nonzero weights and biases of the live rows
-    (``packed``), the terms a pass multiplies."""
+    ``live_size`` counts the nonzero weights and biases of the packed rows
+    (``packed``: live, each bit-identical row once), the terms a pass
+    multiplies, and ``live_rows`` those rows, the ones a pass computes."""
+    packed = net.packed()
     return NetworkStats(
         depth=net.depth,
         size=net.size,
         live_size=sum(int(np.count_nonzero(vals) + np.count_nonzero(bias))
-                      for _, _, vals, bias in net.packed()),
+                      for _, _, vals, bias in packed),
+        live_rows=sum(len(indptr) - 1 for indptr, _, _, _ in packed),
         neurons=net.neurons,
         input_dim=net.input_dim,
         output_dim=net.output_dim,

@@ -203,15 +203,6 @@ class HpInterpolant:
         mats = [self._axis_matrices(pts[:, j])[0] for j in range(self.dim)]
         return self._contract(mats)
 
-    def gradient(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        pairs = [self._axis_matrices(pts[:, j], want_deriv=True) for j in range(self.dim)]
-        out = np.empty((len(pts), self.dim))
-        for j in range(self.dim):
-            mats = [pairs[i][1] if i == j else pairs[i][0] for i in range(self.dim)]
-            out[:, j] = self._contract(mats)
-        return out
-
     def _contract(self, mats):
         if self.dim == 1:
             return np.einsum("si,i->s", mats[0], self.coeffs)

@@ -6,6 +6,7 @@ trapezoid refinement for integrals.
 """
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -103,6 +104,70 @@ def inorder_realize(net, x, jac=False, seed=None):
     if jac:
         return y.T, np.moveaxis(dy, 1, 0)
     return y.T
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def merged_rows(net):
+    """Reference for ``NeuralNetwork.packed`` in plain Python: per layer,
+    the rows a pass computes, each as (bias bits, ((column, value bits),
+    ...)) with its terms in stored order.
+
+    A row is live if it is an output or a stored entry (an explicit 0.0
+    too) of a live row of the next layer reads it.  Forward, each live
+    row's columns are renamed to the rows kept in the layer before.  In
+    every layer but the output, a row of at most ``_EXACT_ROW_NNZ`` terms
+    whose key an earlier kept row has is not kept: its readers read that
+    row.
+    """
+    live = [set(range(net.output_dim))]
+    for lay in net.layers[:0:-1]:
+        live.append({j for i, j in zip(lay.row_idx.tolist(), lay.col_idx.tolist())
+                     if i in live[-1]})
+    live.reverse()
+    name = {j: j for j in range(net.input_dim)}
+    out = []
+    for k, (lay, rows) in enumerate(zip(net.layers, live)):
+        terms = {r: [] for r in sorted(rows)}
+        for i, j, v in zip(lay.row_idx.tolist(), lay.col_idx.tolist(), lay.vals.tolist()):
+            if i in terms:
+                terms[i].append((name[j], _bits(v)))
+        kept, first, name = [], {}, {}
+        for r, t in terms.items():
+            key = (_bits(lay.bias[r]), tuple(t))
+            merge = k < net.depth - 1 and len(t) <= backends._EXACT_ROW_NNZ
+            if merge and key in first:
+                name[r] = first[key]
+                continue
+            if merge:
+                first[key] = len(kept)
+            name[r] = len(kept)
+            kept.append(key)
+        out.append(kept)
+    return out
+
+
+def packed_rows(packed):
+    """The rows of a packed layer list in the form ``merged_rows`` gives."""
+    return [[(_bits(bias[r]), tuple((int(cols[t]), _bits(vals[t]))
+                                    for t in range(indptr[r], indptr[r + 1])))
+             for r in range(len(indptr) - 1)]
+            for indptr, cols, vals, bias in packed]
+
+
+def interp_gradient(interp, pts):
+    """Gradients of an ``HpInterpolant`` at scattered (n, d) points, axis by
+    axis from its basis matrices: the oracle for ``gradient_axes``."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    pairs = [interp._axis_matrices(pts[:, j], want_deriv=True)
+             for j in range(interp.dim)]
+    out = np.empty((len(pts), interp.dim))
+    for j in range(interp.dim):
+        mats = [pairs[i][1] if i == j else pairs[i][0] for i in range(interp.dim)]
+        out[:, j] = interp._contract(mats)
+    return out
 
 
 def per_cell_field(net, axes, row=0):

@@ -34,7 +34,7 @@ from hprelu.network import (
 )
 from hprelu.projector import HpInterpolant, hp_interpolate
 
-from helpers import assert_linf_envelope, per_cell_field
+from helpers import assert_linf_envelope, merged_rows, packed_rows, per_cell_field
 
 _CACHE = {}
 
@@ -302,29 +302,36 @@ def _zero_cell_interp():
 
 def test_packing_drops_the_zero_tuples():
     # a tuple whose coefficient is zero feeds no head entry, so the served
-    # net packs none of its stage rows and keeps every other row
+    # net packs none of its stage rows: changing them changes no packed
+    # row.  The packed rows are the oracle's: the live ones, each
+    # bit-identical row once
     interp = _zero_cell_interp()
     net = build_phi_eps_c(interp, 1e-1)
     rt = deserialize(serialize(net))
     T = net.meta["tuples"]
     kept = np.flatnonzero(interp.vvec())
     assert 0 < len(kept) < T
+    rows = packed_rows(rt.packed())
+    assert rows == merged_rows(rt)
     db = net.meta["depth_basis"]
-    for k, (lay, (indptr, _, vals, _)) in enumerate(zip(rt.layers, rt.packed())):
-        share = (len(kept), T) if db <= k < net.depth - 1 else (1, 1)
-        assert (len(indptr) - 1) * share[1] == lay.rows * share[0]
-        assert len(vals) * share[1] == len(lay.vals) * share[0]
-    # the selector rows of the nonzero tuples, in order, read the basis
-    # outputs they read before
+    zero = np.setdiff1d(np.arange(T), kept)
+    layers = list(rt.layers)
+    for k in range(db, rt.depth - 1):
+        lay = layers[k]
+        # tuple-major blocks; the last stage layer is (+,-) stacked by concat
+        blocks = 2 * T if k == rt.depth - 2 else T
+        tup = np.arange(lay.rows) // (lay.rows // blocks) % T
+        bias = np.where(np.isin(tup, zero), 7.0, lay.bias)
+        layers[k] = Layer(lay.rows, lay.cols, lay.row_idx, lay.col_idx, lay.vals, bias)
+    assert packed_rows(NeuralNetwork(rt.input_dim, layers).packed()) == rows
+    # the selector rows of the nonzero tuples, in order and each distinct
+    # one once, read the basis outputs they read before
     sel = rt.layers[db]
     per = sel.rows // T
-    rows = (kept[:, None] * per + np.arange(per)).ravel()
-    take = np.concatenate([np.arange(sel.indptr[r], sel.indptr[r + 1])
-                           for r in rows])
-    _, cols, vals, bias = rt.packed()[db]
-    assert np.array_equal(cols, sel.col_idx[take])
-    assert np.array_equal(vals.view(np.uint64), sel.vals[take].view(np.uint64))
-    assert np.array_equal(bias.view(np.uint64), sel.bias[rows].view(np.uint64))
+    sel_rows = packed_rows([(sel.indptr, sel.col_idx, sel.vals, sel.bias)])[0]
+    want = dict.fromkeys(sel_rows[r] for r in (kept[:, None] * per + np.arange(per)).ravel())
+    assert rows[db] == list(want)
+    assert len(want) < len(kept) * per
 
 
 def test_compiled_field_on_a_zero_cell():

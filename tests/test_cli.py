@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hprelu.mesh import TensorMesh
 from hprelu.network import _fmt, deserialize, realize_batch, serialize
 from hprelu.projector import HpInterpolant
 from hprelu.verify import verify_calculus
+
+from helpers import merged_rows
 
 
 def _read_rows(path):
@@ -181,7 +184,9 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
 
 def test_nn_info_live_size(tmp_path, capsys):
     # one zero coefficient of nine: its tuple's stage rows reach no output,
-    # so a pass multiplies 603 fewer weights and biases than the net stores
+    # and the rows the tuples share are held once, so a pass computes fewer
+    # rows and multiplies fewer weights and biases than the net stores;
+    # both counts are the oracle's
     c = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
     c[1, 2] = 0.0
     net = build_phi_eps_c(HpInterpolant(TensorMesh.cube(0.5, 1, 2), 1, c), 1e-1)
@@ -190,7 +195,18 @@ def test_nn_info_live_size(tmp_path, capsys):
     capsys.readouterr()
     assert main(["nn-info", "--net", str(net_path)]) == 0
     info = dict(l.split() for l in capsys.readouterr().out.splitlines())
-    assert (info["size"], info["live_size"]) == ("5517", "4914")
+    rows = [r for layer in merged_rows(net) for r in layer]
+    nonzero = sum(_value(b) != 0.0 for b, _ in rows) + sum(
+        _value(v) != 0.0 for _, terms in rows for _, v in terms)
+    assert info["size"] == "5517"
+    assert (info["live_size"], info["live_rows"]) == (str(nonzero), str(len(rows)))
+    # 4,914 weights and biases are live before shared rows merge
+    assert nonzero < 4914
+    assert len(rows) < sum(lay.rows for lay in net.layers)
+
+
+def _value(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def test_nn_eval_rejects_bad_header(tmp_path):

@@ -22,7 +22,14 @@ from hprelu.network import (
     stats,
 )
 
-from helpers import dense_realize, fd_jacobian, inorder_realize, random_net
+from helpers import (
+    dense_realize,
+    fd_jacobian,
+    inorder_realize,
+    merged_rows,
+    packed_rows,
+    random_net,
+)
 
 
 def test_single_affine_layer():
@@ -415,16 +422,6 @@ def test_tile_floor(monkeypatch, rows):
         assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
 
 
-def _reaches_output(net, k, r):
-    """Whether row r of layer k leads to an output along stored entries,
-    explicit zeros included."""
-    if k == net.depth - 1:
-        return True
-    nxt = net.layers[k + 1]
-    return any(_reaches_output(net, k + 1, i)
-               for i, j in zip(nxt.row_idx, nxt.col_idx) if j == r)
-
-
 @st.composite
 def _nets_with_dead_rows(draw):
     """Narrow nets with rows that no later row reads, rows without entries,
@@ -463,12 +460,10 @@ _ZERO_READS_INF = (
 @given(_nets_with_dead_rows())
 @example(_ZERO_READS_INF)
 def test_packing_keeps_only_live_rows(case):
-    # packing drops the rows that reach no output and moves no bit, NaNs
-    # and signed zeros included
+    # packing drops the rows that reach no output, holds each bit-identical
+    # row once and moves no bit, NaNs and signed zeros included
     net, pts = case
-    assert [len(p[0]) - 1 for p in net.packed()] == [
-        sum(_reaches_output(net, k, r) for r in range(lay.rows))
-        for k, lay in enumerate(net.layers)]
+    assert packed_rows(net.packed()) == merged_rows(net)
     with np.errstate(invalid="ignore", over="ignore"):
         want, want_jac = inorder_realize(net, pts, jac=True)
         got = realize_batch(net, pts)
@@ -476,6 +471,136 @@ def test_packing_keeps_only_live_rows(case):
     assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(vals), _bits(want))
     assert np.array_equal(_bits(jac), _bits(want_jac))
+
+
+_planted = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -2.0, np.nan]),
+                     st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _nets_with_planted_duplicates(draw):
+    """Narrow nets whose layers, the output too, repeat some of their rows
+    at random places: exact copies; copies with the sign of one zero bias
+    or weight flipped; and copies that read other copies of their rows'
+    inputs, whose terms may then come in another order.  Values may be NaN
+    and points are finite, so every NaN has the one bit pattern of
+    ``np.nan``: which of two NaN patterns a product or sum keeps is up to
+    the compiled kernel, not a matter of order."""
+    width = draw(st.integers(1, 3))
+    # group[c]: rows of the layer before that were planted as copies share
+    # a group; ``reread`` copies swap a column for another of its group
+    group = list(range(width))
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            cols = draw(st.lists(st.integers(0, width - 1), unique=True,
+                                 max_size=width))
+            rows.append((draw(_planted), {c: draw(_planted) for c in cols},
+                         len(rows)))
+        for _ in range(draw(st.integers(0, 5))):
+            bias, terms, g = draw(st.sampled_from(rows))
+            how = draw(st.sampled_from(["copy", "flip", "reread"]))
+            zeros = [c for c, v in terms.items() if v == 0.0]
+            if how == "flip" and (bias == 0.0 or zeros):
+                g = None
+                c = draw(st.sampled_from(zeros + ["bias"] * (bias == 0.0)))
+                if c == "bias":
+                    bias = -bias
+                else:
+                    terms = {**terms, c: -terms[c]}
+            elif how == "reread":
+                swap = {c: draw(st.sampled_from(
+                    [o for o in range(width) if group[o] == group[c]]))
+                    for c in terms}
+                if len(set(swap.values())) == len(swap):
+                    terms = {swap[c]: v for c, v in terms.items()}
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, (bias, terms, g if g is not None else object()))
+        ri = [r for r, (_, terms, _) in enumerate(rows) for _ in terms]
+        ci = [c for _, terms, _ in rows for c in terms]
+        vals = [v for _, terms, _ in rows for v in terms.values()]
+        layers.append(Layer(len(rows), width, ri, ci, vals, [b for b, _, _ in rows]))
+        group = [g for _, _, g in rows]
+        width = len(rows)
+    pts = draw(st.lists(st.lists(_signed, min_size=layers[0].cols,
+                                 max_size=layers[0].cols), min_size=1, max_size=4))
+    return NeuralNetwork(layers[0].cols, layers), np.array(pts, dtype=np.float64)
+
+
+def _planted_net():
+    """Ten rows of one input pair, then the rows that read them, then two
+    equal output rows and a third.  Rows 1 and 2 copy each other, as do
+    0 and 3, and 8 and 9, whose bias is NaN; 4 and 5 differ only in the
+    sign of a zero bias, 6 and 7 in that of a zero weight.  In the second
+    layer row 1 reads the copies of what row 0 reads, in the other order;
+    rows 2 and 3 read the copies 3 and 0 with one weight."""
+    hidden = [(0.5, {0: 1.0, 1: 2.0}), (0.25, {1: 3.0}), (0.25, {1: 3.0}),
+              (0.5, {0: 1.0, 1: 2.0}), (0.0, {0: 1.0}), (-0.0, {0: 1.0}),
+              (1.0, {0: 0.0, 1: 1.0}), (1.0, {0: -0.0, 1: 1.0}),
+              (np.nan, {0: 1.0}), (np.nan, {0: 1.0})]
+    second = [(0.0, {0: 1.5, 1: -1.0}), (0.0, {2: -1.0, 3: 1.5}),
+              (0.0, {3: 1.5}), (0.0, {0: 1.5}),
+              (0.0, {4: 1.0, 5: -1.0, 6: 1.0, 7: -1.0}), (0.0, {8: 1.0, 9: 1.0})]
+    out = [(0.0, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0})] * 2 + [(1.0, {5: 1.0})]
+
+    def layer(rows, cols):
+        return Layer(len(rows), cols, [r for r, (_, t) in enumerate(rows) for _ in t],
+                     [c for _, t in rows for c in t], [v for _, t in rows for v in t.values()],
+                     [b for b, _ in rows])
+
+    return NeuralNetwork(2, [layer(hidden, 2), layer(second, 10), layer(out, 6)])
+
+
+_PLANTED = (_planted_net(), np.array([[0.3, -0.2], [-1.0, 2.0], [0.0, -0.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets_with_planted_duplicates())
+@example(_PLANTED)
+def test_packing_merges_only_bit_identical_rows(case):
+    # identical rows of a layer but the output merge, also once the layer
+    # before merged; rows apart in a signed zero or in term order stay
+    # apart; no packed hidden layer keeps two identical rows; no bit moves
+    net, pts = case
+    rows = packed_rows(net.packed())
+    assert rows == merged_rows(net)
+    assert len(rows[-1]) == net.output_dim
+    assert all(len(set(layer)) == len(layer) for layer in rows[:-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want, want_jac = inorder_realize(net, pts, jac=True)
+        got = realize_batch(net, pts)
+        vals, jac = grad_realize_batch(net, pts)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(vals), _bits(want))
+    assert np.array_equal(_bits(jac), _bits(want_jac))
+
+
+def test_planted_rows_merge_as_drawn():
+    # rows 1/2, 0/3 and the NaN rows 8/9 merge, the signed-zero pairs stay;
+    # in the second layer the reordered row 1 stays and rows 2/3 merge;
+    # the three output rows all stay
+    net = _planted_net()
+    assert [len(p[0]) - 1 for p in net.packed()] == [7, 5, 3]
+    assert stats(net).live_rows == 15
+    _, cols, _, _ = net.packed()[1]
+    assert cols[:4].tolist() == [0, 1, 1, 0]
+
+
+def test_wide_rows_never_merge():
+    # rows over _EXACT_ROW_NNZ terms sum by a BLAS dot, so even identical
+    # ones stay apart; identical narrow rows beside them merge
+    n = backends._EXACT_ROW_NNZ + 1
+    rng = np.random.default_rng(2)
+    w = rng.standard_normal(n)
+    hidden = Layer.from_dense(np.vstack([w, w, np.eye(n)[0], np.eye(n)[0]]),
+                              [0.5, 0.5, 0.0, 0.0])
+    net = NeuralNetwork(n, [hidden, Layer.from_dense(np.ones((1, 4)))])
+    assert [len(p[0]) - 1 for p in net.packed()] == [3, 1]
+    x = rng.standard_normal((5, n))
+    raw = [(lay.indptr, lay.col_idx, lay.vals, lay.bias) for lay in net.layers]
+    assert np.array_equal(_bits(realize_batch(net, x)),
+                          _bits(backends.run_forward(raw, x.T).T))
 
 
 def test_import_defers_scipy():
