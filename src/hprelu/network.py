@@ -237,6 +237,8 @@ def _first_duplicate(layers):
     merge, like the basis nets a build measures, pay only this pass."""
     if len(layers) == 1:
         return 0
+    # a function of its own, so that its whole-net temporaries are freed
+    # before the sort
     keys = _fingerprints(layers[:-1])
     keys = keys[keys[:, 1] <= backends._EXACT_ROW_NNZ]
     uniq, count = np.unique(_as_bytes(keys), return_counts=True)
