@@ -7,9 +7,9 @@ order for their exact structural zeros.  Each wider row, a coefficient
 contraction, runs through a BLAS dot.  scipy is imported on the first
 kernel call, not with the package.
 
-The value-and-jacobian pass runs narrow layers in cache-sized tiles of
-points, each held plane-major: the values, then one contiguous plane per
-direction (``_narrow_run``).
+The one forward pass, with or without jacobian directions, runs narrow
+layers in cache-sized tiles of points, each held plane-major: the values,
+then one contiguous plane per direction (``_narrow_run``).
 """
 
 import functools
@@ -64,15 +64,12 @@ def _csr_add(indptr, cols, vals, x, out):
 
 
 def _csr_affine_np(indptr, cols, vals, bias, x):
-    rows = indptr.shape[0] - 1
+    """One layer with a wide row on a whole (in, npts) plane: the narrow
+    rows in order, each wide row by BLAS dots over point chunks."""
     npts = x.shape[1]
-    out = np.empty((rows, npts))
-    out[:] = bias[:, None]
+    out = np.repeat(bias[:, None], npts, axis=1)
     counts = np.diff(indptr)
     small = counts <= _EXACT_ROW_NNZ
-    if small.all():
-        _csr_add(indptr, cols, vals, x, out)
-        return out
     # the narrow rows as their own CSR: wide rows keep no entries here
     keep = np.repeat(small, counts)
     _csr_add(np.concatenate(([0], np.cumsum(counts * small))), cols[keep],
@@ -90,16 +87,11 @@ def run_forward(packed, x):
     """Realize the packed layer list on a (in_dim, npts) batch.
 
     ReLU is applied after every layer except the last.  Returns the final
-    (out_dim, npts) array.
+    (out_dim, npts) array: ``run_forward_grad``'s values, bit for bit,
+    from the same pass with no jacobian directions.
     """
-    last = len(packed) - 1
     y = np.ascontiguousarray(x, dtype=np.float64)
-    for i, (indptr, cols, vals, bias) in enumerate(packed):
-        z = _csr_affine_np(indptr, cols, vals, bias, y)
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-        y = z
-    return y
+    return _forward(packed, y, np.empty(y.shape + (0,)))[0]
 
 
 def _tile_points(width, nd):
@@ -114,8 +106,8 @@ class Packed(list):
     ``runs`` holds (start, stop, narrow) for each maximal run of narrow
     layers and each layer with a row over ``_EXACT_ROW_NNZ`` entries,
     computed once: a list held for many passes (a network's, a
-    certification lane's) is built as one, and ``run_forward_grad`` packs
-    any other list on each call.
+    certification lane's) is built as one, and the forward pass packs any
+    other list on each call.
     """
 
     def __init__(self, layers):
@@ -157,12 +149,47 @@ def _narrow_run(layers, y, jac, relu_last):
             for k in range(1 + nd):
                 _csr_add(indptr, cols, vals, t[k], o[k])
             if act:
-                o[1:] *= o[0] > 0.0
+                if nd:
+                    o[1:] *= o[0] > 0.0
                 np.maximum(o[0], 0.0, out=o[0])
             t = o
         y_out[:, p0:p1] = t[0]
         jac_out[:, p0:p1] = t[1:].transpose(1, 2, 0)
     return y_out, jac_out
+
+
+def _forward(packed, y, jac):
+    """The pass behind both entries: values y (in, npts) and directions jac
+    (in, npts, nd), nd = 0 for values alone.
+
+    Maximal runs of narrow layers go tile by tile over the points, each tile
+    through the whole run while it sits in cache; a layer with a wide row
+    runs alone on the whole batch, since the sums of its BLAS dot may depend
+    on the column range.  The in-order loop sums each column on its own, so
+    the result is bit for bit that of one layer at a time.
+    """
+    if not isinstance(packed, Packed):
+        packed = Packed(packed)
+    npts, nd = jac.shape[1], jac.shape[2]
+    last = len(packed) - 1
+    for start, stop, narrow in packed.runs:
+        if narrow:
+            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last)
+            continue
+        indptr, cols, vals, bias = packed[start]
+        rows = indptr.shape[0] - 1
+        z = _csr_affine_np(indptr, cols, vals, bias, y)
+        jnew = np.empty((rows, 0))
+        if nd:
+            flat = np.ascontiguousarray(jac.reshape(len(y), npts * nd))
+            jnew = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
+            if start < last:
+                jnew *= np.repeat(z > 0.0, nd, axis=1)
+        if start < last:
+            np.maximum(z, 0.0, out=z)
+        y = z
+        jac = jnew.reshape(rows, npts, nd)
+    return y, jac
 
 
 def run_forward_grad(packed, x, seed=None):
@@ -173,43 +200,16 @@ def run_forward_grad(packed, x, seed=None):
     convention relu'(0) = 0.  By default nd = in_dim and the seed is the
     per-point identity; an explicit (in_dim, npts, nd) seed propagates only
     nd directions, which is what chain-rule callers want when the input
-    dimension is large.
-
-    Maximal runs of narrow layers go tile by tile over the points, each
-    tile through the whole run while it sits in cache; a layer with a wide
-    row runs alone on the whole batch, since the sums of its BLAS dot may
-    depend on the column range.  The in-order loop sums each column on its
-    own, so the result is bit for bit that of one layer at a time.  A
-    ``Packed`` list brings its run split along; any other list of packed
-    layers is split on each call.
+    dimension is large.  ``Packed`` lists bring their run split along; any
+    other list of packed layers is split on each call.
     """
-    d = x.shape[0]
-    npts = x.shape[1]
-    last = len(packed) - 1
+    d, npts = x.shape
     y = np.ascontiguousarray(x, dtype=np.float64)
     if seed is None:
-        nd = d
-        jac = np.zeros((d, npts, nd))
+        jac = np.zeros((d, npts, d))
         jac[np.arange(d), :, np.arange(d)] = 1.0
     else:
         jac = np.asarray(seed, dtype=np.float64)
         if jac.ndim != 3 or jac.shape[0] != d or jac.shape[1] != npts:
             raise ValueError("seed must have shape (in_dim, npts, nd)")
-        nd = jac.shape[2]
-    if not isinstance(packed, Packed):
-        packed = Packed(packed)
-    for start, stop, narrow in packed.runs:
-        if narrow:
-            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last)
-            continue
-        indptr, cols, vals, bias = packed[start]
-        rows = indptr.shape[0] - 1
-        flat = np.ascontiguousarray(jac.reshape(jac.shape[0], npts * nd))
-        z = _csr_affine_np(indptr, cols, vals, bias, y)
-        jnew = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
-        if start < last:
-            jnew *= np.repeat(z > 0.0, nd, axis=1)
-            np.maximum(z, 0.0, out=z)
-        y = z
-        jac = jnew.reshape(rows, npts, nd)
-    return y, jac
+    return _forward(packed, y, jac)

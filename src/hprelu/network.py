@@ -306,21 +306,26 @@ def stats(net):
     )
 
 
-def realize_batch(net, pts):
-    """Evaluate the network on an (n, input_dim) point array -> (n, out)."""
+def _points(net, pts):
+    """A batch as an (n, input_dim) float array; 1-D is n 1-D points."""
     pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"points must be a 1-D or 2-D array, got shape {pts.shape}")
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != net.input_dim:
         raise ValueError(f"points have dim {pts.shape[1]}, network expects {net.input_dim}")
-    y = backends.run_forward(net.packed(), pts.T)
-    return y.T
+    return pts
+
+
+def realize_batch(net, pts):
+    """Evaluate the network on an (n, input_dim) point array -> (n, out)."""
+    return backends.run_forward(net.packed(), _points(net, pts).T).T
 
 
 def realize(net, x):
     """Evaluate the network on a single input vector."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return realize_batch(net, x[None, :])[0]
+    return realize_batch(net, np.atleast_1d(x)[None, :])[0]
 
 
 # Cap on the width * points * directions entries of one jacobian chunk.
@@ -340,12 +345,8 @@ def grad_realize_batch(net, pts):
     Points run in ``_grad_chunk`` chunks so the jacobian buffer stays
     bounded.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points(net, pts)
     n, d = pts.shape
-    if d != net.input_dim:
-        raise ValueError(f"points have dim {d}, network expects {net.input_dim}")
     chunk = _grad_chunk(n, max(lay.rows for lay in net.layers), d)
     vals = np.empty((n, net.output_dim))
     jac = np.empty((n, net.output_dim, d))
@@ -359,9 +360,7 @@ def grad_realize_batch(net, pts):
 
 def grad_realize(net, x):
     """Jacobian (out_dim, input_dim) of the realization at one point."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _, jac = grad_realize_batch(net, x[None, :])
-    return jac[0]
+    return grad_realize_batch(net, np.atleast_1d(x)[None, :])[1][0]
 
 
 def _fmt(x):

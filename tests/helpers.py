@@ -72,7 +72,9 @@ def inorder_realize(net, x, jac=False, seed=None):
 
     Each row starts from its bias and adds vals[j] * y[col_idx[j]] for its
     stored entries in order; ReLU follows every layer but the last.  Does
-    not use the kernel, so it is an oracle for its bitwise order.
+    not use the kernel, so it is an oracle for its bitwise order, up to the
+    NaN bit pattern: where two different NaNs meet in one product or sum,
+    numpy here and the kernel may keep different ones.
     x is (npts, input_dim); returns (npts, output_dim).
 
     With ``jac=True`` it also carries the forward-mode jacobian the same

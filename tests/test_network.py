@@ -1,5 +1,6 @@
 """Network type, realization, stats, gradients and JSON round trips."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,8 @@ def test_tiled_grad_matches_inorder(case, data):
         mp.setattr(backends, "_TILE_BYTES", 0)
         mp.setattr(backends, "_TILE_MIN", tile)
         y, jac = backends.run_forward_grad(net.packed(), pts.T, seed=seed)
+        values = backends.run_forward(net.packed(), pts.T)
+    assert np.array_equal(_bits(values.T), _bits(want))
     assert np.array_equal(_bits(y.T), _bits(want))
     assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
 
@@ -330,7 +333,7 @@ def _wide_mid_and_last_net(rng):
 @pytest.mark.parametrize("nd", [None, 2])
 def test_wide_layers_run_whole_under_tiling(monkeypatch, nd):
     # a wide layer's BLAS sums may depend on the column range, so it never
-    # sees a tile; with tiles forced on (7 points) or off, the pass equals
+    # sees a tile; with tiles forced on (7 points) or off, both passes equal
     # one layer at a time on the whole batch, bit for bit
     rng = np.random.default_rng(3)
     net = _wide_mid_and_last_net(rng)
@@ -355,32 +358,67 @@ def test_wide_layers_run_whole_under_tiling(monkeypatch, nd):
         monkeypatch.setattr(backends, "_TILE_BYTES", 0)
         monkeypatch.setattr(backends, "_TILE_MIN", tile)
         got = backends.run_forward_grad(net.packed(), x, seed=seed)
-        for a, b in zip(got, (y, jac)):
+        got += (backends.run_forward(net.packed(), x),)
+        for a, b in zip(got, (y, jac, y)):
             assert a.shape == b.shape
             assert np.array_equal(_bits(a), _bits(b))
 
 
+def test_empty_batch_keeps_its_shapes():
+    # no points still gives (out, 0) values and (out, 0, nd) directions,
+    # through the narrow runs and the wide layers alike
+    net = _wide_mid_and_last_net(np.random.default_rng(3))
+    x = np.empty((3, 0))
+    assert backends.run_forward(net.packed(), x).shape == (2, 0)
+    y, jac = backends.run_forward_grad(net.packed(), x)
+    assert (y.shape, jac.shape) == ((2, 0), (2, 0, 3))
+    _, jac = backends.run_forward_grad(net.packed(), x, seed=np.empty((3, 0, 2)))
+    assert jac.shape == (2, 0, 2)
+    assert realize_batch(net, np.empty((0, 3))).shape == (0, 2)
+    vals, jac = grad_realize_batch(net, np.empty((0, 3)))
+    assert (vals.shape, jac.shape) == ((0, 2), (0, 2, 3))
+
+
+@pytest.mark.parametrize("pts", [np.float64(0.5), np.zeros((3, 2, 5))],
+                         ids=["0-d", "3-d"])
+@pytest.mark.parametrize("entry", [realize_batch, grad_realize_batch])
+def test_point_entries_reject_other_ranks(entry, pts):
+    # only 1-D and 2-D batches mean points; the error names the shape
+    net = random_net(np.random.default_rng(6), input_dim=2, depth=2)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {pts.shape}")):
+        entry(net, pts)
+
+
 def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
-    # the benchmark counts MACs at the module-level run_forward_grad, so a
-    # pass over many tiles must enter it once
+    # the benchmark counts MACs at the module-level run_forward and
+    # run_forward_grad, so a pass over many tiles must enter its own entry
+    # once and the other never
     rng = np.random.default_rng(8)
     net = random_net(rng, input_dim=2, depth=4, width_hi=9)
-    orig = backends.run_forward_grad
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
+    def spy(name):
+        orig = getattr(backends, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return call
 
     kernel_calls = _count_kernel_calls(monkeypatch)
-    monkeypatch.setattr(backends, "run_forward_grad", spy)
+    for name in ("run_forward", "run_forward_grad"):
+        monkeypatch.setattr(backends, name, spy(name))
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
-    backends.run_forward_grad(net.packed(), rng.standard_normal((2, 100)))
-    assert len(calls) == 1
-    # one call per plane (the values and nd = 2 directions) per layer per
+    x = rng.standard_normal((2, 100))
+    # one call per plane (the values and nd directions) per layer per
     # tile: 25 tiles of 4 points
-    assert len(kernel_calls) == (1 + 2) * net.depth * 25
+    for name, nd in (("run_forward_grad", 2), ("run_forward", 0)):
+        calls.clear()
+        kernel_calls.clear()
+        getattr(backends, name)(net.packed(), x)
+        assert calls == [name]
+        assert len(kernel_calls) == (1 + nd) * net.depth * 25
 
 
 def _count_kernel_calls(monkeypatch):
@@ -408,18 +446,23 @@ def test_tile_floor(monkeypatch, rows):
     out = Layer(rows // 20, rows, np.arange(rows) // 20, rng.permutation(rows),
                 rng.standard_normal(rows), np.full(rows // 20, 0.5))
     net = NeuralNetwork(2, [hidden, out])
-    tile = backends._tile_points(rows, 2)
-    assert (tile == backends._TILE_MIN) == (rows == 3000)
+    assert (backends._tile_points(rows, 2) == backends._TILE_MIN) == (rows == 3000)
     kernel_calls = _count_kernel_calls(monkeypatch)
-    for npts, tiles in [(backends._TILE_MIN - 1, 1), (tile, 1),
-                        (tile + 1, 2), (3 * tile + 1, 4)]:
-        kernel_calls.clear()
-        x = rng.standard_normal((2, npts))
-        y, jac = backends.run_forward_grad(net.packed(), x)
-        assert len(kernel_calls) == (1 + 2) * net.depth * tiles
-        want, want_jac = inorder_realize(net, x.T, jac=True)
-        assert np.array_equal(_bits(y.T), _bits(want))
-        assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
+    # the value pass (nd = 0) has tiles of its own, one call per layer each
+    for nd in (2, 0):
+        tile = backends._tile_points(rows, nd)
+        for npts, tiles in [(backends._TILE_MIN - 1, 1), (tile, 1),
+                            (tile + 1, 2), (3 * tile + 1, 4)]:
+            kernel_calls.clear()
+            x = rng.standard_normal((2, npts))
+            want, want_jac = inorder_realize(net, x.T, jac=True)
+            if nd:
+                y, jac = backends.run_forward_grad(net.packed(), x)
+                assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
+            else:
+                y = backends.run_forward(net.packed(), x)
+            assert len(kernel_calls) == (1 + nd) * net.depth * tiles
+            assert np.array_equal(_bits(y.T), _bits(want))
 
 
 @st.composite
