@@ -222,12 +222,11 @@ def build_phi_eps_c(interp, epsilon, rows=None):
     bound = 2 * head.size + 2 * (2 * T * (pi.size + d) + 2 * phi_basis.size)
     assert net.size <= bound, (net.size, bound)
     net.meta.update(
-        kind="hp_compiled", dim=d, N1d=N, plan=plan, size_bound=bound,
+        dim=d, plan=plan, size_bound=bound,
         compiled_parts={"nets": nets, "pi": pi, "interp": interp, "vmat": vmat},
         tuples=T, selector_nnz=d, levels=pi.meta["levels"],
         depth_basis=phi_basis.depth, depth_product=pi.depth,
-        size_basis=phi_basis.size, size_product=pi.size,
-        basis_sup_slack=sup_slack)
+        size_basis=phi_basis.size)
     return net
 
 

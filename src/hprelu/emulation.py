@@ -22,7 +22,8 @@ from numpy.polynomial import polynomial as P
 from .basis import PiecewisePolynomial
 from .calculus import concat, depth_align, full_parallel, identity_net, parallel
 from .legendre import polyval
-from .network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
+from .network import Layer, NeuralNetwork, grad_realize_batch
+from .network import realize_batch  # noqa: F401  (perfbench/spans.py wraps it)
 
 __all__ = [
     "ToleranceBudget",
@@ -277,10 +278,8 @@ def product_net(d, budget):
 
     net = _binary_core(m, M) if d == 2 else build(0, d)[0]
     scale = 1.0 + d * math.log(max(d * M ** d / eps, math.e))
-    net.meta.update(kind="product", d=d, levels=m, epsilon=eps, M=M,
-                    value_err=st["e"], deriv_err=st["g"],
-                    size_constant=net.size / scale,
-                    depth_constant=net.depth / scale)
+    net.meta.update(levels=m, value_err=st["e"], deriv_err=st["g"],
+                    size_constant=net.size / scale)
     return net
 
 
@@ -418,9 +417,7 @@ def _bubble_branch(xl, xr, s, tau_v, tau_d):
         lb.row([2, 3], [su, -su])
         layers.append(lb.done())
         _nonneg_product_tail(layers, 2, m, scale=float(s[0]))
-        net = NeuralNetwork(1, layers)
-        net.meta.update(levels=m, value_err=e, deriv_err=g)
-        return net
+        return NeuralNetwork(1, layers)
 
     # layout after the second layer: [u, w, t+, t-, h+, h-] (t only kept
     # while Horner stages still need it)
@@ -442,9 +439,7 @@ def _bubble_branch(xl, xr, s, tau_v, tau_d):
             _pw_horner_stage(layers, float(s[k]), boxes[i], m, drop_t=last)
     # layout now [u, w, h+, h-]
     _inner_outer_tail(layers, m, mo)
-    net = NeuralNetwork(1, layers)
-    net.meta.update(levels=m, value_err=e, deriv_err=g)
-    return net
+    return NeuralNetwork(1, layers)
 
 
 def _nonneg_product_tail(layers, base_width, m, scale):
@@ -499,10 +494,7 @@ def _measure_pw(net, v, interior=128):
         vals, jac = grad_realize_batch(net, pts)
         sup = max(sup, float(np.max(np.abs(vals[:, 0] - v(t)))))
         dsup = max(dsup, float(np.max(np.abs(jac[:, 0, 0] - v.deriv(t)))))
-    nodes = v.nodes[:, None]
-    nv = realize_batch(net, nodes)[:, 0]
-    node_gap = float(np.max(np.abs(nv - v.node_values())))
-    return sup, dsup, node_gap
+    return sup, dsup
 
 
 def pwpoly_net(v, epsilon):
@@ -536,15 +528,15 @@ def pwpoly_net(v, epsilon):
             lb = _LB(1)
             lb.row()
             net = NeuralNetwork(1, [lb.done()])
-            net.meta.update(kind="pwpoly", node_values=node_vals.tolist(),
-                            measured_sup=0.0, measured_dsup=0.0, scale=scale)
+            net.meta.update(node_values=node_vals.tolist(), measured_sup=0.0,
+                            measured_dsup=0.0, scale=scale)
             return net
         aligned = depth_align(branches)
         par = parallel(aligned)
         lb = _LB(len(branches))
         lb.row(range(len(branches)), weights)
         net = concat(NeuralNetwork(len(branches), [lb.done()]), par)
-        sup, dsup, node_gap = _measure_pw(net, v)
+        sup, dsup = _measure_pw(net, v)
         if max(sup, dsup) <= epsilon * scale:
             break
         tau *= 0.25
@@ -552,9 +544,8 @@ def pwpoly_net(v, epsilon):
         raise AssertionError(
             f"piecewise build missed its certified budget: {max(sup, dsup):.3e} "
             f"> {epsilon * scale:.3e}")
-    net.meta.update(kind="pwpoly", node_values=node_vals.tolist(),
-                    measured_sup=sup, measured_dsup=dsup,
-                    node_gap=node_gap, scale=scale)
+    net.meta.update(node_values=node_vals.tolist(), measured_sup=sup,
+                    measured_dsup=dsup, scale=scale)
     return net
 
 
@@ -581,7 +572,7 @@ def basis_net(v, epsilon1):
     if err > target:
         raise AssertionError(
             f"basis net H1 error {err:.3e} exceeds target {target:.3e}")
-    net.meta.update(kind="basis", h1_err=err, h1_target=target)
+    net.meta.update(h1_err=err)
     return net
 
 

@@ -499,9 +499,19 @@ _ZERO_READS_INF = (
     np.array([[np.inf], [2.0]]))
 
 
+# the middle layer has no entries, so the first layer has no live row
+# left; the middle layer's two equal rows, which read nothing, merge
+_NO_LIVE_ROW = (
+    NeuralNetwork(1, [Layer(2, 1, [0, 1], [0, 0], [1.0, -1.0], [0.0, 0.5]),
+                      Layer(2, 2, [], [], [], [0.5, 0.5]),
+                      Layer(1, 2, [0, 0], [0, 1], [1.0, 2.0], [0.0])]),
+    np.array([[np.inf], [2.0]]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_nets_with_dead_rows())
 @example(_ZERO_READS_INF)
+@example(_NO_LIVE_ROW)
 def test_packing_keeps_only_live_rows(case):
     # packing drops the rows that reach no output, holds each bit-identical
     # row once and moves no bit, NaNs and signed zeros included
@@ -586,21 +596,34 @@ def _planted_net():
               (0.0, {3: 1.5}), (0.0, {0: 1.5}),
               (0.0, {4: 1.0, 5: -1.0, 6: 1.0, 7: -1.0}), (0.0, {8: 1.0, 9: 1.0})]
     out = [(0.0, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0})] * 2 + [(1.0, {5: 1.0})]
+    return NeuralNetwork(2, [_layer(hidden, 2), _layer(second, 10), _layer(out, 6)])
 
-    def layer(rows, cols):
-        return Layer(len(rows), cols, [r for r, (_, t) in enumerate(rows) for _ in t],
-                     [c for _, t in rows for c in t], [v for _, t in rows for v in t.values()],
-                     [b for b, _ in rows])
 
-    return NeuralNetwork(2, [layer(hidden, 2), layer(second, 10), layer(out, 6)])
+def _layer(rows, cols):
+    """A layer from (bias, {column: value}) rows."""
+    return Layer(len(rows), cols, [r for r, (_, t) in enumerate(rows) for _ in t],
+                 [c for _, t in rows for c in t], [v for _, t in rows for v in t.values()],
+                 [b for b, _ in rows])
 
 
 _PLANTED = (_planted_net(), np.array([[0.3, -0.2], [-1.0, 2.0], [0.0, -0.0]]))
+
+# rows 0 and 1 merge; the middle layer has nothing to merge but must read
+# them renumbered, so its rows 0 and 1 read one row with other weights;
+# the layer after it merges its rows 0 and 1, which read its row 0
+_MERGE_SKIP_MERGE = (
+    NeuralNetwork(1, [
+        _layer([(0.5, {0: 1.0}), (0.5, {0: 1.0}), (0.0, {0: -2.0})], 1),
+        _layer([(0.0, {0: 1.0}), (0.0, {1: 2.0}), (0.25, {2: 3.0})], 3),
+        _layer([(0.0, {0: 1.0}), (0.0, {0: 1.0}), (0.0, {1: 1.0, 2: 1.0})], 3),
+        _layer([(0.0, {0: 1.0, 1: -1.0, 2: 1.0})], 3)]),
+    np.array([[0.3], [-1.0], [2.0]]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_nets_with_planted_duplicates())
 @example(_PLANTED)
+@example(_MERGE_SKIP_MERGE)
 def test_packing_merges_only_bit_identical_rows(case):
     # identical rows of a layer but the output merge, also once the layer
     # before merged; rows apart in a signed zero or in term order stay
@@ -644,6 +667,10 @@ def test_wide_rows_never_merge():
     raw = [(lay.indptr, lay.col_idx, lay.vals, lay.bias) for lay in net.layers]
     assert np.array_equal(_bits(realize_batch(net, x)),
                           _bits(backends.run_forward(raw, x.T).T))
+    # a layer of wide rows alone: no narrow row to group
+    net = NeuralNetwork(n, [Layer.from_dense(np.vstack([w, w]), [0.5, 0.5]),
+                            Layer.from_dense(np.ones((1, 2)))])
+    assert [len(p[0]) - 1 for p in net.packed()] == [2, 1]
 
 
 def test_import_defers_scipy():
