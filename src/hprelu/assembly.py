@@ -57,9 +57,13 @@ class AssemblyPlan:
     epsilon: float
     epsilon1: float
     epsilon2: float
-    M_times: float
     c_v_max: float
     c_l1: float
+
+
+# half-width of the product net's input box: the basis nets' outputs, at
+# most 1 plus their measured sup slack, must lie inside it
+_PRODUCT_BOX = 2.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,12 @@ class NetConfig:
     q_cal: int = 10
     q_net: int = 8
     cert_grade: int = 8
+
+    def __post_init__(self):
+        for key in ("c_p", "halfwidth"):
+            v = getattr(self, key)
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
 
     @classmethod
     def for_dim(cls, dim):
@@ -105,7 +115,6 @@ class BuildReport:
     certified: bool
     seconds: float
     hp_h1_error: float = float("nan")
-    levels: int = 0
     plan: AssemblyPlan = None
 
 
@@ -121,7 +130,7 @@ def plan_assembly(interp, epsilon, cl1=None):
     if cl1 is None:
         cl1 = interp.coeff_l1()
     if cl1 == 0.0:
-        return AssemblyPlan(epsilon, 0.5, 0.5, 2.0, cv, 0.0)
+        return AssemblyPlan(epsilon, 0.5, 0.5, cv, 0.0)
     eps1 = min(epsilon / (2.0 * d * (cv + 1.0) ** d * cl1),
                0.5,
                1.0 / (math.sqrt(2.0) * cv))
@@ -130,7 +139,7 @@ def plan_assembly(interp, epsilon, cl1=None):
         raise ValueError(
             f"tolerance split underflow (eps1={eps1:.3e}, eps2={eps2:.3e}); "
             "raise epsilon or reduce the coefficient mass")
-    return AssemblyPlan(epsilon, eps1, eps2, 2.0, cv, cl1)
+    return AssemblyPlan(epsilon, eps1, eps2, cv, cl1)
 
 
 def _tuple_selectors(N, d, T):
@@ -204,10 +213,10 @@ def build_phi_eps_c(interp, epsilon, rows=None):
             raise ValueError("basis function exceeds the unit sup bound")
     nets = [basis_net(bf, plan.epsilon1) for bf in interp.basis]
     sup_slack = max(n.meta["measured_sup"] for n in nets)
-    if 1.0 + sup_slack > plan.M_times:
+    if 1.0 + sup_slack > _PRODUCT_BOX:
         raise AssertionError("basis outputs leave the product box")
     phi_basis = full_parallel([parallel(depth_align(nets))] * d)
-    pi = product_net(d, ToleranceBudget(epsilon=plan.epsilon2, M=plan.M_times))
+    pi = product_net(d, ToleranceBudget(epsilon=plan.epsilon2, M=_PRODUCT_BOX))
     T = N ** d
     p_all = _tiled_tuple_stage(pi, _tuple_selectors(N, d, T), d * N)
 
@@ -224,7 +233,7 @@ def build_phi_eps_c(interp, epsilon, rows=None):
     net.meta.update(
         dim=d, plan=plan, size_bound=bound,
         compiled_parts={"nets": nets, "pi": pi, "interp": interp, "vmat": vmat},
-        tuples=T, selector_nnz=d, levels=pi.meta["levels"],
+        tuples=T, selector_nnz=d,
         depth_basis=phi_basis.depth, depth_product=pi.depth,
         size_basis=phi_basis.size)
     return net
@@ -298,27 +307,11 @@ def _lane_plan(stage, d):
                   for s, l, srcs, packed in steps]
 
 
-def _lane_axes(mask, size):
-    return [a for a in range(len(size)) if mask >> a & 1]
-
-
-def _coords(mask, size):
-    """Columns ``(q, n)`` of lane ``mask``: for each of the n columns and
-    each of its axes a, ``q[a]`` numbers the column's (live basis index,
-    point) pair, of ``size[a]``; the last axis runs fastest."""
-    axes = _lane_axes(mask, size)
-    q, rest = {}, np.arange(int(np.prod([size[a] for a in axes])))
-    for a in reversed(axes):
-        rest, q[a] = np.divmod(rest, size[a])
-    return q, len(rest)
-
-
-def _lane_index(mask, at, size):
-    """Column of lane ``mask`` holding each column of ``at``."""
-    idx = 0
-    for a in _lane_axes(mask, size):
-        idx = idx * size[a] + at[0][a]
-    return idx
+def _lane_shape(mask, size):
+    """Index shape of lane ``mask``'s columns: axis a, if the lane reads it,
+    numbers its (live basis index, point) pairs, of ``size[a]``, else has
+    length 1; the last axis runs fastest."""
+    return [n if mask >> a & 1 else 1 for a, n in enumerate(size)]
 
 
 class _CompiledField:
@@ -388,9 +381,11 @@ class _CompiledField:
 
     def _inputs(self, s, l, srcs, st, at, size):
         """Rows of the lanes ``srcs`` of layer l, stacked, on the columns
-        ``at`` of lane s."""
+        of lane s whose ``_lane_shape`` coordinates are ``at``, one array
+        per axis."""
         rows = sum(len(self._rows[l, src]) for src in srcs)
-        x, seed = np.empty((rows, at[1])), np.empty((rows, at[1], self.d))
+        n = len(at[0])
+        x, seed = np.empty((rows, n)), np.empty((rows, n, self.d))
         off = 0
         for src in srcs:
             y, jac = st[l, src]
@@ -401,7 +396,9 @@ class _CompiledField:
             if src == s:
                 x[sl], seed[sl] = y, jac
                 continue
-            idx = _lane_index(src, at, size)
+            # an axis outside lane src has length 1, so "clip" drops its
+            # coordinate
+            idx = np.ravel_multi_index(at, _lane_shape(src, size), mode="clip")
             # every index is in range: "clip" only spares take a buffer
             np.take(y, idx, axis=1, out=x[sl], mode="clip")
             np.take(jac, idx, axis=1, out=seed[sl], mode="clip")
@@ -449,7 +446,9 @@ class _CompiledField:
             st[0, 1 << a] = zv[a][ix].reshape(1, -1), seed
         for step in self._steps:
             if step[0] != self._full:
-                self._run(step, st, _coords(step[0], size), size)
+                shape = _lane_shape(step[0], size)
+                at = np.unravel_index(np.arange(np.prod(shape)), shape)
+                self._run(step, st, at, size)
         full = [step for step in self._steps if step[0] == self._full]
         tile = backends._tile_points(self._width, d)
         # the chunks of the full net restricted to the cell, all t tuples
@@ -463,8 +462,8 @@ class _CompiledField:
             jac = np.empty((2, m * c, d))
             for p0 in range(0, m * c, tile):
                 k, j = np.divmod(np.arange(p0, min(m * c, p0 + tile)), c)
-                at = ({a: loc[a][k] * ns[a] + flat[a][lo + j]
-                       for a in range(d)}, len(k))
+                at = tuple(loc[a][k] * ns[a] + flat[a][lo + j]
+                           for a in range(d))
                 ts = dict(st)
                 for step in full:
                     self._run(step, ts, at, size)
@@ -535,7 +534,7 @@ def hp_error(u, interp, cfg):
     """The calibration measurement: catalog function ``u`` against its
     interpolant on the graded cells, Richardson-settled."""
     return h1_error(u, interp, quad_cells(interp, cfg.cert_grade),
-                    q=cfg.q_cal, n_q=1, max_doublings=2)
+                    q=cfg.q_cal, max_doublings=2)
 
 
 def build_vector(us, dim, epsilon, config=None):
@@ -579,7 +578,7 @@ def build_vector(us, dim, epsilon, config=None):
     net = build_phi_eps_c(interps[0], 0.5 * epsilon, rows=interps)
     dusts = [h1_error(interp, compiled_field(net, row=i),
                       quad_cells(interp, cfg.cert_grade), q=cfg.q_net,
-                      n_q=1, max_doublings=0)
+                      max_doublings=0)
              for i, interp in enumerate(interps)]
     plan = net.meta["plan"]
     seconds = time.perf_counter() - t0
@@ -590,8 +589,8 @@ def build_vector(us, dim, epsilon, config=None):
         h1_error=hp.h1_error + dust.h1_error,
         linf_error=hp.linf_error + dust.linf_error,
         certified=hp.certified and dust.h1_error <= 0.25 * epsilon,
-        seconds=seconds, hp_h1_error=hp.h1_error, levels=net.meta["levels"],
-        plan=plan) for interp, hp, dust in zip(interps, hp_reps, dusts)]
+        seconds=seconds, hp_h1_error=hp.h1_error, plan=plan)
+        for interp, hp, dust in zip(interps, hp_reps, dusts)]
     return net, reports
 
 

@@ -36,10 +36,6 @@ class PiecewisePolynomial:
         return len(self.ref_coeffs)
 
     @property
-    def widths(self):
-        return np.diff(self.nodes)
-
-    @property
     def degree(self):
         return max(len(c) - 1 for c in self.ref_coeffs)
 
@@ -47,7 +43,7 @@ class PiecewisePolynomial:
         k = np.searchsorted(self.nodes, x, side="right") - 1
         return np.clip(k, 0, self.n_pieces - 1)
 
-    def __call__(self, x):
+    def _eval(self, x, deriv):
         x = np.asarray(x, dtype=np.float64)
         k = self._piece_of(x)
         out = np.zeros_like(x, dtype=np.float64)
@@ -58,23 +54,17 @@ class PiecewisePolynomial:
                 continue
             a, b = self.nodes[p], self.nodes[p + 1]
             t = (2.0 * x[m] - (a + b)) / (b - a)
-            out[m] = polyval(self.ref_coeffs[p], t)
+            c = self.ref_coeffs[p]
+            out[m] = (polyval(polyder(c), t) * (2.0 / (b - a)) if deriv
+                      else polyval(c, t))
         return out
+
+    def __call__(self, x):
+        return self._eval(x, False)
 
     def deriv(self, x):
         """Physical derivative dv/dx (one-sided at nodes)."""
-        x = np.asarray(x, dtype=np.float64)
-        k = self._piece_of(x)
-        out = np.zeros_like(x, dtype=np.float64)
-        inside = (x >= self.nodes[0]) & (x <= self.nodes[-1])
-        for p in range(self.n_pieces):
-            m = inside & (k == p)
-            if not np.any(m):
-                continue
-            a, b = self.nodes[p], self.nodes[p + 1]
-            t = (2.0 * x[m] - (a + b)) / (b - a)
-            out[m] = polyval(polyder(self.ref_coeffs[p]), t) * (2.0 / (b - a))
-        return out
+        return self._eval(x, True)
 
     def node_values(self):
         """Float values at the nodes, evaluated from the owning piece

@@ -25,16 +25,11 @@ __all__ = [
 
 
 class WeightedFunction:
-    def __init__(self, dim, value_fn, deriv_fn, name, gamma_c=math.inf,
-                 gamma_e=math.inf, corners=(), edges=()):
+    def __init__(self, dim, value_fn, deriv_fn, name):
         self.dim = int(dim)
         self._value = value_fn
         self._deriv = deriv_fn
         self.name = name
-        self.gamma_c = gamma_c
-        self.gamma_e = gamma_e
-        self.corners = tuple(corners)
-        self.edges = tuple(edges)
 
     def _check(self, coords):
         if len(coords) != self.dim:
@@ -55,17 +50,12 @@ class WeightedFunction:
 
     def value_axes(self, axes):
         """Values on the tensor grid of per-axis point arrays."""
-        d = len(axes)
-        grids = [a.reshape([-1 if i == j else 1 for i in range(d)])
-                 for j, a in enumerate(axes)]
         shape = tuple(len(a) for a in axes)
-        return np.broadcast_to(self.value(*grids), shape)
+        return np.broadcast_to(self.value(*np.ix_(*axes)), shape)
 
     def gradient_axes(self, axes):
         """Gradients on the tensor grid, components on the last axis."""
-        d = len(axes)
-        grids = [a.reshape([-1 if i == j else 1 for i in range(d)])
-                 for j, a in enumerate(axes)]
+        d, grids = len(axes), np.ix_(*axes)
         shape = tuple(len(a) for a in axes)
         comps = []
         for j in range(d):
@@ -83,12 +73,7 @@ class WeightedFunction:
         def der(alpha, *c):
             return self.deriv(alpha, *c) + other.deriv(alpha, *c)
 
-        return WeightedFunction(
-            self.dim, val, der, f"({self.name}+{other.name})",
-            gamma_c=min(self.gamma_c, other.gamma_c),
-            gamma_e=min(self.gamma_e, other.gamma_e),
-            corners=self.corners + other.corners,
-            edges=self.edges + other.edges)
+        return WeightedFunction(self.dim, val, der, f"({self.name}+{other.name})")
 
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
@@ -101,9 +86,7 @@ class WeightedFunction:
         def der(alpha, *c):
             return s * self.deriv(alpha, *c)
 
-        return WeightedFunction(self.dim, val, der, f"{s}*{self.name}",
-                                gamma_c=self.gamma_c, gamma_e=self.gamma_e,
-                                corners=self.corners, edges=self.edges)
+        return WeightedFunction(self.dim, val, der, f"{s}*{self.name}")
 
     __rmul__ = __mul__
 
@@ -120,6 +103,8 @@ def corner_singular(dim, lam, corner=None):
     corner = tuple(float(c) for c in corner)
     if len(corner) != dim:
         raise ValueError("corner length must match dimension")
+    if not math.isfinite(lam):
+        raise ValueError(f"corner exponent lam must be finite, got {lam!r}")
     if dim == 2 and not lam > GAMMA_SHIFT:
         raise ValueError(
             f"inadmissible corner exponent in 2d: need lam > {GAMMA_SHIFT} "
@@ -147,9 +132,7 @@ def corner_singular(dim, lam, corner=None):
                     out = out * (x - cc)
         return out
 
-    return WeightedFunction(
-        dim, val, der, f"corner(lam={lam:g})",
-        gamma_c=lam + 1 - GAMMA_SHIFT, corners=(corner,))
+    return WeightedFunction(dim, val, der, f"corner(lam={lam:g})")
 
 
 def edge_singular(lam, axis=2, dim=3):
@@ -158,6 +141,8 @@ def edge_singular(lam, axis=2, dim=3):
         raise ValueError("edge singularities are defined in dimension 3 only")
     if axis not in (0, 1, 2):
         raise ValueError("edge axis must be 0, 1 or 2")
+    if not math.isfinite(lam):
+        raise ValueError(f"edge exponent lam must be finite, got {lam!r}")
     if not lam > GAMMA_SHIFT:
         raise ValueError(
             f"inadmissible edge exponent: need lam > {GAMMA_SHIFT} "
@@ -184,8 +169,7 @@ def edge_singular(lam, axis=2, dim=3):
                     out = out * c[j]
         return out
 
-    return WeightedFunction(3, val, der, f"edge(lam={lam:g},axis={axis})",
-                            gamma_e=lam + 1 - GAMMA_SHIFT, edges=(axis,))
+    return WeightedFunction(3, val, der, f"edge(lam={lam:g},axis={axis})")
 
 
 def _sep_factors(dim, kind, params):
@@ -220,6 +204,8 @@ def analytic_fn(dim, kind, params):
         raise ValueError(f"{kind} needs the parameter {need!r}")
     if kind == "constant":
         v = float(params["value"])
+        if not math.isfinite(v):
+            raise ValueError(f"constant value must be finite, got {v!r}")
 
         def val(*c):
             return np.full(np.broadcast(*c).shape, v)
@@ -288,9 +274,7 @@ def fichera_extend(u):
         w = np.broadcast_to(np.asarray(w, dtype=np.float64), np.broadcast(*c).shape)
         return np.where(mask, w, u.deriv(alpha, *c))
 
-    return WeightedFunction(d, val, der, f"extend({u.name})",
-                            gamma_c=u.gamma_c, gamma_e=u.gamma_e,
-                            corners=u.corners, edges=u.edges)
+    return WeightedFunction(d, val, der, f"extend({u.name})")
 
 
 def from_spec(name, params, dim):

@@ -38,19 +38,17 @@ LEVEL_CAP = 60
 
 @dataclass(frozen=True)
 class ToleranceBudget:
-    """Accuracy target, input box half-width, and sawtooth depth."""
+    """Accuracy target and input box half-width of a product net."""
 
     epsilon: float
     M: float = 1.0
-    levels: int = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.M < 1.0:
-            raise ValueError("input box half-width must be >= 1")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        if not 1.0 <= self.M < math.inf:
+            raise ValueError(
+                f"input box half-width M must be a finite number >= 1, got {self.M!r}")
 
 
 def _sq_value_err(m):
@@ -210,8 +208,8 @@ def _binary_core(m, M):
 
 
 def _tree_stats(d, m, M):
-    """Worst-case (range, value err, deriv err, ...) over the balanced
-    product tree at uniform sawtooth depth m with leaf box M."""
+    """Worst-case (value err, deriv err) over the balanced product tree at
+    uniform sawtooth depth m with leaf box M."""
 
     def rec(lo, hi):
         if hi - lo == 1:
@@ -232,38 +230,44 @@ def _tree_stats(d, m, M):
             "D": max(B["P"] * A["D"], A["P"] * B["D"]),
         }
 
-    return rec(0, d)
+    st = rec(0, d)
+    return st["e"], st["g"]
+
+
+def _smallest_depth(errors, tau_v, tau_d, what):
+    """Smallest sawtooth depth m whose ``errors(m)``, a tuple led by the
+    worst-case value and derivative errors, meets (tau_v, tau_d); returns
+    (m, errors(m))."""
+    for m in range(1, LEVEL_CAP + 1):
+        out = errors(m)
+        if out[0] <= tau_v and out[1] <= tau_d:
+            return m, out
+    raise ValueError(
+        f"budget infeasible: sawtooth depth would exceed the cap of {LEVEL_CAP} "
+        f"({what})")
 
 
 def _levels_for_product(d, epsilon, M):
-    for m in range(1, LEVEL_CAP + 1):
-        st = _tree_stats(d, m, M)
-        if st["e"] <= epsilon and st["g"] <= epsilon:
-            return m, st
-    raise ValueError(
-        f"budget infeasible: sawtooth depth would exceed the cap of {LEVEL_CAP} "
-        f"(d={d}, M={M:g}, epsilon={epsilon:g})")
+    if d < 2:
+        raise ValueError(f"product needs d >= 2 inputs, got {d}")
+    return _smallest_depth(lambda m: _tree_stats(d, m, M), epsilon, epsilon,
+                           f"d={d}, M={M:g}, epsilon={epsilon:g}")
 
 
 def plan_budget(d, epsilon, M=1.0):
-    """Smallest certified sawtooth depth for a d-ary product on [-M, M]^d."""
-    m, _ = _levels_for_product(d, epsilon, M)
-    return ToleranceBudget(epsilon=epsilon, M=M, levels=m)
+    """Budget of a d-ary product on [-M, M]^d, checked to be reachable
+    below the sawtooth depth cap."""
+    budget = ToleranceBudget(epsilon=epsilon, M=M)
+    _levels_for_product(d, epsilon, M)
+    return budget
 
 
 def product_net(d, budget):
     """d-input product with certified value/derivative error <= epsilon on
-    the M-box and exact output 0 whenever any input is exactly 0."""
-    if d < 2:
-        raise ValueError("product needs d >= 2 inputs")
+    the M-box and exact output 0 whenever any input is exactly 0, built at
+    the smallest sawtooth depth that certifies it."""
     eps, M = budget.epsilon, float(budget.M)
-    if budget.levels is None:
-        m, st = _levels_for_product(d, eps, M)
-    else:
-        m = budget.levels
-        st = _tree_stats(d, m, M)
-        if st["e"] > eps or st["g"] > eps:
-            raise ValueError("given levels do not certify the requested epsilon")
+    m, (value_err, deriv_err) = _levels_for_product(d, eps, M)
 
     def build(lo, hi):
         if hi - lo == 1:
@@ -278,7 +282,7 @@ def product_net(d, budget):
 
     net = _binary_core(m, M) if d == 2 else build(0, d)[0]
     scale = 1.0 + d * math.log(max(d * M ** d / eps, math.e))
-    net.meta.update(levels=m, value_err=st["e"], deriv_err=st["g"],
+    net.meta.update(levels=m, value_err=value_err, deriv_err=deriv_err,
                     size_constant=net.size / scale)
     return net
 
@@ -361,16 +365,17 @@ def _bubble_poly(piece_coeffs):
 
 
 def _branch_errors(s, h, m):
-    """Worst-case (value err, physical deriv err) of one bubble branch
-    u*w*s(t) at sawtooth depth m; u, w are the [0,2] clamps, t = u - 1."""
+    """Worst-case (value err, physical deriv err, outer product box, Horner
+    boxes) of one bubble branch u*w*s(t) at sawtooth depth m; u, w are the
+    [0,2] clamps, t = u - 1."""
     s = np.asarray(s, dtype=np.float64)
     q = len(s) - 1
     S0 = float(np.sum(np.abs(s)))
     S1 = float(sum(k * abs(s[k]) for k in range(1, q + 1)))
     if q >= 2:
-        eh, gh_t, Rs, _ = _horner_plan(s, 1.0, m)
+        eh, gh_t, Rs, boxes = _horner_plan(s, 1.0, m)
     else:
-        eh, gh_t, Rs = 0.0, 0.0, S0
+        eh, gh_t, Rs, boxes = 0.0, 0.0, S0, []
     du = 2.0 / h
     dv_i, dd_i = _pair_value_err(m, 2.0), _pair_deriv_err(m, 2.0)
     e_p = dv_i
@@ -386,7 +391,7 @@ def _branch_errors(s, h, m):
     e_out = dv_o + r_p * eh + (S0 + eh) * e_p
     g_out = (dd_o * h_p + (Rs + eh) * g_p + d_p * eh
              + dd_o * hs + r_p * gs + ds * e_p)
-    return e_out, g_out, mo
+    return e_out, g_out, mo, boxes
 
 
 def _bubble_branch(xl, xr, s, tau_v, tau_d):
@@ -396,12 +401,9 @@ def _bubble_branch(xl, xr, s, tau_v, tau_d):
     h = xr - xl
     s = np.asarray(s, dtype=np.float64)
     q = len(s) - 1
-    for m in range(1, LEVEL_CAP + 1):
-        e, g, mo = _branch_errors(s, h, m)
-        if e <= tau_v and g <= tau_d:
-            break
-    else:
-        raise ValueError(f"sawtooth depth cap {LEVEL_CAP} exceeded for pwpoly branch")
+    m, (_, _, mo, boxes) = _smallest_depth(
+        lambda m: _branch_errors(s, h, m), tau_v, tau_d,
+        f"pwpoly branch on [{xl:g}, {xr:g}]")
     su = 2.0 / h
     layers = []
     lb = _LB(1)
@@ -432,11 +434,8 @@ def _bubble_branch(xl, xr, s, tau_v, tau_d):
     lb.row([0, 1], [-cq * su, cq * su], cq - cq1)
     layers.append(lb.done())
 
-    if q >= 2:
-        _, _, _, boxes = _horner_plan(s, 1.0, m)
-        for i, k in enumerate(range(q - 2, -1, -1)):
-            last = k == 0
-            _pw_horner_stage(layers, float(s[k]), boxes[i], m, drop_t=last)
+    for k, box in zip(range(q - 2, -1, -1), boxes):
+        _pw_horner_stage(layers, float(s[k]), box, m, drop_t=k == 0)
     # layout now [u, w, h+, h-]
     _inner_outer_tail(layers, m, mo)
     return NeuralNetwork(1, layers)

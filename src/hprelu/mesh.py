@@ -18,9 +18,9 @@ __all__ = [
 
 
 class Axis1D:
-    """One mesh axis: nodes, singular-interval flags, grading parameters."""
+    """One mesh axis: nodes, singular-interval flags, level, patch count."""
 
-    def __init__(self, nodes, singular, sigma, ell, patches=1):
+    def __init__(self, nodes, singular, ell, patches=1):
         self.nodes = np.asarray(nodes, dtype=np.float64)
         self.singular = np.asarray(singular, dtype=bool)
         if self.nodes.ndim != 1 or len(self.nodes) < 2:
@@ -29,7 +29,6 @@ class Axis1D:
             raise ValueError("nodes must be strictly increasing")
         if len(self.singular) != len(self.nodes) - 1:
             raise ValueError("one singular flag per interval")
-        self.sigma = float(sigma)
         self.ell = int(ell)
         self.patches = int(patches)
 
@@ -61,7 +60,7 @@ def geometric_mesh(sigma, ell):
     nodes = np.concatenate(([0.0], sigma ** np.arange(ell, -1, -1, dtype=np.float64)))
     singular = np.zeros(ell + 1, dtype=bool)
     singular[0] = True
-    return Axis1D(nodes, singular, sigma, ell)
+    return Axis1D(nodes, singular, ell)
 
 
 def multipatch_axis(sigma, ell, halfwidth=1.0):
@@ -71,8 +70,8 @@ def multipatch_axis(sigma, ell, halfwidth=1.0):
     ell+1 intervals with the one touching a grading center flagged singular.
     """
     a = float(halfwidth)
-    if a <= 0:
-        raise ValueError("halfwidth must be positive")
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"halfwidth must be a finite number > 0, got {a!r}")
     base = geometric_mesh(sigma, ell).nodes  # 0, sigma^ell, ..., 1
     h = 0.5 * a
     neg_outer = -a + h * base          # graded toward -a
@@ -83,7 +82,7 @@ def multipatch_axis(sigma, ell, halfwidth=1.0):
     n = ell + 1
     singular = np.zeros(4 * n, dtype=bool)
     singular[[0, 2 * n - 1, 2 * n, 4 * n - 1]] = True
-    return Axis1D(nodes, singular, sigma, ell, patches=4)
+    return Axis1D(nodes, singular, ell, patches=4)
 
 
 class TensorMesh:

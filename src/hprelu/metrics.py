@@ -1,11 +1,11 @@
 """Certified H1/L-infinity error measurement and rate fitting.
 
 Quadrature is composite Gauss on the tensor product of per-axis cell
-partitions, each cell split into n_q equal subcells whose point groups get
-a tiny seeded jitter so breakpoints of piecewise linear networks never
-coincide with sample points.  The subcell count is doubled until the H1
-number settles; the relative gap between the last two levels is reported
-and gates the ``certified`` flag.
+partitions, each cell split into equal subcells whose point groups get a
+tiny seeded jitter so breakpoints of piecewise linear networks never
+coincide with sample points.  The subcell count starts at one per cell and
+is doubled until the H1 number settles; the relative gap between the last
+two levels is reported and gates the ``certified`` flag.
 
 A field is anything with ``value_axes(axes)`` and ``gradient_axes(axes)``
 evaluating on the tensor grid of per-axis point arrays: catalog functions,
@@ -87,7 +87,7 @@ def _sq_errors(f, g, axes_pts, axes_wts):
     return l2, semi, linf
 
 
-def h1_error(f, g, cells, q=10, n_q=2, max_doublings=3):
+def h1_error(f, g, cells, q=10, max_doublings=3):
     """Certified H1 (and L-infinity) distance between two fields.
 
     ``cells`` is a list of per-axis cell boundary arrays (typically the
@@ -107,7 +107,7 @@ def h1_error(f, g, cells, q=10, n_q=2, max_doublings=3):
         wts = [a[1] for a in axes]
         return _sq_errors(f, g, pts, wts)
 
-    nq = n_q
+    nq = 1
     l2s, semis, linf = level(nq)
     h1 = float(np.sqrt(l2s + semis))
     gap = np.inf

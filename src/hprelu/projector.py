@@ -29,11 +29,8 @@ class _AxisQuad:
     """Gauss stations and moment weights over the non-singular intervals."""
 
     def __init__(self, axis, p, g):
-        self.axis = axis
-        self.p = p
         t, w = gauss_rule(g)
         pieces = [k for k in range(axis.n_intervals) if not axis.singular[k]]
-        self.pieces = pieces
         pts = []
         for k in pieces:
             a, b = axis.nodes[k], axis.nodes[k + 1]
@@ -148,10 +145,6 @@ class HpInterpolant:
     @property
     def dim(self):
         return self.mesh.dim
-
-    @property
-    def sigma(self):
-        return self.mesh.axes[0].sigma
 
     @property
     def ell(self):

@@ -62,88 +62,82 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want))) / scale if got.size else 0.0
 
 
+def _concat_trial(rng):
+    inner = _sample_net(rng)
+    outer = _sample_net(rng, input_dim=inner.output_dim)
+    net = concat(outer, inner)
+    bad = (net.depth != outer.depth + inner.depth) + (
+        net.size > 2 * (outer.size + inner.size))
+    pts = rng.standard_normal((8, inner.input_dim))
+    want = _dense_eval(outer, _dense_eval(inner, pts))
+    return _rel(realize_batch(net, pts), want), bad
+
+
+def _parallel_trial(rng):
+    d = int(rng.integers(1, 4))
+    depth = int(rng.integers(1, 4))
+    nets = [_sample_net(rng, input_dim=d, depth=depth)
+            for _ in range(int(rng.integers(2, 5)))]
+    par = parallel(nets)
+    bad = par.depth != depth or par.size != sum(n.size for n in nets)
+    pts = rng.standard_normal((8, d))
+    want = np.concatenate([_dense_eval(n, pts) for n in nets], axis=1)
+    return _rel(realize_batch(par, pts), want), bad
+
+
+def _full_parallel_trial(rng):
+    depth = int(rng.integers(1, 4))
+    nets = [_sample_net(rng, depth=depth)
+            for _ in range(int(rng.integers(2, 5)))]
+    fp = full_parallel(nets)
+    bad = (fp.depth != depth or fp.size != sum(n.size for n in nets)) + (
+        fp.input_dim != sum(n.input_dim for n in nets))
+    pts = rng.standard_normal((8, fp.input_dim))
+    offs = np.cumsum([0] + [n.input_dim for n in nets])
+    want = np.concatenate(
+        [_dense_eval(n, pts[:, offs[k]:offs[k + 1]])
+         for k, n in enumerate(nets)], axis=1)
+    return _rel(realize_batch(fp, pts), want), bad
+
+
+def _depth_align_trial(rng):
+    nets = [_sample_net(rng) for _ in range(3)]
+    target = max(n.depth for n in nets)
+    err, bad = 0.0, 0
+    for before, after in zip(nets, depth_align(nets)):
+        pad = target - before.depth
+        bad += (after.depth != target) + (
+            after.size > 2 * before.size + 4 * before.output_dim * pad)
+        pts = rng.standard_normal((6, before.input_dim))
+        err = max(err, _rel(realize_batch(after, pts), _dense_eval(before, pts)))
+    return err, bad
+
+
+def _identity_trial(rng):
+    dim = int(rng.integers(1, 6))
+    depth = int(rng.integers(1, 6))
+    net = identity_net(dim, depth)
+    bad = net.depth != depth or net.size > 2 * dim * depth
+    pts = rng.standard_normal((8, dim))
+    return _rel(realize_batch(net, pts), pts), bad
+
+
+# one trial per call: (max relative error, bookkeeping violations)
+_RULES = (("concat", _concat_trial), ("parallel", _parallel_trial),
+          ("full_parallel", _full_parallel_trial),
+          ("depth_align", _depth_align_trial), ("identity", _identity_trial))
+
+
 def verify_calculus(trials=1000, seed=0):
     """Run `trials` randomized checks per rule; returns a list of RuleCheck."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     out = []
-
-    err = 0.0
-    bad = 0
-    for _ in range(trials):
-        inner = _sample_net(rng)
-        outer = _sample_net(rng, input_dim=inner.output_dim)
-        net = concat(outer, inner)
-        if net.depth != outer.depth + inner.depth:
-            bad += 1
-        if net.size > 2 * (outer.size + inner.size):
-            bad += 1
-        pts = rng.standard_normal((8, inner.input_dim))
-        want = _dense_eval(outer, _dense_eval(inner, pts))
-        err = max(err, _rel(realize_batch(net, pts), want))
-    out.append(RuleCheck("concat", trials, err, bad))
-
-    err = 0.0
-    bad = 0
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        depth = int(rng.integers(1, 4))
-        nets = [_sample_net(rng, input_dim=d, depth=depth)
-                for _ in range(int(rng.integers(2, 5)))]
-        par = parallel(nets)
-        if par.depth != depth or par.size != sum(n.size for n in nets):
-            bad += 1
-        pts = rng.standard_normal((8, d))
-        want = np.concatenate([_dense_eval(n, pts) for n in nets], axis=1)
-        err = max(err, _rel(realize_batch(par, pts), want))
-    out.append(RuleCheck("parallel", trials, err, bad))
-
-    err = 0.0
-    bad = 0
-    for _ in range(trials):
-        depth = int(rng.integers(1, 4))
-        nets = [_sample_net(rng, depth=depth)
-                for _ in range(int(rng.integers(2, 5)))]
-        fp = full_parallel(nets)
-        if fp.depth != depth or fp.size != sum(n.size for n in nets):
-            bad += 1
-        if fp.input_dim != sum(n.input_dim for n in nets):
-            bad += 1
-        pts = rng.standard_normal((8, fp.input_dim))
-        offs = np.cumsum([0] + [n.input_dim for n in nets])
-        want = np.concatenate(
-            [_dense_eval(n, pts[:, offs[k]:offs[k + 1]])
-             for k, n in enumerate(nets)], axis=1)
-        err = max(err, _rel(realize_batch(fp, pts), want))
-    out.append(RuleCheck("full_parallel", trials, err, bad))
-
-    err = 0.0
-    bad = 0
-    for _ in range(trials):
-        nets = [_sample_net(rng) for _ in range(3)]
-        target = max(n.depth for n in nets)
-        for before, after in zip(nets, depth_align(nets)):
-            pad = target - before.depth
-            if after.depth != target:
-                bad += 1
-            if after.size > 2 * before.size + 4 * before.output_dim * pad:
-                bad += 1
-            pts = rng.standard_normal((6, before.input_dim))
-            err = max(err, _rel(realize_batch(after, pts),
-                                _dense_eval(before, pts)))
-    out.append(RuleCheck("depth_align", trials, err, bad))
-
-    err = 0.0
-    bad = 0
-    for _ in range(trials):
-        dim = int(rng.integers(1, 6))
-        depth = int(rng.integers(1, 6))
-        net = identity_net(dim, depth)
-        if net.depth != depth or net.size > 2 * dim * depth:
-            bad += 1
-        pts = rng.standard_normal((8, dim))
-        err = max(err, _rel(realize_batch(net, pts), pts))
-    out.append(RuleCheck("identity", trials, err, bad))
-
+    for rule, trial in _RULES:
+        err, bad = 0.0, 0
+        for _ in range(trials):
+            e, b = trial(rng)
+            err, bad = max(err, e), bad + b
+        out.append(RuleCheck(rule, trials, err, bad))
     return out

@@ -234,7 +234,7 @@ def one_element(f, df, p):
     Its coefficients are the trace at -1, the trace at +1, then the moments
     (2n+1)(f', L_n) for n = 1..p-1."""
     u = WeightedFunction(1, f, lambda alpha, t: df(t), "element")
-    return hp_interpolate(u, TensorMesh([Axis1D([-1.0, 1.0], [False], 0.5, 0)]), p)
+    return hp_interpolate(u, TensorMesh([Axis1D([-1.0, 1.0], [False], 0)]), p)
 
 
 def square_net(levels):

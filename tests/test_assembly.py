@@ -135,7 +135,7 @@ def test_compiled_h1_gap_within_budget():
     interp = _corner_interp(ell=4, p=3)
     net = build_phi_eps_c(interp, eps)
     rep = h1_error(interp, compiled_field(net), quad_cells(interp),
-                   q=8, n_q=1, max_doublings=1)
+                   q=8, max_doublings=1)
     assert rep.h1_error <= eps
     assert rep.linf_error <= eps
 
@@ -549,6 +549,13 @@ def test_vector_rejects_bad_targets_before_calibrating(monkeypatch, epsilon,
     monkeypatch.setattr(assembly, "_interpolate", no_calibration)
     with pytest.raises(ValueError, match=match):
         build_vector([_poly_u()], 2, epsilon, NetConfig(ell_max=ell_max))
+
+
+@pytest.mark.parametrize("key", ["c_p", "halfwidth"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_net_config_rejects_bad_numbers(key, bad):
+    with pytest.raises(ValueError, match=f"{key} must be a finite number > 0, got {bad}"):
+        NetConfig(**{key: bad})
 
 
 def test_vector_rejects_empty():

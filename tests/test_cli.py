@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from hprelu import assembly, cli
 from hprelu.assembly import NetConfig, build_phi_eps_c, build_phi_eps_f
 from hprelu.catalog import corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
@@ -177,6 +178,47 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
     # rejected before calibration, as an input error, not a failed build
     out = tmp_path / "net.json"
     assert main(["nn-build", "--func", "corner", "--dim", "2", flag, value,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["nn-build", "hp-study"])
+@pytest.mark.parametrize("args, message", [
+    (["--cp", "inf"], "c_p must be a finite number > 0, got inf"),
+    (["--cp", "-1"], "c_p must be a finite number > 0, got -1.0"),
+    (["--halfwidth", "nan", "--domain", "sym"],
+     "halfwidth must be a finite number > 0, got nan"),
+    (["--alpha", "inf"], "corner exponent lam must be finite, got inf"),
+    (["--func", "constant", "--value", "inf"],
+     "constant value must be finite, got inf"),
+    (["--func", "constant", "--value", "nan"],
+     "constant value must be finite, got nan")],
+    ids=["inf-cp", "negative-cp", "nan-halfwidth", "inf-alpha", "inf-value",
+         "nan-value"])
+def test_bad_numbers_rejected_before_calibrating(tmp_path, capsys, monkeypatch,
+                                                 cmd, args, message):
+    def no_calibration(*a):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(cli, "_interpolate", no_calibration)
+    monkeypatch.setattr(assembly, "_interpolate", no_calibration)
+    out = tmp_path / "out"
+    # a later --func overrides the first
+    assert main([cmd, "--func", "corner", "--dim", "2", *args,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d, M, message", [
+    ("2", "nan", "M must be a finite number >= 1, got nan"),
+    ("2", "inf", "M must be a finite number >= 1, got inf"),
+    ("0", "1", "product needs d >= 2 inputs, got 0")],
+    ids=["nan-M", "inf-M", "zero-d"])
+def test_mul_net_rejects_bad_numbers(tmp_path, capsys, d, M, message):
+    out = tmp_path / "pi.json"
+    assert main(["mul-net", "--d", d, "--eps", "1e-2", "--M", M,
                  "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from hprelu.basis import PiecewisePolynomial, build_basis
 from hprelu.emulation import (
     ToleranceBudget,
+    _binary_core,
     basis_net,
     plan_budget,
     product_net,
@@ -63,15 +64,18 @@ def test_budget_validation():
         ToleranceBudget(epsilon=1.5)
     with pytest.raises(ValueError):
         ToleranceBudget(epsilon=0.1, M=0.5)
-    with pytest.raises(ValueError):
-        ToleranceBudget(epsilon=0.1, levels=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"M must be a finite number >= 1, got {bad}"):
+            ToleranceBudget(epsilon=0.1, M=bad)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            plan_budget(2, 0.1, bad)
 
 
 def test_plan_budget_fills_levels():
-    b = plan_budget(2, 1e-2, 1.0)
-    assert b.levels is not None and b.levels >= 1
+    levels = product_net(2, plan_budget(2, 1e-2, 1.0)).meta["levels"]
+    assert levels >= 1
     # deeper for tighter targets
-    assert plan_budget(2, 1e-6, 1.0).levels > b.levels
+    assert product_net(2, plan_budget(2, 1e-6, 1.0)).meta["levels"] > levels
 
 
 def test_plan_budget_infeasible():
@@ -90,11 +94,9 @@ def test_product_example_point():
 def test_product_rejects_unary():
     with pytest.raises(ValueError):
         product_net(1, plan_budget(2, 1e-2, 1.0))
-
-
-def test_product_rejects_uncertified_levels():
-    with pytest.raises(ValueError, match="certify"):
-        product_net(2, ToleranceBudget(epsilon=1e-6, M=1.0, levels=2))
+    for d in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"d >= 2 inputs, got {d}"):
+            plan_budget(d, 1e-2, 1.0)
 
 
 def test_product_zero_on_zero_exact():
@@ -282,12 +284,12 @@ def test_basis_net_rejects_wide_support():
 def test_zero_on_zero_survives_levels_choice():
     # exactness must not depend on the sawtooth depth
     for m in (2, 3, 5, 12):
-        net = product_net(2, ToleranceBudget(epsilon=0.9, M=1.0, levels=m))
+        net = _binary_core(m, 1.0)
         assert realize(net, np.array([0.0, 0.8]))[0] == 0.0
         assert realize(net, np.array([-0.3, 0.0]))[0] == 0.0
 
 
 def test_product_depth_scales_with_levels():
-    n1 = product_net(2, ToleranceBudget(epsilon=0.5, M=1.0, levels=3))
-    n2 = product_net(2, ToleranceBudget(epsilon=0.5, M=1.0, levels=6))
+    n1 = _binary_core(3, 1.0)
+    n2 = _binary_core(6, 1.0)
     assert n2.depth == n1.depth + 3

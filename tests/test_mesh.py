@@ -47,8 +47,9 @@ def test_multipatch_axis():
     # singular intervals are exactly those touching -a, 0, a
     for k in sing:
         assert ax.nodes[k] in (-1.0, 0.0) or ax.nodes[k + 1] in (0.0, 1.0)
-    with pytest.raises(ValueError):
-        multipatch_axis(0.5, 1, halfwidth=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"finite number > 0, got {bad}"):
+            multipatch_axis(0.5, 1, halfwidth=bad)
 
 
 def test_multipatch_width_ratio():

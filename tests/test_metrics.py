@@ -46,7 +46,7 @@ def test_interp_vs_function_decreases():
     errs = []
     for ell in (1, 3):
         it = hp_interpolate(u, TensorMesh.cube(0.5, ell, 2), max(ell, 1))
-        rep = h1_error(u, it, [it.mesh.axes[0].nodes] * 2, q=8, n_q=1,
+        rep = h1_error(u, it, [it.mesh.axes[0].nodes] * 2, q=8,
                        max_doublings=2)
         errs.append(rep.h1_error)
     assert errs[1] < errs[0]
