@@ -231,11 +231,8 @@ def build_phi_eps_c(interp, epsilon, rows=None):
     bound = 2 * head.size + 2 * (2 * T * (pi.size + d) + 2 * phi_basis.size)
     assert net.size <= bound, (net.size, bound)
     net.meta.update(
-        dim=d, plan=plan, size_bound=bound,
-        compiled_parts={"nets": nets, "pi": pi, "interp": interp, "vmat": vmat},
-        tuples=T, selector_nnz=d,
-        depth_basis=phi_basis.depth, depth_product=pi.depth,
-        size_basis=phi_basis.size)
+        plan=plan, compiled_parts={"nets": nets, "pi": pi, "interp": interp, "vmat": vmat},
+        depth_basis=phi_basis.depth, depth_product=pi.depth)
     return net
 
 

@@ -112,18 +112,13 @@ class BasisFunction(PiecewisePolynomial):
     """Global basis member restricted to its support pieces.
 
     ``support`` lists the interval indices of the parent axis the pieces
-    live on.  ``kind`` is "hat" or "bubble"; bubbles record (interval, mode).
+    live on.
     """
 
-    def __init__(self, nodes, ref_coeffs, kind, support, node=None, interval=None, mode=None):
+    def __init__(self, nodes, ref_coeffs, support):
         super().__init__(nodes, ref_coeffs)
-        self.kind = kind
         self.support = tuple(support)
-        self.node = node
-        self.interval = interval
-        self.mode = mode
         l2, semi = self.norms()
-        self.l2_norm = l2
         self.h1_seminorm = semi
         self.h1_norm = float(np.sqrt(l2 * l2 + semi * semi))
 
@@ -158,12 +153,10 @@ def build_basis(axis, p):
             pieces.append(nodes[j + 1])
             coeffs.append(np.array(zeta_coeffs(2)))
             support.append(j)
-        out.append(BasisFunction(pieces, coeffs, "hat", support, node=j))
+        out.append(BasisFunction(pieces, coeffs, support))
     for k in range(n):
         for m in range(3, p + 2):
-            out.append(BasisFunction(
-                nodes[k:k + 2], [np.array(zeta_coeffs(m))],
-                "bubble", (k,), interval=k, mode=m))
+            out.append(BasisFunction(nodes[k:k + 2], [np.array(zeta_coeffs(m))], (k,)))
     if len(out) != basis_count(axis, p):
         raise AssertionError("basis count mismatch")
     return out

@@ -129,15 +129,12 @@ def full_parallel(nets):
     return NeuralNetwork(sum(net.input_dim for net in nets), layers)
 
 
-def depth_align(nets, target=None):
-    """Pad networks with identities at the output side to a common depth."""
+def depth_align(nets):
+    """Pad networks with identities at the output side to their largest depth."""
     nets = list(nets)
-    if target is None:
-        target = max(net.depth for net in nets)
+    target = max(net.depth for net in nets)
     out = []
     for net in nets:
-        if net.depth > target:
-            raise ValueError(f"depth {net.depth} exceeds target {target}")
         if net.depth == target:
             out.append(net)
         else:

@@ -75,23 +75,24 @@ class WeightedFunction:
 
         return WeightedFunction(self.dim, val, der, f"({self.name}+{other.name})")
 
-    def __mul__(self, s):
-        if not isinstance(s, (int, float)):
-            return NotImplemented
-        s = float(s)
-
-        def val(*c):
-            return s * self._value(*c)
-
-        def der(alpha, *c):
-            return s * self.deriv(alpha, *c)
-
-        return WeightedFunction(self.dim, val, der, f"{s}*{self.name}")
-
-    __rmul__ = __mul__
-
 
 GAMMA_SHIFT = 1e-6
+
+
+def _power_law(lam, radial, factors):
+    """r^lam (no factors) or its mixed first partial along the m axes whose
+    offsets are ``factors``: coef * r^(lam - 2m) * prod(factors), with r^2
+    the sum of the squared ``radial`` offsets."""
+    m = len(factors)
+    coef = 1.0
+    for i in range(m):
+        coef *= lam - 2 * i
+    r2 = sum(o ** 2 for o in radial)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = coef * np.power(r2, 0.5 * (lam - 2 * m))
+        for o in factors:
+            out = out * o
+    return out
 
 
 def corner_singular(dim, lam, corner=None):
@@ -103,6 +104,9 @@ def corner_singular(dim, lam, corner=None):
     corner = tuple(float(c) for c in corner)
     if len(corner) != dim:
         raise ValueError("corner length must match dimension")
+    for cc in corner:
+        if not math.isfinite(cc):
+            raise ValueError(f"corner coordinates must be finite, got {cc!r}")
     if not math.isfinite(lam):
         raise ValueError(f"corner exponent lam must be finite, got {lam!r}")
     if dim == 2 and not lam > GAMMA_SHIFT:
@@ -116,21 +120,11 @@ def corner_singular(dim, lam, corner=None):
     lam = float(lam)
 
     def val(*c):
-        r2 = sum((x - cc) ** 2 for x, cc in zip(c, corner))
-        return np.power(r2, 0.5 * lam)
+        return _power_law(lam, [x - cc for x, cc in zip(c, corner)], ())
 
     def der(alpha, *c):
-        m = sum(alpha)
-        r2 = sum((x - cc) ** 2 for x, cc in zip(c, corner))
-        coef = 1.0
-        for i in range(m):
-            coef *= lam - 2 * i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = coef * np.power(r2, 0.5 * (lam - 2 * m))
-            for a, x, cc in zip(alpha, c, corner):
-                if a:
-                    out = out * (x - cc)
-        return out
+        off = [x - cc for x, cc in zip(c, corner)]
+        return _power_law(lam, off, [o for a, o in zip(alpha, off) if a])
 
     return WeightedFunction(dim, val, der, f"corner(lam={lam:g})")
 
@@ -151,23 +145,12 @@ def edge_singular(lam, axis=2, dim=3):
     perp = tuple(j for j in range(3) if j != axis)
 
     def val(*c):
-        r2 = c[perp[0]] ** 2 + c[perp[1]] ** 2
-        return np.power(r2, 0.5 * lam)
+        return _power_law(lam, [c[j] for j in perp], ())
 
     def der(alpha, *c):
         if alpha[axis]:
             return np.zeros(np.broadcast(*c).shape)
-        m = sum(alpha)
-        r2 = c[perp[0]] ** 2 + c[perp[1]] ** 2
-        coef = 1.0
-        for i in range(m):
-            coef *= lam - 2 * i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = coef * np.power(r2, 0.5 * (lam - 2 * m))
-            for j in perp:
-                if alpha[j]:
-                    out = out * c[j]
-        return out
+        return _power_law(lam, [c[j] for j in perp], [c[j] for j in perp if alpha[j]])
 
     return WeightedFunction(3, val, der, f"edge(lam={lam:g},axis={axis})")
 

@@ -281,9 +281,7 @@ def product_net(d, budget):
         return net, ra * rb + _pair_value_err(m, mn)
 
     net = _binary_core(m, M) if d == 2 else build(0, d)[0]
-    scale = 1.0 + d * math.log(max(d * M ** d / eps, math.e))
-    net.meta.update(levels=m, value_err=value_err, deriv_err=deriv_err,
-                    size_constant=net.size / scale)
+    net.meta.update(levels=m, value_err=value_err, deriv_err=deriv_err)
     return net
 
 
@@ -527,8 +525,7 @@ def pwpoly_net(v, epsilon):
             lb = _LB(1)
             lb.row()
             net = NeuralNetwork(1, [lb.done()])
-            net.meta.update(node_values=node_vals.tolist(), measured_sup=0.0,
-                            measured_dsup=0.0, scale=scale)
+            net.meta.update(measured_sup=0.0, measured_dsup=0.0)
             return net
         aligned = depth_align(branches)
         par = parallel(aligned)
@@ -543,8 +540,7 @@ def pwpoly_net(v, epsilon):
         raise AssertionError(
             f"piecewise build missed its certified budget: {max(sup, dsup):.3e} "
             f"> {epsilon * scale:.3e}")
-    net.meta.update(node_values=node_vals.tolist(), measured_sup=sup,
-                    measured_dsup=dsup, scale=scale)
+    net.meta.update(measured_sup=sup, measured_dsup=dsup)
     return net
 
 

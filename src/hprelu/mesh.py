@@ -18,9 +18,9 @@ __all__ = [
 
 
 class Axis1D:
-    """One mesh axis: nodes, singular-interval flags, level, patch count."""
+    """One mesh axis: nodes, singular-interval flags, level."""
 
-    def __init__(self, nodes, singular, ell, patches=1):
+    def __init__(self, nodes, singular, ell):
         self.nodes = np.asarray(nodes, dtype=np.float64)
         self.singular = np.asarray(singular, dtype=bool)
         if self.nodes.ndim != 1 or len(self.nodes) < 2:
@@ -30,19 +30,10 @@ class Axis1D:
         if len(self.singular) != len(self.nodes) - 1:
             raise ValueError("one singular flag per interval")
         self.ell = int(ell)
-        self.patches = int(patches)
 
     @property
     def n_intervals(self):
         return len(self.nodes) - 1
-
-    @property
-    def lo(self):
-        return self.nodes[0]
-
-    @property
-    def hi(self):
-        return self.nodes[-1]
 
     def find(self, x):
         """Interval index per point; interior nodes go to the right piece,
@@ -82,7 +73,7 @@ def multipatch_axis(sigma, ell, halfwidth=1.0):
     n = ell + 1
     singular = np.zeros(4 * n, dtype=bool)
     singular[[0, 2 * n - 1, 2 * n, 4 * n - 1]] = True
-    return Axis1D(nodes, singular, ell, patches=4)
+    return Axis1D(nodes, singular, ell)
 
 
 class TensorMesh:

@@ -150,10 +150,6 @@ class HpInterpolant:
     def ell(self):
         return self.mesh.axes[0].ell
 
-    @property
-    def patches(self):
-        return self.mesh.axes[0].patches
-
     def vvec(self):
         """Coefficients flattened with the first axis index fastest."""
         return self.coeffs.ravel(order="F")

@@ -252,8 +252,8 @@ def assert_linf_envelope(net, interp, plan, npts):
     L-infinity envelope (2^d + 1) * ||c||_1 (5% slack) on an npts^d grid
     of the interpolant's domain."""
     d = interp.dim
-    lo = interp.mesh.axes[0].lo + 1e-9
-    hi = interp.mesh.axes[0].hi - 1e-9
+    lo = interp.mesh.axes[0].nodes[0] + 1e-9
+    hi = interp.mesh.axes[0].nodes[-1] - 1e-9
     axis = np.linspace(lo, hi, npts)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)

@@ -1,10 +1,16 @@
-"""No shipped code that only tests reach.
+"""No shipped code or stored value that only tests reach.
 
-An ``ast`` scan of the package: every module-level function or class, and
-every method of such a class (re-exported ones too) but the dunder ones
-Python calls, must be referenced somewhere in ``src/hprelu`` outside its
-own definition.  An import or an ``__all__`` entry is not a reference; the
-package's re-exports and the console entry point are called from outside.
+``ast`` scans of the package:
+
+- every module-level function or class, and every method of such a class
+  (re-exported ones too) but the dunder ones Python calls, must be
+  referenced somewhere in ``src/hprelu`` outside its own definition.  An
+  import or an ``__all__`` entry is not a reference; the package's
+  re-exports and the console entry point are called from outside;
+- every property, and every attribute a method stores on ``self``, must be
+  read in ``src/hprelu`` or ``perfbench`` (a property's own body aside);
+- every key the package writes into a network's ``meta`` must be read
+  there as ``meta[key]`` or ``meta.get(key)``.
 """
 
 import ast
@@ -43,3 +49,91 @@ def test_every_definition_has_a_caller():
     unused = [f"{mod}.{node.name}" for mod, node in named + methods
               if uses[node.name] == sum(n == node.name for n in _names(node))]
     assert unused == []
+
+
+# what the package and the benchmark read: ``x.name``, and
+# ``getattr(x, "name")`` / ``hasattr(x, "name")``
+READERS = sorted(SRC.glob("*.py")) + sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+# result records: their fields are what callers get back
+RECORDS = {"BuildReport", "ErrorReport", "FitResult", "NetworkStats", "RuleCheck"}
+
+# net.meta keys kept with no package reader, and why
+META_KEPT = {
+    "levels": "the README documents it: the product net's sawtooth depth",
+    "h1_err": "a basis net's measured H1 error, input to a composed certificate",
+    "measured_dsup": "a piecewise net's measured derivative error, for the error ledger",
+}
+
+
+def _reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def _stored(trees):
+    """(qualified name, attribute, property body or None) per class member
+    that holds a value: each property, and each ``self.x`` a method sets."""
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in RECORDS:
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if any(isinstance(dec, ast.Name) and dec.id == "property"
+                       for dec in fn.decorator_list):
+                    yield f"{mod}.{cls.name}.{fn.name}", fn.name, fn
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        yield f"{mod}.{cls.name}.{node.attr}", node.attr, None
+
+
+def test_every_attribute_has_a_reader():
+    trees = {f.stem: ast.parse(f.read_text()) for f in sorted(SRC.glob("*.py"))}
+    reads = collections.Counter(
+        n for f in READERS for n in _reads(ast.parse(f.read_text())))
+    unread = sorted({qual for qual, attr, body in _stored(trees)
+                     if reads[attr] == (sum(n == attr for n in _reads(body)) if body else 0)})
+    assert unread == []
+
+
+def _is_meta(node):
+    return ((isinstance(node, ast.Name) and node.id == "meta")
+            or (isinstance(node, ast.Attribute) and node.attr == "meta"))
+
+
+def _meta_writes(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update" and _is_meta(node.func.value)):
+            yield from (kw.arg for kw in node.keywords)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and _is_meta(node.value) and isinstance(node.slice, ast.Constant)):
+            yield node.slice.value
+
+
+def _meta_reads(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and _is_meta(node.value) and isinstance(node.slice, ast.Constant)):
+            yield node.slice.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and _is_meta(node.func.value)
+              and node.args and isinstance(node.args[0], ast.Constant)):
+            yield node.args[0].value
+
+
+def test_every_meta_key_has_a_reader():
+    written = {k for f in SRC.glob("*.py") for k in _meta_writes(ast.parse(f.read_text()))}
+    read = {k for f in READERS for k in _meta_reads(ast.parse(f.read_text()))}
+    assert sorted(written - read - set(META_KEPT)) == []
+    assert set(META_KEPT) <= written

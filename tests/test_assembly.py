@@ -19,7 +19,7 @@ from hprelu.assembly import (
     quad_cells,
 )
 from hprelu.basis import build_basis
-from hprelu.calculus import _pm_stack, concat, parallel
+from hprelu.calculus import _pm_stack, concat, depth_align, full_parallel, parallel
 from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.emulation import plan_budget, product_net
 from hprelu.mesh import TensorMesh
@@ -60,6 +60,12 @@ def _small_net(eps=1e-2):
     if key not in _CACHE:
         _CACHE[key] = build_phi_eps_c(_corner_interp(), eps)
     return _CACHE[key]
+
+
+def _basis_stage(net):
+    """The basis stage of a compiled net, rebuilt from its basis nets."""
+    nets = net.meta["compiled_parts"]["nets"]
+    return full_parallel([parallel(depth_align(nets))] * net.input_dim)
 
 
 # -------------------------------------------------------------------- plans
@@ -156,18 +162,21 @@ def test_tiled_stage_matches_calculus_fold():
 def test_structural_counts():
     interp = _corner_interp()
     net = _small_net()
-    d = interp.dim
-    assert net.meta["tuples"] == interp.N1d ** d
-    assert net.meta["selector_nnz"] == d
-    assert net.depth == (net.meta["depth_basis"]
-                         + net.meta["depth_product"] + 2)
-    assert net.size <= net.meta["size_bound"]
+    d, T = interp.dim, interp.N1d ** interp.dim
+    parts, phi_basis = net.meta["compiled_parts"], _basis_stage(net)
+    pi, head = parts["pi"], np.count_nonzero(parts["vmat"])
+    assert (net.meta["depth_basis"], net.meta["depth_product"]) == (phi_basis.depth, pi.depth)
+    assert net.depth == phi_basis.depth + pi.depth + 2
+    # concat's size bound on head . (tuple stage . basis stage), the tuple
+    # stage holding T copies of pi with d selector weights each
+    assert net.size <= 2 * head + 2 * (2 * T * (pi.size + d) + 2 * phi_basis.size)
     # selector rows pick one basis output each (doubled by the concat
     # interface); d picks per tuple copy, two copies per tuple
     sel_layer = net.layers[net.meta["depth_basis"]]
     nnz = np.bincount(sel_layer.row_idx, minlength=sel_layer.rows)
     assert np.all(nnz == 2)
-    assert len(sel_layer.vals) == 4 * d * net.meta["tuples"]
+    assert sel_layer.rows == 2 * d * T
+    assert len(sel_layer.vals) == 4 * d * T
 
 
 def test_compile_rows_share_the_mesh():
@@ -272,7 +281,7 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
     interp = HpInterpolant(mesh, p, rng.uniform(-1.0, 1.0, (N,) * dim))
     net = build_phi_eps_c(interp, 1e-1)
     ax = mesh.axes[0]
-    axes = [np.linspace(ax.lo, ax.hi, n)] * dim
+    axes = [np.linspace(ax.nodes[0], ax.nodes[-1], n)] * dim
     want_v, want_g = per_cell_field(net, axes)
     f = compiled_field(net)
     # bit for bit, the signs of zeros included
@@ -308,7 +317,7 @@ def test_packing_drops_the_zero_tuples():
     interp = _zero_cell_interp()
     net = build_phi_eps_c(interp, 1e-1)
     rt = deserialize(serialize(net))
-    T = net.meta["tuples"]
+    T = interp.N1d ** interp.dim
     kept = np.flatnonzero(interp.vvec())
     assert 0 < len(kept) < T
     rows = packed_rows(rt.packed())
@@ -354,7 +363,7 @@ def test_compiled_field_on_a_zero_cell():
 def _stage(net):
     """The packed single-tuple stage the compiled field of ``net`` runs by
     lanes."""
-    d = net.meta["dim"]
+    d = net.input_dim
     pi = net.meta["compiled_parts"]["pi"]
     layers = _tiled_tuple_stage(pi, np.arange(d)[None, :], d).layers
     return NeuralNetwork(d, layers[:-1] + (_pm_stack(layers[-1]),)).packed()
@@ -452,7 +461,7 @@ def test_build_f_constant_is_cheap():
     assert rep.ell <= 1
     assert rep.certified
     assert rep.h1_error <= 1e-2
-    assert net.meta["dim"] == 2
+    assert net.input_dim == 2
 
 
 def test_build_f_singular_certifies():
@@ -466,7 +475,7 @@ def test_build_f_singular_certifies():
         assert r.hp_h1_error <= 0.5 * eps
     # tighter targets need deeper grading and larger nets
     assert rep.ell > rep_coarse.ell
-    assert rep.nn_size > net.meta["size_basis"]
+    assert rep.nn_size > _basis_stage(net).size
 
 
 def test_build_f_grid_check_envelope():
@@ -482,9 +491,9 @@ def test_build_f_reports_cap():
         build_phi_eps_f(u, 2, 1e-3, NetConfig(ell_max=1))
 
 
-def _poly_u():
+def _poly_u(s=1.0):
     return analytic_fn(2, "polynomial",
-                       {"axis_coeffs": [[0.3, 0.4, 0.8], [-0.2, 1.0, 0.5]]})
+                       {"axis_coeffs": [[s * 0.3, s * 0.4, s * 0.8], [-0.2, 1.0, 0.5]]})
 
 
 def test_vector_identical_rows():
@@ -502,7 +511,7 @@ def test_vector_identical_rows():
 
 def test_vector_scaling_row():
     u = _poly_u()
-    net, reps = build_vector([u, u * 2.0], 2, 1e-2)
+    net, reps = build_vector([u, _poly_u(2.0)], 2, 1e-2)
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, size=(80, 2))
     out = realize_batch(net, pts)
@@ -526,7 +535,7 @@ def test_vector_three_singular_certified():
 
 def test_vector_grid_check_covers_every_row():
     u = _poly_u()
-    net, reps = build_vector([u, u * 2.0], 2, 1e-2)
+    net, reps = build_vector([u, _poly_u(2.0)], 2, 1e-2)
     interp = net.meta["compiled_parts"]["interp"]
     assert net.output_dim == 2
     assert_linf_envelope(net, interp, reps[0].plan, 7)

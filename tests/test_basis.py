@@ -27,6 +27,16 @@ def test_piecewise_validation():
         PiecewisePolynomial([0.0, 1.0], [[1.0], [1.0]])
 
 
+def _coeffs(b):
+    return [tuple(c) for c in b.ref_coeffs]
+
+
+def _bubbles(ax, bs):
+    """(interval, mode, function) per bubble: the bubbles follow the hats,
+    and mode m has the m coefficients of zeta_coeffs(m)."""
+    return [(b.support[0], len(b.ref_coeffs[0]), b) for b in bs[len(ax.nodes):]]
+
+
 def test_basis_count_and_order():
     ax = geometric_mesh(0.5, 3)
     p = 4
@@ -34,20 +44,23 @@ def test_basis_count_and_order():
     assert len(bs) == basis_count(ax, p) == (3 + 1) * 4 + 1
     n_nodes = len(ax.nodes)
     for j, b in enumerate(bs[:n_nodes]):
-        assert b.kind == "hat" and b.node == j
+        # hat j: the rising half on interval j-1, the falling half on j
+        halves = [(k, z) for k, z in ((j - 1, 1), (j, 2)) if 0 <= k < ax.n_intervals]
+        assert b.support == tuple(k for k, _ in halves)
+        assert _coeffs(b) == [zeta_coeffs(z) for _, z in halves]
     i = n_nodes
     for k in range(ax.n_intervals):
         for m in range(3, p + 2):
-            assert bs[i].kind == "bubble"
-            assert bs[i].interval == k and bs[i].mode == m
+            assert bs[i].support == (k,)
+            assert _coeffs(bs[i]) == [zeta_coeffs(m)]
             i += 1
 
 
 def test_hats_partition_of_unity():
     ax = multipatch_axis(0.5, 2)
     bs = build_basis(ax, 3)
-    hats = [b for b in bs if b.kind == "hat"]
-    x = np.linspace(ax.lo, ax.hi, 357)
+    hats = bs[:len(ax.nodes)]
+    x = np.linspace(ax.nodes[0], ax.nodes[-1], 357)
     total = sum(b(x) for b in hats)
     np.testing.assert_allclose(total, 1.0, atol=1e-13)
 
@@ -63,11 +76,11 @@ def test_nodal_property():
     ax = geometric_mesh(0.5, 2)
     bs = build_basis(ax, 3)
     nodes = ax.nodes
-    for b in bs:
+    for j, b in enumerate(bs):
         vals = b(nodes)
-        if b.kind == "hat":
+        if j < len(nodes):
             expect = np.zeros(len(nodes))
-            expect[b.node] = 1.0
+            expect[j] = 1.0
             np.testing.assert_allclose(vals, expect, atol=1e-15)
         else:
             np.testing.assert_allclose(vals, 0.0, atol=1e-15)
@@ -76,12 +89,10 @@ def test_nodal_property():
 
 def test_bubble_h1_seminorm_closed_form():
     ax = geometric_mesh(0.5, 3)
-    for b in build_basis(ax, 5):
-        if b.kind != "bubble":
-            continue
-        h = np.diff(ax.nodes)[b.interval]
+    for k, m, b in _bubbles(ax, build_basis(ax, 5)):
+        h = np.diff(ax.nodes)[k]
         assert b.h1_seminorm == pytest.approx(
-            1.0 / np.sqrt(h * (2 * b.mode - 3)), rel=1e-12)
+            1.0 / np.sqrt(h * (2 * m - 3)), rel=1e-12)
 
 
 def test_hat_norms_closed_form():
@@ -91,17 +102,14 @@ def test_hat_norms_closed_form():
     # interior hat at node 1 spans intervals 0 and 1
     b = bs[1]
     assert b.h1_seminorm == pytest.approx(np.sqrt(1 / w[0] + 1 / w[1]), rel=1e-12)
-    assert b.l2_norm == pytest.approx(np.sqrt((w[0] + w[1]) / 3), rel=1e-12)
+    assert b.norms()[0] == pytest.approx(np.sqrt((w[0] + w[1]) / 3), rel=1e-12)
 
 
 def test_bubble_l2_independent_oracle():
     ax = geometric_mesh(0.5, 1)
-    bs = build_basis(ax, 4)
-    for b in bs:
-        if b.kind != "bubble":
-            continue
+    for k, _, b in _bubbles(ax, build_basis(ax, 4)):
         c = np.array(b.ref_coeffs[0])
         sq = P.polymul(c, c)
         integral = P.polyval(1.0, P.polyint(sq)) - P.polyval(-1.0, P.polyint(sq))
-        h = np.diff(ax.nodes)[b.interval]
-        assert b.l2_norm == pytest.approx(np.sqrt(0.5 * h * integral), rel=1e-11)
+        h = np.diff(ax.nodes)[k]
+        assert b.norms()[0] == pytest.approx(np.sqrt(0.5 * h * integral), rel=1e-11)

@@ -152,7 +152,6 @@ def test_product_meta_reports_budget():
     net = product_net(3, plan_budget(3, eps, 1.0))
     assert net.meta["value_err"] <= eps
     assert net.meta["deriv_err"] <= eps
-    assert net.meta["size_constant"] > 0
 
 
 def test_product_matches_inorder():
@@ -183,7 +182,6 @@ def test_pwpoly_random_nodal_exact():
                                       int(rng.integers(1, 7)))
         net = pwpoly_net(v, 1e-2)
         got = realize_batch(net, v.nodes[:, None])[:, 0]
-        assert np.array_equal(got, np.asarray(net.meta["node_values"]))
         assert np.max(np.abs(got - v.node_values())) == 0.0
 
 
@@ -217,7 +215,7 @@ def test_pwpoly_sup_and_deriv_budget():
     v = random_continuous_pwpoly(rng, 3, 4)
     eps = 1e-3
     net = pwpoly_net(v, eps)
-    scale = net.meta["scale"]
+    scale = max(1, *v.sup_bounds())
     assert net.meta["measured_sup"] <= eps * scale
     assert net.meta["measured_dsup"] <= eps * scale
 
