@@ -3,7 +3,10 @@
 The hashes were recorded before the square-chain emitters were merged into
 one; any refactor of the emulation or assembly code must leave every one of
 them unchanged.  p = 2 reaches the degree-0 bubble tail and p = 6 the
-non-final Horner stage of a bubble branch.
+non-final Horner stage of a bubble branch.  ``MEASURED`` pins the
+``float.hex`` of the measured sup, derivative sup and H1 errors that
+``basis_net`` records, so a change to the measurement pass cannot move
+them unseen.
 """
 
 import hashlib
@@ -12,7 +15,7 @@ import pytest
 
 from hprelu.assembly import build_phi_eps_c
 from hprelu.basis import build_basis
-from hprelu.catalog import corner_singular
+from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.emulation import basis_net, plan_budget, product_net, pwpoly_net
 from hprelu.mesh import TensorMesh
 from hprelu.network import serialize
@@ -122,6 +125,32 @@ PINNED = {
     "pwpoly_p6_18": "175c83f78974cc134e927639bf656c9e5830895cbd6e023244671e98e0fd6c2b",
     "basis_p6_18": "0745d4d8426c4231dc2a550b3bd99aca531aa60a24ec4ec1c9af960bb554105c",
     "phi_eps_c_corner": "2602f583b7ed90ce073ca9492b325ce3db9038260c196c854e5f083766f53fc8",
+    "phi_eps_c_corner_3d": "09bcb964a3f2e9b8a96bdae044f93f60d86d8dd47f4ec1f0756a8f75001da9a5",
+    "phi_eps_c_two_rows": "121769ef47932d0668c39ad635baa5206519171638464224102dcf8830981bad",
+}
+
+# measured_sup, measured_dsup, h1_err of basis_net(bf, 1e-2)
+MEASURED = {
+    "basis_p2_0": "0x1.0000000000000p-53 0x0.0p+0 0x1.0cab6728baa4dp-56",
+    "basis_p2_1": "0x1.0000000000000p-54 0x0.0p+0 0x1.098f0f834faadp-56",
+    "basis_p2_2": "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "basis_p2_3": "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "basis_p2_4": "0x1.f6eb100000000p-35 0x1.bce4217d30000p-15 0x1.1d16793d56f6cp-16",
+    "basis_p2_5": "0x1.f6eb000000000p-35 0x1.bce4217d40000p-15 0x1.1d16793d4d808p-16",
+    "basis_p2_6": "0x1.f6eb000000000p-35 0x1.bce4217d40000p-16 0x1.932ccdd0eb3c6p-17",
+    "basis_p4_0": "0x1.0000000000000p-53 0x0.0p+0 0x1.0cab6728baa4dp-56",
+    "basis_p4_1": "0x1.0000000000000p-54 0x0.0p+0 0x1.098f0f834faadp-56",
+    "basis_p4_2": "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "basis_p4_3": "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "basis_p4_4": "0x1.f6eb100000000p-35 0x1.bce4217d30000p-15 0x1.1d16793d56f6cp-16",
+    "basis_p4_5": "0x1.fd813c8000000p-31 0x1.0d215948c0000p-11 0x1.ddb40ab007be1p-14",
+    "basis_p4_6": "0x1.fb1bfa0000000p-33 0x1.79e94f9936000p-12 0x1.1dbf4c44ebdc5p-14",
+    "basis_p4_7": "0x1.f6eb000000000p-35 0x1.bce4217d40000p-15 0x1.1d16793d4d808p-16",
+    "basis_p4_8": "0x1.fd81360000000p-31 0x1.0d215948c6000p-11 0x1.ddb40ab006bfbp-14",
+    "basis_p4_9": "0x1.fb1bc40000000p-33 0x1.79e94f9924000p-12 0x1.1dbf4c44f1c3bp-14",
+    "basis_p4_10": "0x1.f6eb000000000p-35 0x1.bce4217d40000p-16 0x1.932ccdd0eb3c6p-17",
+    "basis_p4_11": "0x1.fd81360000000p-31 0x1.0d215948c6000p-12 0x1.51c98831894a2p-14",
+    "basis_p4_12": "0x1.fb1bc40000000p-33 0x1.79e94f9924000p-13 0x1.941b8ec114881p-15",
 }
 
 
@@ -147,13 +176,31 @@ def test_product_hashes(d):
 @pytest.mark.parametrize("p", [1, 2, 4, 6])
 def test_basis_hashes(p):
     got = {}
+    measured = {}
     for i, bf in enumerate(build_basis(TensorMesh.cube(0.5, 2, 1).axes[0], p)):
         got[f"pwpoly_p{p}_{i}"] = _sha(pwpoly_net(bf, 1e-3))
-        got[f"basis_p{p}_{i}"] = _sha(basis_net(bf, 1e-2))
+        net = basis_net(bf, 1e-2)
+        got[f"basis_p{p}_{i}"] = _sha(net)
+        measured[f"basis_p{p}_{i}"] = " ".join(
+            float.hex(net.meta[k]) for k in ("measured_sup", "measured_dsup", "h1_err"))
     _check(got)
+    if p in (2, 4):
+        assert measured == {k: MEASURED[k] for k in measured}
 
 
 def test_compiled_hash():
     interp = hp_interpolate(corner_singular(2, 0.5), TensorMesh.cube(0.5, 2, 2), 2)
     _check({"phi_eps_c_corner": _sha(build_phi_eps_c(interp, 1e-2))})
 
+
+
+def test_compiled_hash_3d():
+    interp = hp_interpolate(corner_singular(3, 0.8), TensorMesh.cube(0.5, 1, 3), 2)
+    _check({"phi_eps_c_corner_3d": _sha(build_phi_eps_c(interp, 1e-1))})
+
+
+def test_compiled_hash_two_rows():
+    mesh = TensorMesh.cube(0.5, 2, 2)
+    interp = hp_interpolate(corner_singular(2, 0.5), mesh, 2)
+    other = hp_interpolate(analytic_fn(2, "trig", {"freq": [1.0, 2.0]}), mesh, 2)
+    _check({"phi_eps_c_two_rows": _sha(build_phi_eps_c(interp, 1e-2, rows=[interp, other]))})
