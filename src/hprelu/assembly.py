@@ -3,10 +3,11 @@
 The compiled net is a three-stage composition: per-axis basis networks in
 full parallel (d inputs, d*N outputs), one product subnet per coefficient
 tuple fed through a d-nonzero selector, and a final affine row carrying
-the flattened coefficients.  The tuple stage is emitted as tiled triplet
-arrays rather than by folding the calculus ops one tuple at a time; the
-result is bit-identical to the calculus path (a test asserts this) but
-builds in O(T) vectorized steps.
+the flattened coefficients.  The tuple stage is the one-tuple stage
+``concat(pi, identity_net(d, 1))`` tiled T times: copy t reads its
+tuple's basis outputs, every later layer is block-diagonal.  It equals
+the calculus fold parallel(concat(pi, selector_t) for t) byte for byte (a
+test asserts this) but builds in one vectorized step per layer.
 
 Budget split: coefficient mass ‖c‖_1 times the basis accuracy eps1 (raised
 to the tensor rank) must cover half the target, the product accuracy eps2
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .calculus import _pm_stack, concat, depth_align, full_parallel, parallel
+from .calculus import (_pm_stack, concat, depth_align, full_parallel,
+                       identity_net, parallel)
 from .emulation import ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
 from .mesh import TensorMesh
@@ -150,38 +152,19 @@ def _tuple_selectors(N, d, T):
 
 
 def _tiled_tuple_stage(pi, sel, cols_in):
-    """Selector-fed copies of the product net, one per row of ``sel``, laid
-    out exactly as parallel(concat(pi, selector_t) for t) would produce."""
+    """T = len(sel) side-by-side copies of the one-tuple stage
+    ``concat(pi, identity_net(d, 1))`` on a ``cols_in``-wide input: copy t's
+    first layer, the (+,-) selector, reads the columns ``sel[t]``, and every
+    later layer is tiled block-diagonally.  This is
+    parallel(concat(pi, selector_t) for t) byte for byte."""
     T, d = sel.shape
-    t_arange = np.arange(T)
-
-    # selector interface: (E; -E) per tuple
-    rows = (t_arange[:, None] * 2 * d + np.arange(2 * d)[None, :]).ravel()
-    cols = np.hstack([sel, sel]).ravel()
-    vals = np.tile(np.concatenate([np.ones(d), -np.ones(d)]), T)
-    bias = np.tile(np.concatenate([np.zeros(d), -np.zeros(d)]), T)
-    layers = [Layer(2 * d * T, cols_in, rows, cols, vals, bias)]
-
-    # product first layer with doubled columns
-    lay = pi.layers[0]
-    h1 = lay.rows
-    r = lay.row_idx
-    c = lay.col_idx
-    v = lay.vals
-    rows_t = (t_arange[:, None] * h1 + r[None, :])
-    cols_p = (t_arange[:, None] * 2 * d + c[None, :])
-    rows = np.hstack([rows_t, rows_t]).ravel()
-    cols = np.hstack([cols_p, cols_p + d]).ravel()
-    vals = np.hstack([np.tile(v, (T, 1)), np.tile(-v, (T, 1))]).ravel()
-    layers.append(Layer(h1 * T, 2 * d * T, rows, cols, vals, np.tile(lay.bias, T)))
-
-    w_prev = h1
-    for lay in pi.layers[1:]:
-        rows = ((t_arange[:, None] * lay.rows) + lay.row_idx[None, :]).ravel()
-        cols = ((t_arange[:, None] * w_prev) + lay.col_idx[None, :]).ravel()
-        layers.append(Layer(lay.rows * T, w_prev * T, rows, cols,
+    t = np.arange(T)[:, None]
+    layers = []
+    for k, lay in enumerate(concat(pi, identity_net(d, 1)).layers):
+        cols = sel[:, lay.col_idx] if k == 0 else t * lay.cols + lay.col_idx
+        layers.append(Layer(T * lay.rows, cols_in if k == 0 else T * lay.cols,
+                            t * lay.rows + lay.row_idx, cols,
                             np.tile(lay.vals, T), np.tile(lay.bias, T)))
-        w_prev = lay.rows
     return NeuralNetwork(cols_in, layers)
 
 
@@ -351,7 +334,7 @@ class _CompiledField:
         self.N = interp.N1d
         # the selector stays: its ReLUs zero the jacobian wherever a basis
         # value is exactly zero
-        stage = _tiled_tuple_stage(parts["pi"], np.arange(d)[None, :], d).layers
+        stage = concat(parts["pi"], identity_net(d, 1)).layers
         stage = NeuralNetwork(d, stage[:-1] + (_pm_stack(stage[-1]),))
         self._width = max(lay.rows for lay in stage.layers)
         self._rows, self._steps = _lane_plan(stage.packed(), d)

@@ -47,19 +47,22 @@ def _jobs(flag):
     return jobs
 
 
-# The type argparse gives each flag: a config file (and its "params") must
-# give the flag's key a value of that type, and a boolean is none of them.
-# The list-valued catalog parameters have no flag; they take lists of
-# finite numbers (axis_coeffs one list per axis).
+# The keys a config file may hold, each with the type argparse gives its
+# flag, and the catalog parameters its "params" may hold.  A value must
+# have its key's type, and a boolean is none of them; any other key is
+# rejected.  The list-valued catalog parameters have no flag; they take
+# lists of finite numbers (axis_coeffs one list per axis).
 _KINDS = {int: "an integer", float: "a finite number", str: "a string",
           dict: "an object", list: "a list of finite numbers",
           "lists": "a list of lists of finite numbers"}
 _CONFIG_TYPES = {
-    "dim": int, "ell_max": int, "axis": int, "func": str, "ell": str,
-    "domain": str, "params": dict, "sigma": float, "cp": float,
-    "halfwidth": float, "eps": float, "lam": float, "lam_c": float,
-    "lam_e": float, "value": float, "corner": list, "freq": list,
-    "phase": list, "rate": list, "axis_coeffs": "lists"}
+    "dim": int, "ell_max": int, "func": str, "ell": str, "domain": str,
+    "params": dict, "sigma": float, "cp": float, "halfwidth": float,
+    "eps": float}
+_PARAM_TYPES = {
+    "axis": int, "lam": float, "lam_c": float, "lam_e": float,
+    "value": float, "corner": list, "freq": list, "phase": list,
+    "rate": list, "axis_coeffs": "lists"}
 
 
 def _typed(v, kind):
@@ -72,12 +75,14 @@ def _typed(v, kind):
     return type(v) is kind
 
 
-def _check_config(cfg, prefix=""):
-    for key in [k for k in _CONFIG_TYPES if k in cfg]:
-        kind, v = _CONFIG_TYPES[key], cfg[key]
-        if not _typed(v, kind):
+def _check_config(cfg, types, prefix=""):
+    for key, v in cfg.items():
+        if key not in types:
+            raise ValueError(f"unknown config key '{prefix}{key}'; expected "
+                             f"one of {', '.join(types)}")
+        if not _typed(v, types[key]):
             raise ValueError(f"config key '{prefix}{key}' must be "
-                             f"{_KINDS[kind]}, got {v!r}")
+                             f"{_KINDS[types[key]]}, got {v!r}")
 
 
 def _load_config(path):
@@ -87,8 +92,8 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    _check_config(cfg)
-    _check_config(cfg.get("params", {}), "params.")
+    _check_config(cfg, _CONFIG_TYPES)
+    _check_config(cfg.get("params", {}), _PARAM_TYPES, "params.")
     return cfg
 
 

@@ -21,7 +21,7 @@ from numpy.polynomial import polynomial as P
 
 from .basis import PiecewisePolynomial
 from .calculus import concat, depth_align, full_parallel, identity_net, parallel
-from .legendre import polyval
+from .legendre import gauss_rule, polyval
 from .network import Layer, NeuralNetwork, grad_realize_batch
 from .network import realize_batch  # noqa: F401  (perfbench/spans.py wraps it)
 
@@ -51,21 +51,11 @@ class ToleranceBudget:
                 f"input box half-width M must be a finite number >= 1, got {self.M!r}")
 
 
-def _sq_value_err(m):
-    return 2.0 ** (-2 * m - 2)
-
-
-def _sq_deriv_err(m):
-    return 2.0 ** (-m)
-
-
-def _pair_value_err(m, M):
-    """|binary product - xy| on the M-box (three squares, scale 2M^2)."""
-    return 6.0 * M * M * _sq_value_err(m)
-
-
-def _pair_deriv_err(m, M):
-    return 2.0 * M * _sq_deriv_err(m)
+def _pair_err(m, M):
+    """Worst-case (value, derivative) error of the binary product on the
+    M-box at sawtooth depth m: three squares at scale 2M^2, each off by
+    2^(-2m-2) in value and 2^-m in slope."""
+    return 6.0 * M * M * 2.0 ** (-2 * m - 2), 2.0 * M * 2.0 ** (-m)
 
 
 class _LB:
@@ -217,7 +207,7 @@ def _tree_stats(d, m, M):
         mid = (lo + hi + 1) // 2
         A, B = rec(lo, mid), rec(mid, hi)
         Mn = max(A["R"], B["R"], 1.0)
-        dv, dd = _pair_value_err(m, Mn), _pair_deriv_err(m, Mn)
+        dv, dd = _pair_err(m, Mn)
         e = dv + A["R"] * B["e"] + B["P"] * A["e"]
         gA = dd * A["H"] + B["R"] * A["g"] + A["D"] * B["e"]
         gB = dd * B["H"] + A["R"] * B["g"] + B["D"] * A["e"]
@@ -278,7 +268,7 @@ def product_net(d, budget):
         a, b = depth_align([a, b])
         mn = max(ra, rb, 1.0)
         net = concat(_binary_core(m, mn), full_parallel([a, b]))
-        return net, ra * rb + _pair_value_err(m, mn)
+        return net, ra * rb + _pair_err(m, mn)[0]
 
     net = _binary_core(m, M) if d == 2 else build(0, d)[0]
     net.meta.update(levels=m, value_err=value_err, deriv_err=deriv_err)
@@ -301,7 +291,7 @@ def _horner_plan(coeffs, B, m):
     boxes = []
     for k in range(p - 2, -1, -1):
         Mk = max(B, R, 1.0)
-        dv, dd = _pair_value_err(m, Mk), _pair_deriv_err(m, Mk)
+        dv, dd = _pair_err(m, Mk)
         boxes.append(Mk)
         e_new = dv + B * e
         g_new = (dd + e) + dd * H + B * g
@@ -375,14 +365,14 @@ def _branch_errors(s, h, m):
     else:
         eh, gh_t, Rs, boxes = 0.0, 0.0, S0, []
     du = 2.0 / h
-    dv_i, dd_i = _pair_value_err(m, 2.0), _pair_deriv_err(m, 2.0)
+    dv_i, dd_i = _pair_err(m, 2.0)
     e_p = dv_i
     g_p = dd_i * (du + du)
     h_p = (2.0 + dd_i) * du * 2.0
     r_p = 4.0 + dv_i
     d_p = 8.0 / h
     mo = max(r_p, Rs + eh, 1.0)
-    dv_o, dd_o = _pair_value_err(m, mo), _pair_deriv_err(m, mo)
+    dv_o, dd_o = _pair_err(m, mo)
     hs = (2.0 / h) * (S1 + gh_t)
     gs = (2.0 / h) * gh_t
     ds = (2.0 / h) * S1
@@ -480,24 +470,36 @@ def _inner_outer_tail(layers, m, mo):
 _GRID_SHIFT = 0.3819660112501051
 
 
-def _measure_pw(net, v, interior=128):
-    """Dense-grid sup gaps (value everywhere, derivative off the nodes)."""
-    sup = dsup = 0.0
+def _measure_pw(net, v):
+    """Net-vs-record gaps (sup of the value gap, sup of the derivative
+    gap, H1 distance), one pass per piece: the sups on a shifted 128-point
+    grid plus two points next to the ends (the derivative off the nodes),
+    the H1 distance by a 4-point Gauss rule on 24 panels."""
+    gt, gw = gauss_rule(4)
+    sup = dsup = acc = 0.0
     for i in range(v.n_pieces):
         a, b = v.nodes[i], v.nodes[i + 1]
-        t = a + (b - a) * (np.arange(interior) + _GRID_SHIFT) / interior
+        t = a + (b - a) * (np.arange(128) + _GRID_SHIFT) / 128
         t = np.concatenate((t, [a + 1e-6 * (b - a), b - 1e-6 * (b - a)]))
-        pts = t[:, None]
-        vals, jac = grad_realize_batch(net, pts)
-        sup = max(sup, float(np.max(np.abs(vals[:, 0] - v(t)))))
-        dsup = max(dsup, float(np.max(np.abs(jac[:, 0, 0] - v.deriv(t)))))
-    return sup, dsup
+        edges = np.linspace(a, b, 25)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        x = np.concatenate((t, (mid[:, None] + half[:, None] * gt).ravel()))
+        vals, jac = grad_realize_batch(net, x[:, None])
+        dv, dg = vals[:, 0] - v(x), jac[:, 0, 0] - v.deriv(x)
+        n = len(t)
+        sup = max(sup, float(np.max(np.abs(dv[:n]))))
+        dsup = max(dsup, float(np.max(np.abs(dg[:n]))))
+        wts = (half[:, None] * gw).ravel()
+        acc += float(np.dot(wts, dv[n:] * dv[n:]) + np.dot(wts, dg[n:] * dg[n:]))
+    return sup, dsup, math.sqrt(acc)
 
 
 def pwpoly_net(v, epsilon):
     """Continuous piecewise polynomial as a ReLU net: exact at the nodes
     (hat carriers), certified sup/derivative error elsewhere, exactly 0
-    outside the node span on the side of any vanishing endpoint value."""
+    outside the node span on the side of any vanishing endpoint value.
+    ``net.meta`` records the measured sup, derivative sup and H1 gaps."""
     if not isinstance(v, PiecewisePolynomial):
         raise TypeError("expected a PiecewisePolynomial record")
     if not 0.0 < epsilon < 1.0:
@@ -521,18 +523,13 @@ def pwpoly_net(v, epsilon):
                 continue
             branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau))
             weights.append(1.0)
-        if not branches:
-            lb = _LB(1)
-            lb.row()
-            net = NeuralNetwork(1, [lb.done()])
-            net.meta.update(measured_sup=0.0, measured_dsup=0.0)
-            return net
-        aligned = depth_align(branches)
-        par = parallel(aligned)
-        lb = _LB(len(branches))
+        lb = _LB(max(1, len(branches)))
         lb.row(range(len(branches)), weights)
-        net = concat(NeuralNetwork(len(branches), [lb.done()]), par)
-        sup, dsup = _measure_pw(net, v)
+        net = NeuralNetwork(lb.in_cols, [lb.done()])
+        # the weighted sum of the branches; with none, the zero net
+        if branches:
+            net = concat(net, parallel(depth_align(branches)))
+        sup, dsup, h1 = _measure_pw(net, v)
         if max(sup, dsup) <= epsilon * scale:
             break
         tau *= 0.25
@@ -540,7 +537,7 @@ def pwpoly_net(v, epsilon):
         raise AssertionError(
             f"piecewise build missed its certified budget: {max(sup, dsup):.3e} "
             f"> {epsilon * scale:.3e}")
-    net.meta.update(measured_sup=sup, measured_dsup=dsup)
+    net.meta.update(measured_sup=sup, measured_dsup=dsup, h1_err=h1)
     return net
 
 
@@ -560,31 +557,12 @@ def basis_net(v, epsilon1):
     eps_pw = target / (2.0 * scale * math.sqrt(2.0 * span))
     for attempt in range(4):
         net = pwpoly_net(v, min(eps_pw, 0.5))
-        err = _h1_gap(net, v)
+        err = net.meta["h1_err"]
         if err <= target:
             break
         eps_pw *= 0.25
     if err > target:
         raise AssertionError(
             f"basis net H1 error {err:.3e} exceeds target {target:.3e}")
-    net.meta.update(h1_err=err)
     return net
 
-
-def _h1_gap(net, v, nsub=24, q=4):
-    """H1 distance net-vs-record by composite Gauss per piece."""
-    from .legendre import gauss_rule
-    t, w = gauss_rule(q)
-    acc = 0.0
-    for i in range(v.n_pieces):
-        a, b = v.nodes[i], v.nodes[i + 1]
-        edges = np.linspace(a, b, nsub + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-        wts = (half[:, None] * w[None, :]).ravel()
-        vals, jac = grad_realize_batch(net, pts[:, None])
-        dv = vals[:, 0] - v(pts)
-        dg = jac[:, 0, 0] - v.deriv(pts)
-        acc += float(np.dot(wts, dv * dv) + np.dot(wts, dg * dg))
-    return math.sqrt(acc)

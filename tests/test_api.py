@@ -62,7 +62,6 @@ RECORDS = {"BuildReport", "ErrorReport", "FitResult", "NetworkStats", "RuleCheck
 # net.meta keys kept with no package reader, and why
 META_KEPT = {
     "levels": "the README documents it: the product net's sawtooth depth",
-    "h1_err": "a basis net's measured H1 error, input to a composed certificate",
     "measured_dsup": "a piecewise net's measured derivative error, for the error ledger",
 }
 

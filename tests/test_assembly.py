@@ -146,15 +146,26 @@ def test_compiled_h1_gap_within_budget():
     assert rep.linf_error <= eps
 
 
-def test_tiled_stage_matches_calculus_fold():
-    d, N = 2, 3
+@pytest.mark.parametrize("d,las", [(2, None), (3, None), (2, (2, 3))],
+                         ids=["d2", "d3", "subset"])
+def test_tiled_stage_matches_calculus_fold(d, las):
+    # las=None: every tuple of N indices per axis, as the compile selects;
+    # otherwise a cell's live tuples as tests/helpers.py selects them, las[a]
+    # live indices on axis a at column offset offs[a]
+    N = 3
     pi = product_net(d, plan_budget(d, 1e-1, 2.0))
-    sel = _tuple_selectors(N, d, N ** d)
-    tiled = _tiled_tuple_stage(pi, sel, d * N)
+    if las is None:
+        sel, cols = _tuple_selectors(N, d, N ** d), d * N
+    else:
+        offs = np.concatenate(([0], np.cumsum(las)))
+        loc = np.stack(np.unravel_index(np.arange(np.prod(las)), las, order="F"),
+                       axis=1)
+        sel, cols = loc + offs[:-1], int(offs[-1])
+    tiled = _tiled_tuple_stage(pi, sel, cols)
     singles = []
-    for t in range(N ** d):
-        e = NeuralNetwork(d * N, [Layer(d, d * N, np.arange(d), sel[t],
-                                        np.ones(d), np.zeros(d))])
+    for s in sel:
+        e = NeuralNetwork(cols, [Layer(d, cols, np.arange(d), s,
+                                       np.ones(d), np.zeros(d))])
         singles.append(concat(pi, e))
     assert serialize(tiled) == serialize(parallel(singles))
 

@@ -125,12 +125,17 @@ def test_config_precedence(tmp_path):
     ({"dim": True}, "'dim'"), ({"params": {"lam": False}}, "'params.lam'"),
     ({"params": {"corner": 5}}, "'params.corner'"),
     ({"params": {"freq": [1, "2"]}}, "'params.freq'"),
-    ({"params": {"axis_coeffs": [1, 2]}}, "'params.axis_coeffs'")],
+    ({"params": {"axis_coeffs": [1, 2]}}, "'params.axis_coeffs'"),
+    ({"lam": 0.3}, "'lam'"), ({"sigmaa": 0.4}, "'sigmaa'"),
+    ({"params": {"lamm": 0.3}}, "'params.lamm'")],
     ids=["float-dim", "str-sigma", "list-params", "int-ell", "bool-dim",
-         "bool-lam", "int-corner", "str-freq", "flat-axis-coeffs"])
+         "bool-lam", "int-corner", "str-freq", "flat-axis-coeffs",
+         "top-level-lam", "unknown-key", "unknown-param"])
 def test_config_values_are_typed(tmp_path, capsys, entry, key):
-    # a config value of another type than its flag's is rejected, naming
-    # the key, instead of being coerced or failing deep in the build
+    # a config value of another type than its flag's, and a key no command
+    # reads (a catalog parameter outside "params" included), is rejected,
+    # naming the key, instead of being coerced, ignored or failing deep in
+    # the build
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"func": "corner", "ell": "1..2", **entry}))
     out = tmp_path / "o.csv"
