@@ -33,7 +33,7 @@ from .calculus import (_pm_stack, concat, depth_align, full_parallel,
                        identity_net, parallel)
 from .emulation import ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
-from .mesh import TensorMesh
+from .mesh import geometric_mesh
 from .network import Layer, NeuralNetwork, _grad_chunk, grad_realize_batch
 from .network import realize_batch  # noqa: F401  (perfbench/spans.py wraps it)
 from .projector import hp_interpolate, multipatch_interpolate
@@ -77,9 +77,6 @@ class NetConfig:
     ell_max: int = 12
     domain: str = "unit"
     halfwidth: float = 1.0
-    q_cal: int = 10
-    q_net: int = 8
-    cert_grade: int = 8
 
     def __post_init__(self):
         for key in ("c_p", "halfwidth"):
@@ -89,11 +86,15 @@ class NetConfig:
 
     @classmethod
     def for_dim(cls, dim):
-        """Defaults per dimension; 3d trims the measurement grids so the
-        tensor quadrature stays affordable."""
-        if dim >= 3:
-            return cls(q_cal=6, q_net=4, cert_grade=5)
+        """The defaults, as the measurement grids follow the interpolant
+        (``_grids``); perfbench/worker.py calls it."""
         return cls()
+
+
+def _grids(interp):
+    """(calibration order, certification order, cell grade) of the grids
+    that measure ``interp``; 3d trims them to keep the quadrature cheap."""
+    return (6, 4, 5) if interp.dim == 3 else (10, 8, 8)
 
 
 @dataclass
@@ -178,11 +179,11 @@ def build_phi_eps_c(interp, epsilon, rows=None):
     tolerance split covers the largest coefficient mass.
     """
     rows = [interp] if rows is None else rows
-    d, N, ax = interp.dim, interp.N1d, interp.mesh.axes[0]
+    d, N, ax = interp.dim, interp.N1d, interp.axis
     for r in rows:
         if (r.dim, r.p) != (d, interp.p) or not (
-                np.array_equal(r.mesh.axes[0].nodes, ax.nodes)
-                and np.array_equal(r.mesh.axes[0].singular, ax.singular)):
+                np.array_equal(r.axis.nodes, ax.nodes)
+                and np.array_equal(r.axis.singular, ax.singular)):
             raise ValueError("every row must share interp's mesh and degree")
     plan = plan_assembly(interp, epsilon, cl1=max(r.coeff_l1() for r in rows))
     check = (plan.epsilon1 * d * (plan.c_v_max + 1.0) ** d * plan.c_l1
@@ -224,24 +225,23 @@ _QUAD_RATIO = 0.25
 
 
 def quad_cells(interp, grade=8):
-    """Per-axis quadrature partitions: the mesh nodes with every singular
-    interval geometrically sub-refined toward its grading center.
+    """Per-axis quadrature partitions: the axis nodes with every singular
+    interval geometrically sub-refined toward its grading center, the same
+    array for each of the d axes.
 
     Plain Gauss panels settle slowly against the derivative blowup in the
     singular cells; grading the measurement cells (the mesh itself is
     untouched) restores a fast Richardson check."""
-    out = []
-    for ax in interp.mesh.axes:
-        pieces = [ax.nodes]
-        for k in np.nonzero(ax.singular)[0]:
-            xl, xr = ax.nodes[k], ax.nodes[k + 1]
-            steps = (xr - xl) * _QUAD_RATIO ** np.arange(1, grade + 1)
-            if k == 0 or xl == 0.0:
-                pieces.append(xl + steps)
-            else:
-                pieces.append(xr - steps)
-        out.append(np.unique(np.concatenate(pieces)))
-    return out
+    ax = interp.axis
+    pieces = [ax.nodes]
+    for k in np.nonzero(ax.singular)[0]:
+        xl, xr = ax.nodes[k], ax.nodes[k + 1]
+        steps = (xr - xl) * _QUAD_RATIO ** np.arange(1, grade + 1)
+        if k == 0 or xl == 0.0:
+            pieces.append(xl + steps)
+        else:
+            pieces.append(xr - steps)
+    return [np.unique(np.concatenate(pieces))] * interp.dim
 
 
 def _lane_plan(stage, d):
@@ -345,7 +345,7 @@ class _CompiledField:
         assert len(self._rows[self._out]) == stage.layers[-1].rows
         self._live = [np.array([i for i, bf in enumerate(interp.basis)
                                 if k in bf.support], dtype=np.int64)
-                      for k in range(interp.mesh.axes[0].n_intervals)]
+                      for k in range(interp.axis.n_intervals)]
         self._last = None
 
     def _tables(self, axes):
@@ -461,8 +461,8 @@ class _CompiledField:
                 a is b for a, b in zip(last[0], axes)):
             return last[1], last[2]
         segs = []
-        for ax, a in zip(self.interp.mesh.axes, axes):
-            ks = ax.find(np.asarray(a))
+        for a in axes:
+            ks = self.interp.axis.find(np.asarray(a))
             bounds = np.concatenate(
                 ([0], np.nonzero(np.diff(ks))[0] + 1, [len(ks)]))
             segs.append([(int(ks[lo]), slice(int(lo), int(hi)))
@@ -496,10 +496,9 @@ def compiled_field(net, row=0):
     return _CompiledField(parts, row)
 
 
-def _interpolate(u, dim, ell, p, cfg):
+def _interpolate(u, ell, p, cfg):
     if cfg.domain == "unit":
-        mesh = TensorMesh.cube(cfg.sigma, ell, dim)
-        return hp_interpolate(u, mesh, p)
+        return hp_interpolate(u, geometric_mesh(cfg.sigma, ell), p)
     if cfg.domain == "sym":
         return multipatch_interpolate(u, ell, p, sigma=cfg.sigma,
                                       halfwidth=cfg.halfwidth)
@@ -510,11 +509,12 @@ def _p_for(ell, cfg):
     return max(1, math.ceil(cfg.c_p * max(ell, 1)))
 
 
-def hp_error(u, interp, cfg):
+def hp_error(u, interp):
     """The calibration measurement: catalog function ``u`` against its
     interpolant on the graded cells, Richardson-settled."""
-    return h1_error(u, interp, quad_cells(interp, cfg.cert_grade),
-                    q=cfg.q_cal, max_doublings=2)
+    q_cal, _, grade = _grids(interp)
+    return h1_error(u, interp, quad_cells(interp, grade), q=q_cal,
+                    max_doublings=2)
 
 
 def build_vector(us, dim, epsilon, config=None):
@@ -532,9 +532,13 @@ def build_vector(us, dim, epsilon, config=None):
     stays below epsilon/4 so its coarser quadrature cannot threaten the
     total.
     """
-    cfg = config or NetConfig.for_dim(dim)
+    cfg = config or NetConfig()
     if not us:
         raise ValueError("need at least one function")
+    for u in us:
+        if u.dim != dim:
+            raise ValueError(f"function {u.name} has dimension {u.dim}, "
+                             f"but the build's dimension is {dim}")
     # the compile budget 0.5 * epsilon must lie in (0, 1); a NaN fails too
     if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 2.0):
         raise ValueError(f"epsilon must be a number in (0, 2), got {epsilon!r}")
@@ -544,8 +548,8 @@ def build_vector(us, dim, epsilon, config=None):
     best = (math.inf, None, None)
     for ell in range(cfg.ell_max + 1):
         p = _p_for(ell, cfg)
-        interps = [_interpolate(u, dim, ell, p, cfg) for u in us]
-        hp_reps = [hp_error(u, c, cfg) for u, c in zip(us, interps)]
+        interps = [_interpolate(u, ell, p, cfg) for u in us]
+        hp_reps = [hp_error(u, c) for u, c in zip(us, interps)]
         worst = max(r.h1_error for r in hp_reps)
         if worst < best[0]:
             best = (worst, ell, p)
@@ -556,9 +560,9 @@ def build_vector(us, dim, epsilon, config=None):
             f"calibration failed: best hp H1 error {best[0]:.3e} at "
             f"ell={best[1]}, p={best[2]} (cap ell_max={cfg.ell_max})")
     net = build_phi_eps_c(interps[0], 0.5 * epsilon, rows=interps)
+    _, q_net, grade = _grids(interps[0])
     dusts = [h1_error(interp, compiled_field(net, row=i),
-                      quad_cells(interp, cfg.cert_grade), q=cfg.q_net,
-                      max_doublings=0)
+                      quad_cells(interp, grade), q=q_net, max_doublings=0)
              for i, interp in enumerate(interps)]
     plan = net.meta["plan"]
     seconds = time.perf_counter() - t0

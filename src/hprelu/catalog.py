@@ -260,9 +260,25 @@ def fichera_extend(u):
     return WeightedFunction(d, val, der, f"extend({u.name})")
 
 
+# the parameters each registry key reads
+_SPEC_PARAMS = {
+    "corner": ("lam", "corner"), "edge": ("lam", "axis"),
+    "corner_edge": ("lam_c", "lam_e", "axis"), "polynomial": ("axis_coeffs",),
+    "trig": ("freq", "phase"), "exp": ("rate",), "constant": ("value",),
+    "fichera": ("lam",)}
+
+
 def from_spec(name, params, dim):
-    """CLI registry: build a catalog function from a string key and params."""
+    """CLI registry: build a catalog function from a string key and params.
+    A parameter the function does not read is rejected."""
+    if name not in _SPEC_PARAMS:
+        raise ValueError(f"unknown function {name!r}; available: "
+                         f"{', '.join(_SPEC_PARAMS)}")
     params = dict(params or {})
+    for key in params:
+        if key not in _SPEC_PARAMS[name]:
+            raise ValueError(f"function {name!r} reads no parameter {key!r}; "
+                             f"it reads {', '.join(_SPEC_PARAMS[name])}")
     if name == "corner":
         return corner_singular(dim, params.get("lam", 0.5), params.get("corner"))
     if name == "edge":
@@ -270,10 +286,6 @@ def from_spec(name, params, dim):
     if name == "corner_edge":
         return (corner_singular(dim, params.get("lam_c", 0.8))
                 + edge_singular(params.get("lam_e", 0.6), params.get("axis", 2), dim))
-    if name in ("polynomial", "trig", "exp", "constant"):
-        return analytic_fn(dim, name, params)
     if name == "fichera":
         return fichera_extend(corner_singular(dim, params.get("lam", 0.5)))
-    raise ValueError(
-        f"unknown function {name!r}; available: corner, edge, corner_edge, "
-        "polynomial, trig, exp, constant, fichera")
+    return analytic_fn(dim, name, params)

@@ -8,7 +8,6 @@ generated gnuplot script referencing the CSV, so no plotting dependency.
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -106,16 +105,14 @@ def _pick(flag, cfg, key, default):
     return default
 
 
-def _net_config(args, cfg, dim):
-    base = NetConfig.for_dim(dim)
-    fields = {
-        "sigma": _pick(args.sigma, cfg, "sigma", base.sigma),
-        "c_p": _pick(args.cp, cfg, "cp", base.c_p),
-        "domain": _pick(args.domain, cfg, "domain", base.domain),
-        "halfwidth": _pick(args.halfwidth, cfg, "halfwidth", base.halfwidth),
-        "ell_max": _pick(args.ell_max, cfg, "ell_max", base.ell_max),
-    }
-    return dataclasses.replace(base, **fields)
+def _net_config(args, cfg):
+    base = NetConfig()
+    return NetConfig(
+        sigma=_pick(args.sigma, cfg, "sigma", base.sigma),
+        c_p=_pick(args.cp, cfg, "cp", base.c_p),
+        domain=_pick(args.domain, cfg, "domain", base.domain),
+        halfwidth=_pick(args.halfwidth, cfg, "halfwidth", base.halfwidth),
+        ell_max=_pick(args.ell_max, cfg, "ell_max", base.ell_max))
 
 
 def _resolve_func(args, cfg, dim):
@@ -197,15 +194,15 @@ def cmd_hp_study(args):
     cfg = _load_config(args.config)
     dim = _pick(args.dim, cfg, "dim", 2)
     u, fname, params = _resolve_func(args, cfg, dim)
-    ncfg = _net_config(args, cfg, dim)
+    ncfg = _net_config(args, cfg)
     ells = _parse_ells(_pick(args.ell, cfg, "ell", "1..6"))
     jobs = _jobs(args.jobs)
 
     def study_row(ell):
         t0 = time.perf_counter()
         p = _p_for(ell, ncfg)
-        interp = _interpolate(u, dim, ell, p, ncfg)
-        rep = hp_error(u, interp, ncfg)
+        interp = _interpolate(u, ell, p, ncfg)
+        rep = hp_error(u, interp)
         return ell, p, interp, rep, time.perf_counter() - t0
 
     if jobs > 1 and len(ells) > 1:
@@ -245,7 +242,7 @@ def cmd_nn_build(args):
     cfg = _load_config(args.config)
     dim = _pick(args.dim, cfg, "dim", 2)
     u, fname, params = _resolve_func(args, cfg, dim)
-    ncfg = _net_config(args, cfg, dim)
+    ncfg = _net_config(args, cfg)
     eps = float(_pick(args.eps, cfg, "eps", 1e-2))
     net, rep = build_phi_eps_f(u, dim, eps, ncfg)
     with open(args.out, "w") as fh:

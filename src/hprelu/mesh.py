@@ -1,10 +1,11 @@
-"""Graded 1d meshes and their tensor products.
+"""Graded 1d meshes.
 
 An axis mesh is a sorted node array plus a per-interval flag marking the
 intervals that touch a grading center (where polynomial degree is forced
 down to 1).  Two constructors: a single geometric grading toward the left
 endpoint of (0,1), and a four-patch symmetric grading on (-a,a) toward
-{-a, 0, a}.
+{-a, 0, a}.  A d-dimensional mesh is d copies of one axis; the
+interpolant takes d from its function.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ __all__ = [
     "Axis1D",
     "geometric_mesh",
     "multipatch_axis",
-    "TensorMesh",
 ]
 
 
@@ -74,30 +74,4 @@ def multipatch_axis(sigma, ell, halfwidth=1.0):
     singular = np.zeros(4 * n, dtype=bool)
     singular[[0, 2 * n - 1, 2 * n, 4 * n - 1]] = True
     return Axis1D(nodes, singular, ell)
-
-
-class TensorMesh:
-    """Tensor product of d identical axis meshes."""
-
-    def __init__(self, axes):
-        axes = list(axes)
-        if not 1 <= len(axes) <= 3:
-            raise ValueError("supported dimensions: 1, 2, 3")
-        a0 = axes[0]
-        for ax in axes[1:]:
-            if len(ax.nodes) != len(a0.nodes) or not np.array_equal(ax.nodes, a0.nodes):
-                raise ValueError("axes must be identical")
-        self.axes = axes
-
-    @classmethod
-    def cube(cls, sigma, ell, dim):
-        return cls([geometric_mesh(sigma, ell) for _ in range(dim)])
-
-    @classmethod
-    def sym_cube(cls, sigma, ell, dim, halfwidth=1.0):
-        return cls([multipatch_axis(sigma, ell, halfwidth) for _ in range(dim)])
-
-    @property
-    def dim(self):
-        return len(self.axes)
 

@@ -4,10 +4,10 @@ The element operator matches traces at both endpoints and the first p-1
 weighted Legendre moments of the derivative: a hat's coefficient is a
 nodal value, a bubble's the moment (2n+1)(v', L_n) on the reference
 interval.  ``hp_interpolate`` is its one implementation, a single element
-being the one-interval, non-singular mesh.  The tensorization over a
-graded mesh is assembled pattern-by-pattern (trace vs moment per axis) on
-shared Gauss grids, with the quadrature order doubled until the
-coefficient array settles to 1e-12.
+being the one-interval, non-singular axis.  The tensorization over d
+copies of one graded axis, d the function's dimension, is assembled
+pattern-by-pattern (trace vs moment per axis) on shared Gauss grids, with
+the quadrature order doubled until the coefficient array settles to 1e-12.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import build_basis
 from .legendre import gauss_rule, legendre_table
-from .mesh import TensorMesh
+from .mesh import Axis1D, multipatch_axis
 
 __all__ = ["hp_interpolate", "multipatch_interpolate", "HpInterpolant"]
 
@@ -51,72 +51,61 @@ class _AxisQuad:
                 r += 1
 
 
-def _assemble(u, mesh, p, g):
-    axis = mesh.axes[0]
-    d = mesh.dim
+def _assemble(u, axis, p, g):
     n_nodes = len(axis.nodes)
-    n_int = axis.n_intervals
-    big_n = n_nodes + n_int * (p - 1)
+    coeffs = np.zeros((n_nodes + axis.n_intervals * (p - 1),) * u.dim)
+    # per kind of axis functional: its stations and its coefficient slots
+    kinds = {"node": (axis.nodes, np.arange(n_nodes))}
     quad = _AxisQuad(axis, p, g) if p > 1 else None
-    coeffs = np.zeros((big_n,) * d)
-    kinds = ("node", "bubble") if p > 1 and quad.weights.shape[0] else ("node",)
-    for pattern in itertools.product(kinds, repeat=d):
-        stations = [axis.nodes if k == "node" else quad.stations for k in pattern]
-        alpha = tuple(0 if k == "node" else 1 for k in pattern)
-        shape = tuple(len(s) for s in stations)
-        block = _eval_chunked(u, stations, alpha, shape)
+    if quad is not None and quad.weights.shape[0]:
+        kinds["bubble"] = (quad.stations, np.array(
+            [n_nodes + k * (p - 1) + (n - 1) for k, n in quad.rows]))
+    for pattern in itertools.product(kinds, repeat=u.dim):
+        stations = [kinds[k][0] for k in pattern]
+        alpha = tuple(int(k == "bubble") for k in pattern)
+        block = _eval_chunked(u, stations, alpha)
         # contract bubble axes with the moment weights
         for j, kind in enumerate(pattern):
             if kind == "bubble":
                 block = np.moveaxis(np.tensordot(quad.weights, block, axes=([1], [j])), 0, j)
-        idx = []
-        for kind in pattern:
-            if kind == "node":
-                idx.append(np.arange(n_nodes))
-            else:
-                rows = np.array([n_nodes + k * (p - 1) + (n - 1) for k, n in quad.rows])
-                idx.append(rows)
-        coeffs[np.ix_(*idx)] = block
+        coeffs[np.ix_(*[kinds[k][1] for k in pattern])] = block
     return coeffs
 
 
-def _eval_chunked(u, stations, alpha, shape):
-    d = len(stations)
+def _eval_chunked(u, stations, alpha):
+    shape = tuple(len(s) for s in stations)
     total = int(np.prod(shape))
-    grids = []
-    for j, s in enumerate(stations):
-        sh = [1] * d
-        sh[j] = len(s)
-        grids.append(s.reshape(sh))
+    grids = np.ix_(*stations)
     if total <= _CHUNK_ENTRIES or shape[0] <= 1:
         return np.broadcast_to(u.deriv(alpha, *grids), shape).copy()
     step = max(1, _CHUNK_ENTRIES // max(total // shape[0], 1))
     out = np.empty(shape)
     for lo in range(0, shape[0], step):
-        part = [grids[0][lo:lo + step]] + grids[1:]
         out[lo:lo + step] = np.broadcast_to(
-            u.deriv(alpha, *part), (min(step, shape[0] - lo),) + shape[1:])
+            u.deriv(alpha, grids[0][lo:lo + step], *grids[1:]),
+            (min(step, shape[0] - lo),) + shape[1:])
     return out
 
 
-def hp_interpolate(u, mesh, p):
-    """Tensor-product graded interpolant of u on the mesh, degree p per axis."""
-    if not isinstance(mesh, TensorMesh):
-        raise TypeError("mesh must be a TensorMesh")
-    if u.dim != mesh.dim:
-        raise ValueError("function dimension must match the mesh")
+def hp_interpolate(u, axis, p):
+    """Tensor-product graded interpolant of u on u.dim copies of ``axis``,
+    degree p per axis."""
+    if not isinstance(axis, Axis1D):
+        raise TypeError(f"axis must be an Axis1D, got {type(axis).__name__}")
+    if not 1 <= u.dim <= 3:
+        raise ValueError(f"supported dimensions: 1, 2, 3; got {u.dim}")
     if p < 1:
         raise ValueError("degree must be >= 1")
     g = max(p + 4, 20)
-    prev = _assemble(u, mesh, p, g)
+    prev = _assemble(u, axis, p, g)
     if p == 1:
-        return HpInterpolant(mesh, p, prev)
+        return HpInterpolant(axis, p, prev)
     for _ in range(_MAX_DOUBLINGS):
         g *= 2
-        cur = _assemble(u, mesh, p, g)
+        cur = _assemble(u, axis, p, g)
         rel = np.max(np.abs(cur - prev)) / (1.0 + np.max(np.abs(cur)))
         if rel < _REL_TOL:
-            return HpInterpolant(mesh, p, cur)
+            return HpInterpolant(axis, p, cur)
         prev = cur
     raise RuntimeError(
         f"coefficient assembly did not settle below {_REL_TOL:g} "
@@ -125,30 +114,31 @@ def hp_interpolate(u, mesh, p):
 
 def multipatch_interpolate(u, ell, p, sigma=0.5, halfwidth=1.0):
     """Interpolate on the symmetric four-patch-per-axis cube (-a, a)^d."""
-    mesh = TensorMesh.sym_cube(sigma, ell, u.dim, halfwidth)
-    return hp_interpolate(u, mesh, p)
+    return hp_interpolate(u, multipatch_axis(sigma, ell, halfwidth), p)
 
 
 class HpInterpolant:
-    """Continuous piecewise polynomial sum(c[i1..id] prod_j v_{i_j}(x_j))."""
+    """Continuous piecewise polynomial sum(c[i1..id] prod_j v_{i_j}(x_j)),
+    each v a basis function on the one ``axis``; d is ``coeffs.ndim``."""
 
-    def __init__(self, mesh, p, coeffs):
-        self.mesh = mesh
+    def __init__(self, axis, p, coeffs):
+        self.axis = axis
         self.p = int(p)
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        axis = mesh.axes[0]
         self.basis = build_basis(axis, self.p)
         self.N1d = len(self.basis)
-        if self.coeffs.shape != (self.N1d,) * mesh.dim:
-            raise ValueError("coefficient array shape mismatch")
+        shape = self.coeffs.shape
+        if not 1 <= len(shape) <= 3 or shape != (self.N1d,) * len(shape):
+            raise ValueError(f"coefficients must have shape (N1d,) * d with "
+                             f"N1d = {self.N1d} and d in 1..3, got {shape}")
 
     @property
     def dim(self):
-        return self.mesh.dim
+        return self.coeffs.ndim
 
     @property
     def ell(self):
-        return self.mesh.axes[0].ell
+        return self.axis.ell
 
     def vvec(self):
         """Coefficients flattened with the first axis index fastest."""
@@ -159,7 +149,7 @@ class HpInterpolant:
 
     def _axis_matrices(self, x, want_deriv=False):
         """Basis value (and derivative) matrices at 1d points x."""
-        axis = self.mesh.axes[0]
+        axis = self.axis
         x = np.asarray(x, dtype=np.float64)
         n_nodes = len(axis.nodes)
         p = self.p
@@ -193,12 +183,10 @@ class HpInterpolant:
         return self._contract(mats)
 
     def _contract(self, mats):
-        if self.dim == 1:
-            return np.einsum("si,i->s", mats[0], self.coeffs)
         t = np.tensordot(mats[0], self.coeffs, axes=([1], [0]))
-        if self.dim == 3:
-            t = np.einsum("sj,sjk->sk", mats[1], t)
-        return np.einsum("si,si->s", mats[-1], t)
+        for m in mats[1:]:
+            t = np.einsum("si,si...->s...", m, t)
+        return t
 
     def value_axes(self, axes_pts):
         """Values on the tensor grid of per-axis point lists."""

@@ -16,7 +16,7 @@ from hprelu.basis import PiecewisePolynomial
 from hprelu.calculus import concat
 from hprelu.catalog import WeightedFunction
 from hprelu.emulation import _chain_out, _square_chains
-from hprelu.mesh import Axis1D, TensorMesh
+from hprelu.mesh import Axis1D
 from hprelu.network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate
 
@@ -186,14 +186,14 @@ def per_cell_field(net, axes, row=0):
     vrow = parts["vmat"][row]
     d, N = interp.dim, interp.N1d
     live = [[i for i, bf in enumerate(interp.basis) if k in bf.support]
-            for k in range(interp.mesh.axes[0].n_intervals)]
+            for k in range(interp.axis.n_intervals)]
     zv, zd = [], []
     for a in axes:
         pairs = [grad_realize_batch(b, np.asarray(a, dtype=float)[:, None])
                  for b in parts["nets"]]
         zv.append(np.stack([v[:, 0] for v, _ in pairs]))
         zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
-    cells = [interp.mesh.axes[0].find(np.asarray(a)) for a in axes]
+    cells = [interp.axis.find(np.asarray(a)) for a in axes]
     shape = tuple(len(a) for a in axes)
     out = np.empty(shape)
     grad = np.empty(shape + (d,))
@@ -230,11 +230,11 @@ def per_cell_field(net, axes, row=0):
 
 def one_element(f, df, p):
     """Degree-p interpolant of f (derivative df) on the single element
-    (-1, 1): ``hp_interpolate`` on a one-interval, non-singular 1D mesh.
+    (-1, 1): ``hp_interpolate`` on a one-interval, non-singular axis.
     Its coefficients are the trace at -1, the trace at +1, then the moments
     (2n+1)(f', L_n) for n = 1..p-1."""
     u = WeightedFunction(1, f, lambda alpha, t: df(t), "element")
-    return hp_interpolate(u, TensorMesh([Axis1D([-1.0, 1.0], [False], 0)]), p)
+    return hp_interpolate(u, Axis1D([-1.0, 1.0], [False], 0), p)
 
 
 def square_net(levels):
@@ -252,8 +252,8 @@ def assert_linf_envelope(net, interp, plan, npts):
     L-infinity envelope (2^d + 1) * ||c||_1 (5% slack) on an npts^d grid
     of the interpolant's domain."""
     d = interp.dim
-    lo = interp.mesh.axes[0].nodes[0] + 1e-9
-    hi = interp.mesh.axes[0].nodes[-1] - 1e-9
+    lo = interp.axis.nodes[0] + 1e-9
+    hi = interp.axis.nodes[-1] - 1e-9
     axis = np.linspace(lo, hi, npts)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)

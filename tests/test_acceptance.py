@@ -21,7 +21,7 @@ from hprelu.metrics import fit_rate
 from hprelu.network import grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate
 from hprelu.verify import verify_calculus
-from hprelu.mesh import TensorMesh
+from hprelu.mesh import geometric_mesh
 from hprelu.legendre import polyder, polyval
 
 from helpers import one_element, random_continuous_pwpoly
@@ -51,11 +51,10 @@ def _end_to_end(dim, eps):
 def test_criterion_1_hp_convergence_2d():
     t0 = time.perf_counter()
     u = corner_singular(2, 0.5)
-    cfg = NetConfig()
     errs, ndofs = [], []
     for ell in range(1, 9):
-        interp = hp_interpolate(u, TensorMesh.cube(0.5, ell, 2), ell)
-        rep = hp_error(u, interp, cfg)
+        interp = hp_interpolate(u, geometric_mesh(0.5, ell), ell)
+        rep = hp_error(u, interp)
         errs.append(rep.h1_error)
         ndofs.append(interp.N1d ** 2)
     elapsed = time.perf_counter() - t0
@@ -77,8 +76,8 @@ def test_criterion_2_hp_convergence_3d():
     cfg = dataclasses.replace(NetConfig.for_dim(3), sigma=0.25)
     errs = []
     for ell in range(1, 5):
-        interp = _interpolate(u, 3, ell, ell, cfg)
-        rep = hp_error(u, interp, cfg)
+        interp = _interpolate(u, ell, ell, cfg)
+        rep = hp_error(u, interp)
         errs.append(rep.h1_error)
     elapsed = time.perf_counter() - t0
     fe = fit_rate(list(zip(range(1, 5), errs)), "exp_in_n")
@@ -202,8 +201,8 @@ def test_criterion_8_projector():
     funcs = [corner_singular(2, float(l)) for l in rng.uniform(0.3, 0.9, 2)]
     funcs.append(analytic_fn(2, "trig", {"freq": [2.0, 3.0], "phase": [0.3, 0.0]}))
     for u in funcs:
-        it = hp_interpolate(u, TensorMesh.cube(0.5, 2, 2), 3)
-        for xk in it.mesh.axes[0].nodes[1:-1]:
+        it = hp_interpolate(u, geometric_mesh(0.5, 2), 3)
+        for xk in it.axis.nodes[1:-1]:
             left = it.value(np.column_stack([np.full_like(ys, xk - eta), ys]))
             right = it.value(np.column_stack([np.full_like(ys, xk + eta), ys]))
             cont = max(cont, float(np.max(np.abs(left - right))))

@@ -1,6 +1,7 @@
 """Compilation of interpolants into networks and the end-to-end builders."""
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from hprelu.basis import build_basis
 from hprelu.calculus import _pm_stack, concat, depth_align, full_parallel, parallel
 from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.emulation import plan_budget, product_net
-from hprelu.mesh import TensorMesh
+from hprelu.mesh import geometric_mesh, multipatch_axis
 from hprelu.metrics import h1_error
 from hprelu.network import (
     Layer,
@@ -43,7 +44,7 @@ def _corner_interp(ell=2, p=2, lam=0.5, sigma=0.5, dim=2):
     key = ("interp", ell, p, lam, sigma, dim)
     if key not in _CACHE:
         u = corner_singular(dim, lam)
-        _CACHE[key] = hp_interpolate(u, TensorMesh.cube(sigma, ell, dim), p)
+        _CACHE[key] = hp_interpolate(u, geometric_mesh(sigma, ell), p)
     return _CACHE[key]
 
 
@@ -109,7 +110,7 @@ def test_plan_validation():
 
 def test_zero_coefficients_realize_to_zero():
     base = _corner_interp(ell=1, p=1)
-    interp = HpInterpolant(base.mesh, 1, np.zeros_like(base.coeffs))
+    interp = HpInterpolant(base.axis, 1, np.zeros_like(base.coeffs))
     net = build_phi_eps_c(interp, 1e-2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 1.5, size=(200, 2))
@@ -122,7 +123,7 @@ def test_single_hat_coefficient_matches_product():
     base = _corner_interp(ell=1, p=1)
     coeffs = np.zeros_like(base.coeffs)
     coeffs[1, 1] = 1.0
-    interp = HpInterpolant(base.mesh, 1, coeffs)
+    interp = HpInterpolant(base.axis, 1, coeffs)
     net = build_phi_eps_c(interp, 1e-2)
     hat = interp.basis[1]
     x = np.linspace(0.0, 1.0, 41)
@@ -200,7 +201,7 @@ def test_compile_rows_share_the_mesh():
 
 def test_compile_respects_sup_precondition():
     base = _corner_interp(ell=1, p=1)
-    interp = HpInterpolant(base.mesh, 1, base.coeffs)
+    interp = HpInterpolant(base.axis, 1, base.coeffs)
 
     class Tall:
         h1_norm = 1.0
@@ -222,7 +223,7 @@ def test_quad_cells_unit_axis():
     cells = quad_cells(interp, grade=4)
     assert len(cells) == 2
     for c in cells:
-        nodes = interp.mesh.axes[0].nodes
+        nodes = interp.axis.nodes
         assert np.all(np.isin(nodes, c))
         assert np.all(np.diff(c) > 0)
         # only the innermost interval is refined
@@ -232,11 +233,10 @@ def test_quad_cells_unit_axis():
 
 def test_quad_cells_symmetric_axis():
     u = corner_singular(2, 0.6)
-    mesh = TensorMesh.sym_cube(0.5, 1, 2, 1.0)
-    interp = hp_interpolate(u, mesh, 1)
+    interp = hp_interpolate(u, multipatch_axis(0.5, 1, 1.0), 1)
     cells = quad_cells(interp, grade=3)
     c = cells[0]
-    nodes = interp.mesh.axes[0].nodes
+    nodes = interp.axis.nodes
     # four singular intervals, each refined toward its grading center
     assert len(c) == len(nodes) + 4 * 3
     assert np.allclose(c, -c[::-1])
@@ -285,13 +285,12 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
         return chunk
 
     monkeypatch.setattr(assembly, "_grad_chunk", spy)
-    mesh = (TensorMesh.cube(0.5, 1, dim) if domain == "unit"
-            else TensorMesh.sym_cube(0.5, 1, dim))
+    ax = (geometric_mesh(0.5, 1) if domain == "unit"
+          else multipatch_axis(0.5, 1))
     rng = np.random.default_rng(3)
-    N = len(build_basis(mesh.axes[0], p))
-    interp = HpInterpolant(mesh, p, rng.uniform(-1.0, 1.0, (N,) * dim))
+    N = len(build_basis(ax, p))
+    interp = HpInterpolant(ax, p, rng.uniform(-1.0, 1.0, (N,) * dim))
     net = build_phi_eps_c(interp, 1e-1)
-    ax = mesh.axes[0]
     axes = [np.linspace(ax.nodes[0], ax.nodes[-1], n)] * dim
     want_v, want_g = per_cell_field(net, axes)
     f = compiled_field(net)
@@ -310,14 +309,14 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
 def _zero_cell_interp():
     """A 2d interpolant whose live coefficients on mesh cell (0, 0) are all
     zero, with one more zero tuple on cell (1, 1)."""
-    mesh = TensorMesh.cube(0.5, 1, 2)
-    basis = build_basis(mesh.axes[0], 2)
+    axis = geometric_mesh(0.5, 1)
+    basis = build_basis(axis, 2)
     rng = np.random.default_rng(11)
     c = rng.uniform(-1.0, 1.0, (len(basis),) * 2)
     live = [i for i, bf in enumerate(basis) if 0 in bf.support]
     c[np.ix_(live, live)] = 0.0
     c[2, 4] = 0.0
-    return HpInterpolant(mesh, 2, c)
+    return HpInterpolant(axis, 2, c)
 
 
 def test_packing_drops_the_zero_tuples():
@@ -364,7 +363,7 @@ def test_compiled_field_on_a_zero_cell():
     v, g = f.value_axes(axes), f.gradient_axes(axes)
     assert np.array_equal(v.view(np.uint64), want_v.view(np.uint64))
     assert np.array_equal(g.view(np.uint64), want_g.view(np.uint64))
-    ax = net.meta["compiled_parts"]["interp"].mesh.axes[0]
+    ax = net.meta["compiled_parts"]["interp"].axis
     zero = np.ix_(*[ax.find(a) == 0 for a in axes])
     assert v[zero].size and not v[zero].view(np.uint64).any()
     assert not g[zero].view(np.uint64).any()
@@ -569,6 +568,30 @@ def test_vector_rejects_bad_targets_before_calibrating(monkeypatch, epsilon,
     monkeypatch.setattr(assembly, "_interpolate", no_calibration)
     with pytest.raises(ValueError, match=match):
         build_vector([_poly_u()], 2, epsilon, NetConfig(ell_max=ell_max))
+
+
+def test_vector_rejects_a_dimension_mismatch_before_calibrating(monkeypatch):
+    def no_calibration(*args):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(assembly, "_interpolate", no_calibration)
+    with pytest.raises(ValueError, match="dimension 2, but the build's dimension is 3"):
+        build_phi_eps_f(corner_singular(2, 0.5), 3, 0.5, NetConfig(ell_max=1))
+
+
+def test_measurement_grids_follow_the_dimension(monkeypatch):
+    # no config field sets the grids: a 3d interpolant is measured on the
+    # trimmed ones, whatever NetConfig the build got
+    assert [f.name for f in dataclasses.fields(NetConfig)] == [
+        "sigma", "c_p", "ell_max", "domain", "halfwidth"]
+    calls = []
+    monkeypatch.setattr(assembly, "h1_error", lambda f, g, cells, q, max_doublings:
+                        calls.append((q, len(cells), len(cells[0]))))
+    for dim, lam in ((2, 0.5), (3, 0.8)):
+        assembly.hp_error(corner_singular(dim, lam),
+                          _corner_interp(ell=1, p=1, lam=lam, dim=dim))
+    # 3 nodes, the singular interval sub-refined by the grade
+    assert calls == [(10, 2, 3 + 8), (6, 3, 3 + 5)]
 
 
 @pytest.mark.parametrize("key", ["c_p", "halfwidth"])

@@ -161,5 +161,16 @@ def test_registry():
     assert u.dim == 2
     v = from_spec("corner_edge", {"lam_c": 0.8, "lam_e": 0.6}, 3)
     assert v.dim == 3
-    with pytest.raises(ValueError, match="unknown function"):
+    with pytest.raises(ValueError, match="unknown function 'nope'; available: "
+                       "corner, edge, corner_edge, polynomial, trig, exp, "
+                       "constant, fichera"):
         from_spec("nope", {}, 2)
+
+
+@pytest.mark.parametrize("name, params, dim, key", [
+    ("edge", {"lam_c": 0.8}, 3, "lam_c"), ("corner", {"lam_e": 0.3}, 2, "lam_e"),
+    ("corner_edge", {"lam": 0.7}, 3, "lam"),
+    ("trig", {"freq": [1.0, 2.0], "rate": [1.0, 1.0]}, 2, "rate")])
+def test_registry_rejects_unread_parameters(name, params, dim, key):
+    with pytest.raises(ValueError, match=f"function '{name}' reads no parameter '{key}'"):
+        from_spec(name, params, dim)

@@ -11,7 +11,7 @@ from hprelu import assembly, cli
 from hprelu.assembly import NetConfig, build_phi_eps_c, build_phi_eps_f
 from hprelu.catalog import corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
-from hprelu.mesh import TensorMesh
+from hprelu.mesh import geometric_mesh
 from hprelu.network import _fmt, deserialize, realize_batch, serialize
 from hprelu.projector import HpInterpolant
 from hprelu.verify import verify_calculus
@@ -127,15 +127,16 @@ def test_config_precedence(tmp_path):
     ({"params": {"freq": [1, "2"]}}, "'params.freq'"),
     ({"params": {"axis_coeffs": [1, 2]}}, "'params.axis_coeffs'"),
     ({"lam": 0.3}, "'lam'"), ({"sigmaa": 0.4}, "'sigmaa'"),
-    ({"params": {"lamm": 0.3}}, "'params.lamm'")],
+    ({"params": {"lamm": 0.3}}, "'params.lamm'"),
+    ({"params": {"lam": 0.6, "freq": [1.0, 2.0]}}, "'corner' reads no parameter 'freq'")],
     ids=["float-dim", "str-sigma", "list-params", "int-ell", "bool-dim",
          "bool-lam", "int-corner", "str-freq", "flat-axis-coeffs",
-         "top-level-lam", "unknown-key", "unknown-param"])
+         "top-level-lam", "unknown-key", "unknown-param", "unread-param"])
 def test_config_values_are_typed(tmp_path, capsys, entry, key):
-    # a config value of another type than its flag's, and a key no command
-    # reads (a catalog parameter outside "params" included), is rejected,
-    # naming the key, instead of being coerced, ignored or failing deep in
-    # the build
+    # a config value of another type than its flag's, a key no command
+    # reads (a catalog parameter outside "params" included), and a catalog
+    # parameter the function does not read, is rejected, naming the key,
+    # instead of being coerced, ignored or failing deep in the build
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"func": "corner", "ell": "1..2", **entry}))
     out = tmp_path / "o.csv"
@@ -198,9 +199,10 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
     (["--func", "constant", "--value", "inf"],
      "constant value must be finite, got inf"),
     (["--func", "constant", "--value", "nan"],
-     "constant value must be finite, got nan")],
+     "constant value must be finite, got nan"),
+    (["--lam-e", "0.3"], "'corner' reads no parameter 'lam_e'")],
     ids=["inf-cp", "negative-cp", "nan-halfwidth", "inf-alpha", "inf-value",
-         "nan-value"])
+         "nan-value", "unread-param"])
 def test_bad_numbers_rejected_before_calibrating(tmp_path, capsys, monkeypatch,
                                                  cmd, args, message):
     def no_calibration(*a):
@@ -236,7 +238,7 @@ def test_nn_info_live_size(tmp_path, capsys):
     # both counts are the oracle's
     c = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
     c[1, 2] = 0.0
-    net = build_phi_eps_c(HpInterpolant(TensorMesh.cube(0.5, 1, 2), 1, c), 1e-1)
+    net = build_phi_eps_c(HpInterpolant(geometric_mesh(0.5, 1), 1, c), 1e-1)
     net_path = tmp_path / "net.json"
     net_path.write_text(serialize(net))
     capsys.readouterr()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hprelu.mesh import TensorMesh, geometric_mesh, multipatch_axis
+from hprelu.mesh import geometric_mesh, multipatch_axis
 
 
 def test_geometric_nodes():
@@ -58,10 +58,4 @@ def test_multipatch_width_ratio():
     w = np.diff(ax.nodes)
     np.testing.assert_allclose(w[1] / w[2], 0.4, rtol=1e-12)
 
-
-def test_tensor_mesh():
-    m = TensorMesh.cube(0.5, 1, 2)
-    assert m.dim == 2
-    with pytest.raises(ValueError):
-        TensorMesh([geometric_mesh(0.5, 1), geometric_mesh(0.5, 2)])
 

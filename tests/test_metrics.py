@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hprelu.catalog import WeightedFunction, analytic_fn, corner_singular
-from hprelu.mesh import TensorMesh
+from hprelu.mesh import geometric_mesh
 from hprelu.metrics import ErrorReport, fit_rate, h1_error
 from hprelu.projector import hp_interpolate
 
@@ -45,8 +45,8 @@ def test_interp_vs_function_decreases():
     u = corner_singular(2, 0.5)
     errs = []
     for ell in (1, 3):
-        it = hp_interpolate(u, TensorMesh.cube(0.5, ell, 2), max(ell, 1))
-        rep = h1_error(u, it, [it.mesh.axes[0].nodes] * 2, q=8,
+        it = hp_interpolate(u, geometric_mesh(0.5, ell), max(ell, 1))
+        rep = h1_error(u, it, [it.axis.nodes] * 2, q=8,
                        max_doublings=2)
         errs.append(rep.h1_error)
     assert errs[1] < errs[0]

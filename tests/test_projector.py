@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
 from hprelu.catalog import analytic_fn, corner_singular
-from hprelu.mesh import TensorMesh
+from hprelu.mesh import geometric_mesh
 from hprelu.projector import HpInterpolant, hp_interpolate, multipatch_interpolate
 
 from helpers import interp_gradient, one_element
@@ -29,11 +30,11 @@ def zeta_val(m, t):
     return 0.5 * npleg.legval(t, c)
 
 
-def local_coeff_oracle(u, mesh, p, K, g=80):
+def local_coeff_oracle(u, axis, p, K, g=80):
     """Element-local tensor coefficients a[m1..md] (1-based shape indices)
-    by direct nested quadrature of the per-axis functionals."""
-    axis = mesh.axes[0]
-    d = mesh.dim
+    on the cell K of d = len(K) copies of ``axis``, by direct nested
+    quadrature of the per-axis functionals."""
+    d = len(K)
     t, w = npleg.leggauss(g)
     degs = [1 if axis.singular[k] else p for k in K]
     shape = tuple(q + 1 for q in degs)
@@ -62,9 +63,8 @@ def local_coeff_oracle(u, mesh, p, K, g=80):
     return out
 
 
-def oracle_value(a, mesh, K, pts):
-    axis = mesh.axes[0]
-    d = mesh.dim
+def oracle_value(a, axis, K, pts):
+    d = len(K)
     out = np.zeros(len(pts))
     for combo in np.ndindex(*a.shape):
         term = np.full(len(pts), a[combo])
@@ -135,8 +135,7 @@ def test_degree_validation():
 
 def test_linear_reproduction():
     u = analytic_fn(2, "polynomial", {"axis_coeffs": [[1.0, 2.0], [1.0, 0.5]]})
-    mesh = TensorMesh.cube(0.5, 2, 2)
-    it = hp_interpolate(u, mesh, 2)
+    it = hp_interpolate(u, geometric_mesh(0.5, 2), 2)
     rng = np.random.default_rng(5)
     pts = rng.random((200, 2))
     np.testing.assert_allclose(it.value(pts), u.value(pts[:, 0], pts[:, 1]),
@@ -145,54 +144,51 @@ def test_linear_reproduction():
 
 def test_representation_identity():
     u = corner_singular(2, 0.5)
-    mesh = TensorMesh.cube(0.5, 2, 2)
+    axis = geometric_mesh(0.5, 2)
     p = 3
-    it = hp_interpolate(u, mesh, p)
+    it = hp_interpolate(u, axis, p)
     rng = np.random.default_rng(17)
     for K in [(0, 0), (1, 1), (2, 0), (2, 2)]:
-        a = local_coeff_oracle(u, mesh, p, K)
-        axis = mesh.axes[0]
+        a = local_coeff_oracle(u, axis, p, K)
         lo = np.array([axis.nodes[k] for k in K])
         hi = np.array([axis.nodes[k + 1] for k in K])
         pts = lo + (hi - lo) * rng.random((125, 2))
-        np.testing.assert_allclose(it.value(pts), oracle_value(a, mesh, K, pts),
+        np.testing.assert_allclose(it.value(pts), oracle_value(a, axis, K, pts),
                                    atol=1e-9)
 
 
 def test_representation_identity_3d():
     u = corner_singular(3, 0.8)
-    mesh = TensorMesh.cube(0.5, 1, 3)
-    it = hp_interpolate(u, mesh, 2)
+    axis = geometric_mesh(0.5, 1)
+    it = hp_interpolate(u, axis, 2)
     rng = np.random.default_rng(19)
     for K in [(0, 0, 0), (1, 1, 1), (1, 0, 1)]:
-        a = local_coeff_oracle(u, mesh, 2, K, g=40)
-        axis = mesh.axes[0]
+        a = local_coeff_oracle(u, axis, 2, K, g=40)
         lo = np.array([axis.nodes[k] for k in K])
         hi = np.array([axis.nodes[k + 1] for k in K])
         pts = lo + (hi - lo) * rng.random((64, 3))
-        np.testing.assert_allclose(it.value(pts), oracle_value(a, mesh, K, pts),
+        np.testing.assert_allclose(it.value(pts), oracle_value(a, axis, K, pts),
                                    atol=1e-9)
 
 
 def test_xy_bubble_coeffs_vanish():
     u = analytic_fn(2, "polynomial", {"axis_coeffs": [[0.0, 1.0], [0.0, 1.0]]})
-    mesh = TensorMesh.cube(0.5, 1, 2)
-    it = hp_interpolate(u, mesh, 3)
-    n_nodes = len(mesh.axes[0].nodes)
+    it = hp_interpolate(u, geometric_mesh(0.5, 1), 3)
+    nodes = it.axis.nodes
+    n_nodes = len(nodes)
     bub = it.coeffs[n_nodes:, n_nodes:]
     np.testing.assert_allclose(bub, 0.0, atol=1e-12)
     # hat-hat block carries the node value products
     hh = it.coeffs[:n_nodes, :n_nodes]
-    np.testing.assert_allclose(hh, np.outer(mesh.axes[0].nodes, mesh.axes[0].nodes),
+    np.testing.assert_allclose(hh, np.outer(nodes, nodes),
                                atol=1e-12)
 
 
 def test_singular_interval_bubbles_zero():
     u = corner_singular(2, 0.5)
-    mesh = TensorMesh.cube(0.5, 2, 2)
     p = 3
-    it = hp_interpolate(u, mesh, p)
-    n_nodes = len(mesh.axes[0].nodes)
+    it = hp_interpolate(u, geometric_mesh(0.5, 2), p)
+    n_nodes = len(it.axis.nodes)
     # bubble rows of the singular interval k=0 are identically zero
     rows = slice(n_nodes, n_nodes + p - 1)
     np.testing.assert_allclose(it.coeffs[rows, :], 0.0, atol=0)
@@ -201,8 +197,8 @@ def test_singular_interval_bubbles_zero():
 
 def test_continuity():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, TensorMesh.cube(0.5, 2, 2), 3)
-    axis = it.mesh.axes[0]
+    it = hp_interpolate(u, geometric_mesh(0.5, 2), 3)
+    axis = it.axis
     eta = 1e-12
     ys = np.linspace(0.05, 0.95, 37)
     for xk in axis.nodes[1:-1]:
@@ -213,7 +209,7 @@ def test_continuity():
 
 def test_gradient_matches_fd():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, TensorMesh.cube(0.5, 2, 2), 3)
+    it = hp_interpolate(u, geometric_mesh(0.5, 2), 3)
     rng = np.random.default_rng(23)
     pts = 0.3 + 0.4 * rng.random((50, 2))
     g = interp_gradient(it, pts)
@@ -227,7 +223,7 @@ def test_gradient_matches_fd():
 
 def test_tensor_eval_matches_scattered():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, TensorMesh.cube(0.5, 1, 2), 2)
+    it = hp_interpolate(u, geometric_mesh(0.5, 1), 2)
     xs = np.linspace(0.01, 0.99, 7)
     ys = np.linspace(0.02, 0.98, 5)
     tensor = it.value_axes([xs, ys])
@@ -241,7 +237,7 @@ def test_tensor_eval_matches_scattered():
 
 def test_vvec_order():
     u = analytic_fn(2, "polynomial", {"axis_coeffs": [[0.0, 1.0], [1.0]]})
-    it = hp_interpolate(u, TensorMesh.cube(0.5, 1, 2), 2)
+    it = hp_interpolate(u, geometric_mesh(0.5, 1), 2)
     v = it.vvec()
     n = it.N1d
     assert v[3] == it.coeffs[3, 0]
@@ -259,7 +255,7 @@ def test_multipatch_linear():
 
 def test_ell0_is_multilinear():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, TensorMesh.cube(0.5, 0, 2), 3)
+    it = hp_interpolate(u, geometric_mesh(0.5, 0), 3)
     # every interval singular: interpolant is bilinear from corner traces
     pts = np.array([[0.5, 0.5], [0.25, 0.75]])
     vals = it.value(pts)
@@ -268,3 +264,22 @@ def test_ell0_is_multilinear():
     want = (c[0, 0] * (1 - x) * (1 - y) + c[1, 0] * x * (1 - y)
             + c[0, 1] * (1 - x) * y + c[1, 1] * x * y)
     np.testing.assert_allclose(vals, want, atol=1e-14)
+
+
+def test_interpolate_rejects_bad_inputs():
+    axis = geometric_mesh(0.5, 1)
+    u = corner_singular(2, 0.5)
+    with pytest.raises(TypeError, match="axis must be an Axis1D, got list"):
+        hp_interpolate(u, [axis, axis], 2)
+    u4 = analytic_fn(4, "constant", {"value": 1.0})
+    with pytest.raises(ValueError, match="supported dimensions: 1, 2, 3; got 4"):
+        hp_interpolate(u4, axis, 2)
+
+
+@pytest.mark.parametrize("shape", [(), (5, 6), (5,) * 4],
+                         ids=["scalar", "unequal", "four-d"])
+def test_interpolant_rejects_bad_coefficient_shapes(shape):
+    # geometric_mesh(0.5, 1) at degree 2: 3 hats and 2 intervals with one
+    # bubble each, N1d = 5
+    with pytest.raises(ValueError, match=re.escape(f"N1d = 5 and d in 1..3, got {shape}")):
+        HpInterpolant(geometric_mesh(0.5, 1), 2, np.zeros(shape))

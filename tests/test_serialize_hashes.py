@@ -17,7 +17,7 @@ from hprelu.assembly import build_phi_eps_c
 from hprelu.basis import build_basis
 from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.emulation import basis_net, plan_budget, product_net, pwpoly_net
-from hprelu.mesh import TensorMesh
+from hprelu.mesh import geometric_mesh
 from hprelu.network import serialize
 from hprelu.projector import hp_interpolate
 
@@ -177,7 +177,7 @@ def test_product_hashes(d):
 def test_basis_hashes(p):
     got = {}
     measured = {}
-    for i, bf in enumerate(build_basis(TensorMesh.cube(0.5, 2, 1).axes[0], p)):
+    for i, bf in enumerate(build_basis(geometric_mesh(0.5, 2), p)):
         got[f"pwpoly_p{p}_{i}"] = _sha(pwpoly_net(bf, 1e-3))
         net = basis_net(bf, 1e-2)
         got[f"basis_p{p}_{i}"] = _sha(net)
@@ -189,18 +189,18 @@ def test_basis_hashes(p):
 
 
 def test_compiled_hash():
-    interp = hp_interpolate(corner_singular(2, 0.5), TensorMesh.cube(0.5, 2, 2), 2)
+    interp = hp_interpolate(corner_singular(2, 0.5), geometric_mesh(0.5, 2), 2)
     _check({"phi_eps_c_corner": _sha(build_phi_eps_c(interp, 1e-2))})
 
 
 
 def test_compiled_hash_3d():
-    interp = hp_interpolate(corner_singular(3, 0.8), TensorMesh.cube(0.5, 1, 3), 2)
+    interp = hp_interpolate(corner_singular(3, 0.8), geometric_mesh(0.5, 1), 2)
     _check({"phi_eps_c_corner_3d": _sha(build_phi_eps_c(interp, 1e-1))})
 
 
 def test_compiled_hash_two_rows():
-    mesh = TensorMesh.cube(0.5, 2, 2)
-    interp = hp_interpolate(corner_singular(2, 0.5), mesh, 2)
-    other = hp_interpolate(analytic_fn(2, "trig", {"freq": [1.0, 2.0]}), mesh, 2)
+    axis = geometric_mesh(0.5, 2)
+    interp = hp_interpolate(corner_singular(2, 0.5), axis, 2)
+    other = hp_interpolate(analytic_fn(2, "trig", {"freq": [1.0, 2.0]}), axis, 2)
     _check({"phi_eps_c_two_rows": _sha(build_phi_eps_c(interp, 1e-2, rows=[interp, other]))})
