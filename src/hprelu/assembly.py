@@ -315,15 +315,20 @@ class _CompiledField:
     columns of the nonzero tuples, and gathers the rows of the lanes it
     reads by index.  The head then contracts the whole chunk.
 
-    No bit moves against the full realization.  Every row keeps its
-    entries in stored order and every column its inputs, and the in-order
-    kernels sum each column on its own.  A direction outside a lane's axes
-    is +0.0 in the full net: its seed is +0.0, each row's sum starts at
-    +0.0 and adding +-0.0 leaves it there.  The per-axis seeds give exactly
-    these zeros.  The head reads the nonzero tuples' outputs in the order
-    the full net's head does.  Points run in the chunks the full net
-    restricted to the cell would take, counting all its live tuples, which
-    fixes the head's sums.
+    No bit moves in the stage.  Its rows keep their entries in stored
+    order and every column its inputs, and the in-order kernels sum each
+    column on its own.  A direction outside a lane's axes is +0.0 in the
+    full net: its seed is +0.0, each row's sum starts at +0.0 and adding
+    +-0.0 leaves it there.  The per-axis seeds give exactly these zeros.
+    The head reads the nonzero tuples' outputs in the order the full net's
+    head does, and points run in the chunks the full net restricted to the
+    cell would take, counting all its live tuples.  The head can still
+    move the last bit: the full net's coefficient row has more than
+    ``backends._EXACT_ROW_NNZ`` entries, so a BLAS dot sums it, zero
+    tuples included, in an order of its own.  Values and gradients equal
+    the full realization's bit for bit only where every row sums in
+    stored order (``test_compiled_field_bitwise_tensor`` fails on a net
+    whose head row has 70 entries).
     """
 
     def __init__(self, parts, row):

@@ -260,25 +260,50 @@ def fichera_extend(u):
     return WeightedFunction(d, val, der, f"extend({u.name})")
 
 
-# the parameters each registry key reads
+# The parameters each registry key reads, and the type of each.  A value
+# must have its parameter's type, and a boolean is none of them; the
+# list-valued parameters take lists of finite numbers (axis_coeffs one list
+# per axis).  The CLI makes a flag of each scalar one and checks config
+# files with the same kinds.
 _SPEC_PARAMS = {
     "corner": ("lam", "corner"), "edge": ("lam", "axis"),
     "corner_edge": ("lam_c", "lam_e", "axis"), "polynomial": ("axis_coeffs",),
     "trig": ("freq", "phase"), "exp": ("rate",), "constant": ("value",),
     "fichera": ("lam",)}
+_PARAM_TYPES = {
+    "axis": int, "lam": float, "lam_c": float, "lam_e": float,
+    "value": float, "corner": list, "freq": list, "phase": list,
+    "rate": list, "axis_coeffs": "lists"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          dict: "an object", list: "a list of finite numbers",
+          "lists": "a list of lists of finite numbers"}
+
+
+def _typed(v, kind):
+    if kind is float:
+        return type(v) in (int, float) and math.isfinite(v)
+    if kind is list:
+        return type(v) is list and all(_typed(x, float) for x in v)
+    if kind == "lists":
+        return type(v) is list and all(_typed(x, list) for x in v)
+    return type(v) is kind
 
 
 def from_spec(name, params, dim):
     """CLI registry: build a catalog function from a string key and params.
-    A parameter the function does not read is rejected."""
+    A parameter the function does not read, or of another type than its
+    entry in ``_PARAM_TYPES``, is rejected."""
     if name not in _SPEC_PARAMS:
         raise ValueError(f"unknown function {name!r}; available: "
                          f"{', '.join(_SPEC_PARAMS)}")
     params = dict(params or {})
-    for key in params:
+    for key, v in params.items():
         if key not in _SPEC_PARAMS[name]:
             raise ValueError(f"function {name!r} reads no parameter {key!r}; "
                              f"it reads {', '.join(_SPEC_PARAMS[name])}")
+        if not _typed(v, _PARAM_TYPES[key]):
+            raise ValueError(f"parameter {key!r} must be "
+                             f"{_KINDS[_PARAM_TYPES[key]]}, got {v!r}")
     if name == "corner":
         return corner_singular(dim, params.get("lam", 0.5), params.get("corner"))
     if name == "edge":

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .assembly import NetConfig, _interpolate, _p_for, build_phi_eps_f, hp_error
-from .catalog import from_spec
+from .catalog import _KINDS, _PARAM_TYPES, _typed, from_spec
 from .emulation import plan_budget, product_net
 from .metrics import fit_rate
 from .network import _fmt, deserialize, realize_batch, serialize, stats
@@ -29,8 +29,6 @@ COLUMNS = ("dim", "func", "params", "sigma", "ell", "p", "N1d", "coeff_l1",
 
 # external spellings accepted next to the catalog keys
 _FUNC_ALIASES = {"corner_r_alpha": "corner"}
-
-_PARAM_FLAGS = ("lam", "lam_c", "lam_e", "axis", "value")
 
 
 def _jobs(flag):
@@ -47,31 +45,12 @@ def _jobs(flag):
 
 
 # The keys a config file may hold, each with the type argparse gives its
-# flag, and the catalog parameters its "params" may hold.  A value must
-# have its key's type, and a boolean is none of them; any other key is
-# rejected.  The list-valued catalog parameters have no flag; they take
-# lists of finite numbers (axis_coeffs one list per axis).
-_KINDS = {int: "an integer", float: "a finite number", str: "a string",
-          dict: "an object", list: "a list of finite numbers",
-          "lists": "a list of lists of finite numbers"}
+# flag; its "params" may hold the catalog parameters, typed by
+# ``catalog._PARAM_TYPES``.  Any other key is rejected.
 _CONFIG_TYPES = {
     "dim": int, "ell_max": int, "func": str, "ell": str, "domain": str,
     "params": dict, "sigma": float, "cp": float, "halfwidth": float,
     "eps": float}
-_PARAM_TYPES = {
-    "axis": int, "lam": float, "lam_c": float, "lam_e": float,
-    "value": float, "corner": list, "freq": list, "phase": list,
-    "rate": list, "axis_coeffs": "lists"}
-
-
-def _typed(v, kind):
-    if kind is float:
-        return type(v) in (int, float) and math.isfinite(v)
-    if kind is list:
-        return type(v) is list and all(_typed(x, float) for x in v)
-    if kind == "lists":
-        return type(v) is list and all(_typed(x, list) for x in v)
-    return type(v) is kind
 
 
 def _check_config(cfg, types, prefix=""):
@@ -122,8 +101,8 @@ def _resolve_func(args, cfg, dim):
     params = dict(cfg.get("params", {}))
     if args.alpha is not None:
         params["lam"] = args.alpha
-    for key in _PARAM_FLAGS:
-        v = getattr(args, key)
+    for key in _PARAM_TYPES:
+        v = getattr(args, key, None)  # the list-valued ones have no flag
         if v is not None:
             params[key] = v
     name = _FUNC_ALIASES.get(name, name)
@@ -345,11 +324,9 @@ def _add_func_flags(p):
     p.add_argument("--func", help="catalog function name")
     p.add_argument("--alpha", type=float, help="singularity exponent "
                    "(alias for --lam)")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--lam-c", dest="lam_c", type=float)
-    p.add_argument("--lam-e", dest="lam_e", type=float)
-    p.add_argument("--axis", type=int)
-    p.add_argument("--value", type=float)
+    for key, kind in _PARAM_TYPES.items():
+        if kind in (int, float):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
     p.add_argument("--config", help="JSON config file (flags win)")
     p.add_argument("--dim", type=int)
     p.add_argument("--sigma", type=float)

@@ -38,7 +38,6 @@ class ErrorReport:
     h1_seminorm_error: float
     h1_error: float
     linf_error: float
-    quadrature_cells: int
     richardson_gap: float
     certified: bool
 
@@ -125,13 +124,11 @@ def h1_error(f, g, cells, q=10, max_doublings=3):
             break
     if max_doublings == 0:
         gap = np.nan
-    n_cells_final = int(np.prod([(len(c) - 1) * nq for c in cells]))
     return ErrorReport(
         l2_error=float(np.sqrt(l2s)),
         h1_seminorm_error=float(np.sqrt(semis)),
         h1_error=h1,
         linf_error=float(linf),
-        quadrature_cells=n_cells_final,
         richardson_gap=float(gap),
         certified=certified,
     )

@@ -11,6 +11,7 @@ the quadrature order doubled until the coefficient array settles to 1e-12.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -25,30 +26,27 @@ _MAX_DOUBLINGS = 4
 _CHUNK_ENTRIES = 40_000_000
 
 
-class _AxisQuad:
-    """Gauss stations and moment weights over the non-singular intervals."""
+def _bubble_slots(axis, p, k):
+    """The basis layout, hats by node then bubbles by interval and mode:
+    the slots of modes 1..p-1 on intervals k, shape k.shape + (p-1,)."""
+    return len(axis.nodes) + k[..., None] * (p - 1) + np.arange(p - 1)
 
-    def __init__(self, axis, p, g):
-        t, w = gauss_rule(g)
-        pieces = [k for k in range(axis.n_intervals) if not axis.singular[k]]
-        pts = []
-        for k in pieces:
-            a, b = axis.nodes[k], axis.nodes[k + 1]
-            pts.append(0.5 * ((b - a) * t + (a + b)))
-        self.stations = np.concatenate(pts) if pts else np.zeros(0)
-        # weight matrix: rows ordered (piece, mode n=1..p-1), cols = stations;
-        # row (k,n) applied to physical du/dx values gives (2n+1)(v_hat', L_n)
-        lt = legendre_table(max(p - 1, 0), t)
-        nb = len(pieces) * (p - 1)
-        self.weights = np.zeros((nb, len(self.stations)))
-        self.rows = []  # (interval k, legendre index n)
-        r = 0
-        for j, k in enumerate(pieces):
-            h = axis.nodes[k + 1] - axis.nodes[k]
-            for n in range(1, p):
-                self.weights[r, j * g:(j + 1) * g] = (2 * n + 1) * 0.5 * h * w * lt[n]
-                self.rows.append((k, n))
-                r += 1
+
+def _axis_quad(axis, p, g):
+    """Gauss stations over the non-singular intervals, the moment weights
+    (row (k, n), n = 1..p-1, applied to du/dx at the stations gives
+    (2n+1)(v_hat', L_n)) and the coefficient slot of each row."""
+    t, w = gauss_rule(g)
+    pieces = np.flatnonzero(~axis.singular)
+    a, b = axis.nodes[pieces], axis.nodes[pieces + 1]
+    stations = (0.5 * ((b - a)[:, None] * t + (a + b)[:, None])).ravel()
+    n = np.arange(1, p)[:, None]
+    rows = (2 * n + 1) * 0.5 * (b - a)[:, None, None] * w * legendre_table(p - 1, t)[1:]
+    J = len(pieces)
+    weights = np.zeros((J, p - 1, J, g))
+    weights[np.arange(J), :, np.arange(J)] = rows
+    return (stations, weights.reshape(J * (p - 1), J * g),
+            _bubble_slots(axis, p, pieces).ravel())
 
 
 def _assemble(u, axis, p, g):
@@ -56,35 +54,25 @@ def _assemble(u, axis, p, g):
     coeffs = np.zeros((n_nodes + axis.n_intervals * (p - 1),) * u.dim)
     # per kind of axis functional: its stations and its coefficient slots
     kinds = {"node": (axis.nodes, np.arange(n_nodes))}
-    quad = _AxisQuad(axis, p, g) if p > 1 else None
-    if quad is not None and quad.weights.shape[0]:
-        kinds["bubble"] = (quad.stations, np.array(
-            [n_nodes + k * (p - 1) + (n - 1) for k, n in quad.rows]))
+    stations, weights, slots = _axis_quad(axis, p, g)
+    if len(slots):
+        kinds["bubble"] = (stations, slots)
     for pattern in itertools.product(kinds, repeat=u.dim):
-        stations = [kinds[k][0] for k in pattern]
+        grids = np.ix_(*[kinds[k][0] for k in pattern])
         alpha = tuple(int(k == "bubble") for k in pattern)
-        block = _eval_chunked(u, stations, alpha)
+        shape = tuple(x.size for x in grids)
+        # u in blocks of first-axis stations, each of about _CHUNK_ENTRIES
+        # entries; one block when the pattern fits
+        step = max(1, _CHUNK_ENTRIES // math.prod(shape[1:]))
+        block = np.empty(shape)
+        for lo in range(0, shape[0], step):
+            block[lo:lo + step] = u.deriv(alpha, grids[0][lo:lo + step], *grids[1:])
         # contract bubble axes with the moment weights
         for j, kind in enumerate(pattern):
             if kind == "bubble":
-                block = np.moveaxis(np.tensordot(quad.weights, block, axes=([1], [j])), 0, j)
+                block = np.moveaxis(np.tensordot(weights, block, axes=([1], [j])), 0, j)
         coeffs[np.ix_(*[kinds[k][1] for k in pattern])] = block
     return coeffs
-
-
-def _eval_chunked(u, stations, alpha):
-    shape = tuple(len(s) for s in stations)
-    total = int(np.prod(shape))
-    grids = np.ix_(*stations)
-    if total <= _CHUNK_ENTRIES or shape[0] <= 1:
-        return np.broadcast_to(u.deriv(alpha, *grids), shape).copy()
-    step = max(1, _CHUNK_ENTRIES // max(total // shape[0], 1))
-    out = np.empty(shape)
-    for lo in range(0, shape[0], step):
-        out[lo:lo + step] = np.broadcast_to(
-            u.deriv(alpha, grids[0][lo:lo + step], *grids[1:]),
-            (min(step, shape[0] - lo),) + shape[1:])
-    return out
 
 
 def hp_interpolate(u, axis, p):
@@ -149,32 +137,26 @@ class HpInterpolant:
 
     def _axis_matrices(self, x, want_deriv=False):
         """Basis value (and derivative) matrices at 1d points x."""
-        axis = self.axis
+        axis, p = self.axis, self.p
         x = np.asarray(x, dtype=np.float64)
-        n_nodes = len(axis.nodes)
-        p = self.p
         B = np.zeros((len(x), self.N1d))
         D = np.zeros((len(x), self.N1d)) if want_deriv else None
         k = axis.find(x)
-        for piece in range(axis.n_intervals):
-            m = k == piece
-            if not np.any(m):
-                continue
-            a, b = axis.nodes[piece], axis.nodes[piece + 1]
-            h = b - a
-            t = (2.0 * x[m] - (a + b)) / h
-            B[m, piece] = 0.5 * (1.0 - t)
-            B[m, piece + 1] = 0.5 * (1.0 + t)
-            if want_deriv:
-                D[m, piece] = -1.0 / h
-                D[m, piece + 1] = 1.0 / h
-            if p > 1:
-                lt = legendre_table(p, t)
-                for n in range(1, p):
-                    col = n_nodes + piece * (p - 1) + (n - 1)
-                    B[m, col] = 0.5 * (lt[n + 1] - lt[n - 1]) / (2 * n + 1)
-                    if want_deriv:
-                        D[m, col] = lt[n] / h
+        a, b = axis.nodes[k], axis.nodes[k + 1]
+        h = b - a
+        t = (2.0 * x - (a + b)) / h
+        rows = np.arange(len(x))
+        B[rows, k] = 0.5 * (1.0 - t)
+        B[rows, k + 1] = 0.5 * (1.0 + t)
+        if want_deriv:
+            D[rows, k] = -1.0 / h
+            D[rows, k + 1] = 1.0 / h
+        lt = legendre_table(p, t)
+        n = np.arange(1, p)[:, None]
+        cols = rows[:, None], _bubble_slots(axis, p, k)
+        B[cols] = (0.5 * (lt[2:] - lt[:-2]) / (2 * n + 1)).T
+        if want_deriv:
+            D[cols] = (lt[1:-1] / h).T
         return B, D
 
     def value(self, pts):

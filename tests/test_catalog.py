@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,4 +174,15 @@ def test_registry():
     ("trig", {"freq": [1.0, 2.0], "rate": [1.0, 1.0]}, 2, "rate")])
 def test_registry_rejects_unread_parameters(name, params, dim, key):
     with pytest.raises(ValueError, match=f"function '{name}' reads no parameter '{key}'"):
+        from_spec(name, params, dim)
+
+
+@pytest.mark.parametrize("name, params, dim, message", [
+    ("edge", {"axis": True}, 3, "parameter 'axis' must be an integer, got True"),
+    ("edge", {"axis": 2.0}, 3, "parameter 'axis' must be an integer, got 2.0"),
+    ("corner", {"lam": True}, 2, "parameter 'lam' must be a finite number, got True")],
+    ids=["bool-axis", "float-axis", "bool-lam"])
+def test_registry_rejects_mistyped_parameters(name, params, dim, message):
+    # a boolean is no number and a float no axis index: neither is coerced
+    with pytest.raises(ValueError, match=re.escape(message)):
         from_spec(name, params, dim)

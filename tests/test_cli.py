@@ -1,5 +1,6 @@
 """CLI subcommands: CSV schema, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import struct
@@ -9,7 +10,7 @@ import pytest
 
 from hprelu import assembly, cli
 from hprelu.assembly import NetConfig, build_phi_eps_c, build_phi_eps_f
-from hprelu.catalog import corner_singular
+from hprelu.catalog import _PARAM_TYPES, corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
 from hprelu.mesh import geometric_mesh
 from hprelu.network import _fmt, deserialize, realize_batch, serialize
@@ -119,6 +120,20 @@ def test_config_precedence(tmp_path):
     assert float(rows[0][3]) == 0.4  # file beat the default
 
 
+def test_param_flags_are_the_catalog_table():
+    # a catalog parameter is one table entry: each scalar entry has its
+    # flag, with its type, and no other flag sets a catalog parameter
+    p = argparse.ArgumentParser()
+    cli._add_func_flags(p)
+    other = {"help", "config", "alpha", *cli._CONFIG_TYPES}
+    flags = {a.dest: (a.option_strings, a.type) for a in p._actions
+             if a.dest not in other}
+    assert flags == {k: (["--" + k.replace("_", "-")], kind)
+                     for k, kind in _PARAM_TYPES.items() if kind in (int, float)}
+    args = p.parse_args(["--lam-e", "0.25", "--axis", "1", "--value", "2"])
+    assert (args.lam_e, args.axis, args.value) == (0.25, 1, 2.0)
+
+
 @pytest.mark.parametrize("entry,key", [
     ({"dim": 2.7}, "'dim'"), ({"sigma": "0.5"}, "'sigma'"),
     ({"params": [1, 2]}, "'params'"), ({"ell": 2}, "'ell'"),
@@ -195,11 +210,11 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
     (["--cp", "-1"], "c_p must be a finite number > 0, got -1.0"),
     (["--halfwidth", "nan", "--domain", "sym"],
      "halfwidth must be a finite number > 0, got nan"),
-    (["--alpha", "inf"], "corner exponent lam must be finite, got inf"),
+    (["--alpha", "inf"], "parameter 'lam' must be a finite number, got inf"),
     (["--func", "constant", "--value", "inf"],
-     "constant value must be finite, got inf"),
+     "parameter 'value' must be a finite number, got inf"),
     (["--func", "constant", "--value", "nan"],
-     "constant value must be finite, got nan"),
+     "parameter 'value' must be a finite number, got nan"),
     (["--lam-e", "0.3"], "'corner' reads no parameter 'lam_e'")],
     ids=["inf-cp", "negative-cp", "nan-halfwidth", "inf-alpha", "inf-value",
          "nan-value", "unread-param"])

@@ -38,7 +38,7 @@ def test_pinned_2d():
 
 def test_identity_report_invariant():
     with pytest.raises(AssertionError):
-        ErrorReport(1.0, 1.0, 1.0, 1.0, 4, 0.0, True)
+        ErrorReport(1.0, 1.0, 1.0, 1.0, 0.0, True)
 
 
 def test_interp_vs_function_decreases():

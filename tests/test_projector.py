@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from hprelu.catalog import analytic_fn, corner_singular
-from hprelu.mesh import geometric_mesh
+from hprelu import projector
+from hprelu.catalog import analytic_fn, corner_singular, edge_singular, fichera_extend
+from hprelu.legendre import legendre_table
+from hprelu.mesh import geometric_mesh, multipatch_axis
 from hprelu.projector import HpInterpolant, hp_interpolate, multipatch_interpolate
 
 from helpers import interp_gradient, one_element
@@ -251,6 +253,73 @@ def test_multipatch_linear():
     pts = -1 + 2 * rng.random((100, 2))
     np.testing.assert_allclose(it.value(pts), u.value(pts[:, 0], pts[:, 1]),
                                atol=1e-12)
+
+
+def axis_matrices_loop(interp, x):
+    """Basis values and derivatives at 1d points, one interval at a time
+    and one mode at a time: the reference for ``_axis_matrices``."""
+    axis, p = interp.axis, interp.p
+    B = np.zeros((len(x), interp.N1d))
+    D = np.zeros((len(x), interp.N1d))
+    k = axis.find(x)
+    for piece in range(axis.n_intervals):
+        m = k == piece
+        a, b = axis.nodes[piece], axis.nodes[piece + 1]
+        h = b - a
+        t = (2.0 * x[m] - (a + b)) / h
+        B[m, piece], B[m, piece + 1] = 0.5 * (1.0 - t), 0.5 * (1.0 + t)
+        D[m, piece], D[m, piece + 1] = -1.0 / h, 1.0 / h
+        lt = legendre_table(p, t)
+        for n in range(1, p):
+            col = len(axis.nodes) + piece * (p - 1) + (n - 1)
+            B[m, col] = 0.5 * (lt[n + 1] - lt[n - 1]) / (2 * n + 1)
+            D[m, col] = lt[n] / h
+    return B, D
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("axis", [
+    geometric_mesh(0.5, 3), multipatch_axis(0.5, 2, 1.5)], ids=["unit", "sym"])
+def test_axis_matrices_match_the_interval_loop(axis, p):
+    # the gathered matrices equal the per-interval loop bit for bit, at
+    # the nodes and outside the axis too
+    it = HpInterpolant(axis, p, np.zeros(len(axis.nodes) + axis.n_intervals * (p - 1)))
+    lo, hi = axis.nodes[0], axis.nodes[-1]
+    x = np.concatenate((axis.nodes, [lo - 0.1, hi + 0.1],
+                        np.random.default_rng(5).uniform(lo, hi, 40)))
+    for a, b in zip(it._axis_matrices(x, want_deriv=True), axis_matrices_loop(it, x)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("u, axis, p", [
+    (corner_singular(2, 0.5), geometric_mesh(0.5, 2), 3),
+    (corner_singular(3, 0.8) + edge_singular(0.6, 2, 3), geometric_mesh(0.5, 1), 2),
+    (fichera_extend(corner_singular(3, 0.8)), multipatch_axis(0.5, 1), 2)],
+    ids=["2d-unit-corner", "3d-corner-edge", "3d-sym-fichera"])
+def test_blocked_assembly_is_bitwise(monkeypatch, u, axis, p):
+    # u is evaluated in blocks of first-axis stations; blocks of 500
+    # entries split the patterns into many, and no bit moves
+    calls = []
+
+    def run():
+        calls.append(0)
+        it = hp_interpolate(u, axis, p)
+        xs = np.concatenate((axis.nodes, np.linspace(axis.nodes[0], axis.nodes[-1], 11)))
+        grid = [xs, xs[::-1], xs[1:]][:u.dim]
+        return [a.view(np.uint64) for a in
+                (it.coeffs, it.value_axes(grid), it.gradient_axes(grid))]
+
+    def counted(alpha, *grids):
+        calls[-1] += 1
+        return type(u).deriv(u, alpha, *grids)
+
+    monkeypatch.setattr(u, "deriv", counted)
+    want = run()
+    monkeypatch.setattr(projector, "_CHUNK_ENTRIES", 500)
+    got = run()
+    assert calls[1] > 2 * calls[0]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_ell0_is_multilinear():
