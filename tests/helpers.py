@@ -6,6 +6,7 @@ trapezoid refinement for integrals.
 """
 
 import itertools
+import json
 import struct
 
 import numpy as np
@@ -157,6 +158,53 @@ def packed_rows(packed):
                                     for t in range(indptr[r], indptr[r + 1])))
              for r in range(len(indptr) - 1)]
             for indptr, cols, vals, bias in packed]
+
+
+def whole_document_deserialize(text):
+    """Reference for ``network.deserialize``: the decoder that parses the
+    whole text into Python lists first and converts the layers after, with
+    the same checks in the same order and the same messages."""
+    try:
+        doc = json.loads(text, parse_int=network._parse_int)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"not valid JSON: {e}") from e
+    if not isinstance(doc, dict) or "input_dim" not in doc or "layers" not in doc:
+        raise ValueError("document must carry input_dim and layers")
+    raw_layers = doc["layers"]
+    if not isinstance(raw_layers, list) or not raw_layers:
+        raise ValueError("layers must be a non-empty list")
+    input_dim = network._count(doc["input_dim"], "input_dim")
+    layers = []
+    for k, entry in enumerate(raw_layers):
+        try:
+            rows = network._count(entry["rows"], "rows")
+            cols = network._count(entry["cols"], "cols")
+            weights, bias = entry["weights"], entry["bias"]
+            if not isinstance(weights, list):
+                raise ValueError("weights must be a list of triplets")
+            if not isinstance(bias, list):
+                raise ValueError("bias must be a list")
+            w = np.asarray(weights, dtype=np.float64) if weights else np.empty((0, 3))
+            if w.ndim != 2 or w.shape[1] != 3:
+                raise ValueError("weights must be [i, j, value] triplets")
+            if bool in set(map(type, itertools.chain(
+                    bias, itertools.chain.from_iterable(weights)))):
+                raise ValueError("weights and biases must not be booleans")
+            bias = np.asarray(bias, dtype=np.float64)
+            if bias.ndim != 1:
+                raise ValueError("bias must be a flat list of numbers")
+            if not (np.isfinite(w).all() and np.isfinite(bias).all()):
+                raise ValueError("weights and biases must be finite")
+            idx = w[:, :2]
+            if np.any(idx != np.trunc(idx)):
+                raise ValueError("weight indices must be integers")
+            layers.append(Layer(rows, cols, idx[:, 0], idx[:, 1], w[:, 2], bias))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"layer {k}: {e}") from e
+    try:
+        return NeuralNetwork(input_dim, layers)
+    except ValueError as e:
+        raise ValueError(f"inconsistent layer chain: {e}") from e
 
 
 def interp_gradient(interp, pts):

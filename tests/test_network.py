@@ -1,8 +1,10 @@
 """Network type, realization, stats, gradients and JSON round trips."""
 
+import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from helpers import (
     merged_rows,
     packed_rows,
     random_net,
+    whole_document_deserialize,
 )
 
 
@@ -223,6 +226,91 @@ def test_serialize_round_trip_property(net):
         assert la.vals.tobytes() == lb.vals.tobytes()
         assert la.bias.tobytes() == lb.bias.tobytes()
     assert serialize(back) == text
+
+
+_OK_LAYER = '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [0]}'
+
+# what an error message must share between the two decoders
+_ERROR_PREFIX = re.compile(r"layer \d+|not valid JSON|document must carry|input_dim"
+                           r"|layers must be|inconsistent layer chain")
+
+
+def _decoded(decode, text):
+    """The layers ``decode`` gives as bytes, or the prefix of its error."""
+    try:
+        net = decode(text)
+    except ValueError as e:
+        prefix = _ERROR_PREFIX.match(str(e))
+        assert prefix, str(e)
+        return prefix.group()
+    return net.input_dim, [(lay.rows, lay.cols, lay.row_idx.tobytes(), lay.col_idx.tobytes(),
+                            lay.vals.tobytes(), lay.bias.tobytes()) for lay in net.layers]
+
+
+# fragments a mutation splices into a serialized document
+_SPLICES = ["", "[", "]", "{", "}", ",", ":", '"', "0", "-", "1.5", "true", "null", "NaN",
+            '"rows"', '"bias"', '"layers"', '"input_dim"', "[0, 0, 1.0]", _OK_LAYER]
+
+
+@st.composite
+def _mutated_documents(draw):
+    text = serialize(draw(_nets()))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(_SPLICES)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_nets().map(serialize), _mutated_documents(),
+                 st.sampled_from(_COERCED_LAYERS).map(
+                     lambda lay: '{"input_dim": 1, "layers": [%s]}' % lay)))
+def test_deserialize_matches_whole_document_decoder(text):
+    assert _decoded(deserialize, text) == _decoded(whole_document_deserialize, text)
+
+
+def test_deserialize_layer_hook_edges():
+    # a document that also carries a layer's keys is still the document
+    doc = ('{"input_dim": 2, "rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [0], '
+           '"layers": [{"rows": 1, "cols": 2, "weights": [[0, 1, 3.0]], "bias": [0]}]}')
+    net = deserialize(doc)
+    assert (net.input_dim, net.depth, net.layers[0].cols) == (2, 1, 2)
+    # and a layer that also carries a document's keys is still a layer
+    lay = '{"input_dim": 7, "layers": [], "rows": 1, "cols": 1, "weights": [], "bias": [2.0]}'
+    net = deserialize('{"input_dim": 1, "layers": [%s]}' % lay)
+    assert net.layers[0].bias.tolist() == [2.0]
+    # a bad layer 0 before malformed JSON: the syntax error wins
+    bad = _COERCED_LAYERS[0]
+    with pytest.raises(ValueError, match="not valid JSON"):
+        deserialize('{"input_dim": 1, "layers": [%s, {"rows": 1,]}' % bad)
+    # a layer-shaped input_dim is still rejected as input_dim
+    with pytest.raises(ValueError, match="^input_dim"):
+        deserialize('{"input_dim": %s, "layers": [%s]}' % (_OK_LAYER, _OK_LAYER))
+
+
+def test_deserialize_holds_one_layer_of_lists():
+    """The decoder's traced peak stays under half of ``json.loads`` alone on
+    40 layers of 2,500 triplets: it never holds every layer's lists.  (The
+    trace slows the scanner about fivefold; 2,500 keeps the test under 2 s.)"""
+    rng = np.random.default_rng(0)
+    layers = []
+    for _ in range(40):
+        cells = rng.choice(100 * 100, size=2500, replace=False)
+        layers.append(Layer(100, 100, cells // 100, cells % 100,
+                            rng.standard_normal(2500), rng.standard_normal(100)))
+    text = serialize(NeuralNetwork(100, layers))
+    del layers
+
+    def peak(decode):
+        tracemalloc.start()
+        try:
+            decode(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(deserialize) < 0.5 * peak(json.loads)
 
 
 # Signed zeros and small values that cancel exactly, plus arbitrary floats.
