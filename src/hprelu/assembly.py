@@ -18,12 +18,22 @@ one tuple's stage (``_CompiledField``), by lanes: rows that read the same
 input axes.  Only the all-axes lane sees the (tuple x point) batch, of the
 cell's live tuples with a nonzero coefficient; the others run once per
 cell on the points of their own axes.
+
+Certification runs on every usable core: forked workers each compute
+whole cells, shared by cost (points times nonzero tuples), and write them
+into one shared buffer, so no sum is split or reordered and the bits do
+not depend on the number of workers.  One cell, one core, no ``os.fork``
+or another live thread (forking then can deadlock) keep the serial loop.
 """
 
 import itertools
 import math
+import mmap
 import numbers
+import os
+import threading
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +304,43 @@ def _lane_shape(mask, size):
     return [n if mask >> a & 1 else 1 for a, n in enumerate(size)]
 
 
+def _workers(ncells):
+    """Processes that split ``ncells`` mesh cells: one per usable core, or
+    one (the serial loop) where fork is missing or unsafe, as in a process
+    with another live thread, which may hold a lock the child then waits
+    on forever."""
+    if (ncells < 2 or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(ncells, len(os.sched_getaffinity(0)))
+
+
+def _shares(items, costs, workers):
+    """Split ``items`` into ``workers`` lists, the costliest item first,
+    each to the list of least cost so far."""
+    loads, shares = [0] * workers, [[] for _ in range(workers)]
+    for k in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        loads[w] += costs[k]
+        shares[w].append(items[k])
+    return shares
+
+
+def _in_child(fn, *args):
+    """Run ``fn(*args)`` in a forked worker and exit, never returning to the
+    caller's stack: status 0 on success, else 1 with the traceback written
+    straight to stderr (no Python buffer is flushed twice)."""
+    status = 1
+    try:
+        fn(*args)
+        status = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
 class _CompiledField:
     """Tensor-grid evaluation of a compiled net that skips dead blocks.
 
@@ -397,16 +444,24 @@ class _CompiledField:
         np.maximum(y, 0.0, out=y)
         st[l + len(packed) - 1, s] = y, jac
 
+    def _tuples(self, kcell):
+        """The live tuples of mesh cell ``kcell``, first axis fastest: the
+        live count per axis, each tuple's local index per axis, and the
+        tuples' coefficients."""
+        las = [len(self._live[k]) for k in kcell]
+        loc = np.unravel_index(np.arange(math.prod(las)), las, order="F")
+        # basis index per live tuple and axis
+        picks = [self._live[k][i] for k, i in zip(kcell, loc)]
+        rv = self.vrow[np.ravel_multi_index(picks, (self.N,) * self.d,
+                                            order="F")]
+        return las, loc, rv
+
     def _cell(self, kcell, sls, zv, zd):
         """Values and gradients on the block ``sls`` of points in mesh cell
         ``kcell``."""
         d = self.d
-        las = [len(self._live[k]) for k in kcell]
-        t = int(np.prod(las))
-        loc = np.unravel_index(np.arange(t), las, order="F")
-        # basis index per live tuple and axis
-        picks = [self._live[k][i] for k, i in zip(kcell, loc)]
-        rv = self.vrow[np.ravel_multi_index(picks, (self.N,) * d, order="F")]
+        las, loc, rv = self._tuples(kcell)
+        t = len(rv)
         nz = np.nonzero(rv)[0]
         m = len(nz)
         ns = [s.stop - s.start for s in sls]
@@ -472,16 +527,39 @@ class _CompiledField:
                 ([0], np.nonzero(np.diff(ks))[0] + 1, [len(ks)]))
             segs.append([(int(ks[lo]), slice(int(lo), int(hi)))
                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+        cells = [(tuple(c[0] for c in cell), tuple(c[1] for c in cell))
+                 for cell in itertools.product(*segs)]
         zv, zd = self._tables(axes)
         shape = tuple(len(a) for a in axes)
-        out = np.empty(shape)
-        grad = np.empty(shape + (self.d,))
-        for cell in itertools.product(*segs):
-            sls = tuple(c[1] for c in cell)
-            out[sls], grad[sls] = self._cell(tuple(c[0] for c in cell), sls,
-                                             zv, zd)
+        n, d = math.prod(shape), self.d
+        workers = _workers(len(cells))
+        # values then gradients; the workers write theirs in shared memory
+        flat = (np.frombuffer(mmap.mmap(-1, 8 * n * (1 + d))) if workers > 1
+                else np.empty(n * (1 + d)))
+        out, grad = flat[:n].reshape(shape), flat[n:].reshape(shape + (d,))
+        # a cell's time follows its points times its nonzero tuples
+        shares = _shares(cells, [math.prod(s.stop - s.start for s in sls)
+                                 * np.count_nonzero(self._tuples(kcell)[2])
+                                 for kcell, sls in cells], workers)
+        pids = []
+        try:
+            for share in shares[1:]:
+                pid = os.fork()
+                if pid == 0:
+                    _in_child(self._fill, share, zv, zd, out, grad)
+                pids.append(pid)
+            self._fill(shares[0], zv, zd, out, grad)
+        finally:
+            failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+        if failed:
+            raise RuntimeError(f"{len(failed)} of {workers - 1} certification "
+                               "workers failed")
         self._last = (list(axes), out, grad)
         return out, grad
+
+    def _fill(self, cells, zv, zd, out, grad):
+        for kcell, sls in cells:
+            out[sls], grad[sls] = self._cell(kcell, sls, zv, zd)
 
     def value_axes(self, axes):
         return self._eval_axes(axes)[0]

@@ -417,9 +417,10 @@ def deserialize(text):
     input_dim = _count(doc["input_dim"], "input_dim")
     layers = []
     for k, entry in enumerate(raw_layers):
+        # an integer literal too large for a float raises OverflowError
         try:
             layers.append(entry if isinstance(entry, Layer) else _layer(entry))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"layer {k}: {e}") from e
     try:
         return NeuralNetwork(input_dim, layers)

@@ -199,7 +199,7 @@ def whole_document_deserialize(text):
             if np.any(idx != np.trunc(idx)):
                 raise ValueError("weight indices must be integers")
             layers.append(Layer(rows, cols, idx[:, 0], idx[:, 1], w[:, 2], bias))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"layer {k}: {e}") from e
     try:
         return NeuralNetwork(input_dim, layers)

@@ -3,11 +3,13 @@
 import collections
 import dataclasses
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from hprelu import assembly, backends, network
+from hprelu import assembly, backends, metrics, network
 from hprelu.assembly import (
     NetConfig,
     _tiled_tuple_stage,
@@ -21,7 +23,7 @@ from hprelu.assembly import (
 )
 from hprelu.basis import build_basis
 from hprelu.calculus import _pm_stack, concat, depth_align, full_parallel, parallel
-from hprelu.catalog import analytic_fn, corner_singular
+from hprelu.catalog import analytic_fn, corner_singular, edge_singular
 from hprelu.emulation import plan_budget, product_net
 from hprelu.mesh import geometric_mesh, multipatch_axis
 from hprelu.metrics import h1_error
@@ -461,6 +463,122 @@ def test_serialize_drops_structure():
     assert np.array_equal(realize_batch(rt, pts), realize_batch(net, pts))
     with pytest.raises(ValueError):
         compiled_field(rt)
+
+
+# ------------------------------------------------------ forked certification
+
+def _certify_axes(interp):
+    """The point axes of the certification grid of ``interp``'s net (its
+    first Richardson level)."""
+    _, q, grade = assembly._grids(interp)
+    rng = np.random.default_rng(metrics._SEED)
+    return [metrics._axis_quad(c, 1, q, rng)[0]
+            for c in quad_cells(interp, grade)]
+
+
+def _count_forks(mp, cores):
+    """Give the process ``cores`` usable cores; returns the list that
+    collects one entry per fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    mp.setattr(os, "fork", counted)
+    return forks
+
+
+def _field_bits(net, axes):
+    f = compiled_field(net)
+    return (f.value_axes(axes).view(np.uint64).copy(),
+            f.gradient_axes(axes).view(np.uint64).copy())
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _criterion_6_case():
+    """The 3d corner+edge net of criterion 6 at eps = 2e-1 (its calibrated
+    ell = 2, p = 2 interpolant compiled with half the budget) and its
+    certification grid."""
+    cfg = dataclasses.replace(NetConfig.for_dim(3), sigma=0.25)
+    u = corner_singular(3, 0.8) + edge_singular(0.6)
+    interp = assembly._interpolate(u, 2, 2, cfg)
+    return build_phi_eps_c(interp, 1e-1), _certify_axes(interp)
+
+
+_FORK_CASES = {
+    "2d": lambda: (_small_net(), _certify_axes(_corner_interp())),
+    "3d-criterion-6": _criterion_6_case,
+    # every point in mesh cell (2, 2): one cell, nothing to split
+    "one-cell": lambda: (_small_net(), [np.linspace(0.6, 0.9, 7),
+                                        np.linspace(0.55, 0.95, 5)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORK_CASES))
+def test_forked_certification_matches_serial(monkeypatch, case):
+    net, axes = _FORK_CASES[case]()
+    with monkeypatch.context() as mp:
+        forks = _count_forks(mp, 1)
+        want = _field_bits(net, axes)
+    assert not forks
+    # three workers on a two-core machine: uneven shares, more workers
+    # than cores
+    with monkeypatch.context() as mp:
+        forks = _count_forks(mp, 3)
+        got = _field_bits(net, axes)
+    assert len(forks) == (0 if case == "one-cell" else 2)
+    _no_child_left()
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("why", ["one core", "a live thread", "no fork"])
+def test_certification_falls_back_to_the_serial_loop(monkeypatch, why):
+    net, axes = _small_net(), _certify_axes(_corner_interp())
+    with monkeypatch.context() as mp:
+        forks = _count_forks(mp, 3)
+        want = _field_bits(net, axes)
+    assert len(forks) == 2
+    with monkeypatch.context() as mp:
+        forks = _count_forks(mp, 1 if why == "one core" else 3)
+        if why == "no fork":
+            mp.delattr(os, "fork")
+        if why == "a live thread":
+            with ThreadPoolExecutor(1) as pool:
+                got = pool.submit(_field_bits, net, axes).result()
+        else:
+            got = _field_bits(net, axes)
+    assert not forks
+    _no_child_left()
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_worker_fails_certification(monkeypatch, capfd, where):
+    parent, cell = os.getpid(), assembly._CompiledField._cell
+
+    def failing(self, *args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ZeroDivisionError("this cell fails")
+        return cell(self, *args)
+
+    forks = _count_forks(monkeypatch, 2)
+    monkeypatch.setattr(assembly._CompiledField, "_cell", failing)
+    f = compiled_field(_small_net())
+    with pytest.raises(RuntimeError if where == "child" else ZeroDivisionError):
+        f.value_axes(_certify_axes(_corner_interp()))
+    assert len(forks) == 1
+    _no_child_left()
+    # a worker's traceback reaches stderr
+    assert ("ZeroDivisionError: this cell fails" in capfd.readouterr().err) == (
+        where == "child")
 
 
 # ----------------------------------------------------- end-to-end builders

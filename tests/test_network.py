@@ -158,6 +158,9 @@ _COERCED_LAYERS = [
     '{"rows": 1, "cols": 1, "weights": [[0, 0, 1e400]], "bias": [0]}',
     '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [-Infinity]}',
     '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [NaN]}',
+    # integer literals too large for a float (raised OverflowError)
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, %s]], "bias": [0]}' % ("9" * 401),
+    '{"rows": 1, "cols": 1, "weights": [[0, 0, 1.0]], "bias": [%s]}' % ("9" * 401),
     # weights that are not a list (read as no weights)
     '{"rows": 1, "cols": 1, "weights": null, "bias": [0]}',
     # boolean or fractional dimensions
