@@ -19,11 +19,13 @@ input axes.  Only the all-axes lane sees the (tuple x point) batch, of the
 cell's live tuples with a nonzero coefficient; the others run once per
 cell on the points of their own axes.
 
-Certification runs on every usable core: forked workers each compute
-whole cells, shared by cost (points times nonzero tuples), and write them
-into one shared buffer, so no sum is split or reordered and the bits do
-not depend on the number of workers.  One cell, one core, no ``os.fork``
-or another live thread (forking then can deadlock) keep the serial loop.
+Certification runs on every usable core, up to ``_MAX_WORKERS`` (the two
+cores it was measured on): forked workers each compute whole cells,
+shared by cost (points times nonzero tuples), and write them into one
+shared buffer, so no sum is split or reordered and the bits do not depend
+on the number of workers.  One cell, one core, no ``os.fork`` or another
+live thread (forking then can deadlock) keep the serial loop; a share
+that cannot be forked out is computed by the parent.
 """
 
 import itertools
@@ -304,16 +306,23 @@ def _lane_shape(mask, size):
     return [n if mask >> a & 1 else 1 for a, n in enumerate(size)]
 
 
+# The most processes certification splits its cells over: the core count
+# it has been measured on (BENCH_22.json, 2 cores).  ``sched_getaffinity``
+# does not see a cgroup's CPU quota, so an open-ended count could fork
+# dozens of workers onto a container's two CPUs.
+_MAX_WORKERS = 2
+
+
 def _workers(ncells):
-    """Processes that split ``ncells`` mesh cells: one per usable core, or
-    one (the serial loop) where fork is missing or unsafe, as in a process
-    with another live thread, which may hold a lock the child then waits
-    on forever."""
+    """Processes that split ``ncells`` mesh cells: one per usable core, up to
+    ``_MAX_WORKERS``, or one (the serial loop) where fork is missing or
+    unsafe, as in a process with another live thread, which may hold a lock
+    the child then waits on forever."""
     if (ncells < 2 or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    return min(ncells, len(os.sched_getaffinity(0)))
+    return min(ncells, len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
 def _shares(items, costs, workers):
@@ -538,21 +547,28 @@ class _CompiledField:
                 else np.empty(n * (1 + d)))
         out, grad = flat[:n].reshape(shape), flat[n:].reshape(shape + (d,))
         # a cell's time follows its points times its nonzero tuples
-        shares = _shares(cells, [math.prod(s.stop - s.start for s in sls)
-                                 * np.count_nonzero(self._tuples(kcell)[2])
-                                 for kcell, sls in cells], workers)
-        pids = []
+        shares = [cells] if workers == 1 else _shares(
+            cells, [math.prod(s.stop - s.start for s in sls)
+                    * np.count_nonzero(self._tuples(kcell)[2])
+                    for kcell, sls in cells], workers)
+        pids, mine = [], list(shares[0])
         try:
             for share in shares[1:]:
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    # no process to spare (a pid or memory limit): the
+                    # parent computes this share too
+                    mine += share
+                    continue
                 if pid == 0:
                     _in_child(self._fill, share, zv, zd, out, grad)
                 pids.append(pid)
-            self._fill(shares[0], zv, zd, out, grad)
+            self._fill(mine, zv, zd, out, grad)
         finally:
             failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
         if failed:
-            raise RuntimeError(f"{len(failed)} of {workers - 1} certification "
+            raise RuntimeError(f"{len(failed)} of {len(pids)} certification "
                                "workers failed")
         self._last = (list(axes), out, grad)
         return out, grad

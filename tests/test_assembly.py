@@ -276,6 +276,8 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
     # multiple.  ``tile`` shrinks the tiles of the all-axes lane (and of
     # every narrow run) to that many columns, so one chunk spans many.
     monkeypatch.setattr(network, "_JAC_BUDGET", budget)
+    # the serial loop, so that the spy sees every cell
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     if tile is not None:
         monkeypatch.setattr(backends, "_TILE_MIN", tile)
         monkeypatch.setattr(backends, "_TILE_BYTES", 0)
@@ -418,6 +420,8 @@ def test_lane_plan_partitions_the_stage(dim):
 def test_reduced_lanes_run_once_per_cell(monkeypatch):
     # the budget splits the largest cells into several chunks
     monkeypatch.setattr(network, "_JAC_BUDGET", 140_000)
+    # the serial loop, so that the spies see every cell
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     f = compiled_field(_lane_net(3))
     runs, chunks = collections.Counter(), []
     orig = backends.run_forward_grad
@@ -476,9 +480,10 @@ def _certify_axes(interp):
             for c in quad_cells(interp, grade)]
 
 
-def _count_forks(mp, cores):
-    """Give the process ``cores`` usable cores; returns the list that
-    collects one entry per fork."""
+def _count_forks(mp, cores, cap=None):
+    """Give the process ``cores`` usable cores and certification a cap of
+    ``cap`` workers (default ``cores``); returns the list that collects one
+    entry per fork."""
     forks, fork = [], os.fork
 
     def counted():
@@ -486,6 +491,7 @@ def _count_forks(mp, cores):
         return fork()
 
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    mp.setattr(assembly, "_MAX_WORKERS", cores if cap is None else cap)
     mp.setattr(os, "fork", counted)
     return forks
 
@@ -555,6 +561,39 @@ def test_certification_falls_back_to_the_serial_loop(monkeypatch, why):
         else:
             got = _field_bits(net, axes)
     assert not forks
+    _no_child_left()
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def test_certification_workers_stop_at_the_cap(monkeypatch):
+    net, axes = _small_net(), _certify_axes(_corner_interp())
+    with monkeypatch.context() as mp:
+        forks = _count_forks(mp, 64, cap=assembly._MAX_WORKERS)
+        _field_bits(net, axes)
+    assert len(forks) == assembly._MAX_WORKERS - 1
+    _no_child_left()
+
+
+def test_an_unforked_share_runs_in_the_parent(monkeypatch):
+    net, axes = _small_net(), _certify_axes(_corner_interp())
+    with monkeypatch.context() as mp:
+        _count_forks(mp, 1)
+        want = _field_bits(net, axes)
+    # the first fork succeeds, the second hits a process limit
+    forks, fork = [], os.fork
+
+    def limited():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    with monkeypatch.context() as mp:
+        _count_forks(mp, 3)
+        mp.setattr(os, "fork", limited)
+        got = _field_bits(net, axes)
+    assert len(forks) == 2
     _no_child_left()
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
