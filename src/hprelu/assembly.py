@@ -95,6 +95,10 @@ class NetConfig:
             v = getattr(self, key)
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
+        if not 0.0 < self.sigma <= 0.5:
+            raise ValueError(f"sigma must lie in (0, 1/2], got {self.sigma!r}")
+        if self.domain not in ("unit", "sym"):
+            raise ValueError(f"domain must be 'unit' or 'sym', got {self.domain!r}")
 
     @classmethod
     def for_dim(cls, dim):
@@ -133,17 +137,13 @@ class BuildReport:
     plan: AssemblyPlan = None
 
 
-def plan_assembly(interp, epsilon, cl1=None):
-    """Tolerance split for compiling ``interp`` to accuracy ``epsilon``.
-
-    ``cl1`` overrides the coefficient mass (a multi-row compile must cover
-    the worst row)."""
+def plan_assembly(interp, epsilon, cl1):
+    """Tolerance split for compiling ``interp`` to accuracy ``epsilon`` at
+    coefficient mass ``cl1`` (a multi-row compile covers the worst row)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     d = interp.dim
     cv = max(bf.h1_norm for bf in interp.basis)
-    if cl1 is None:
-        cl1 = interp.coeff_l1()
     if cl1 == 0.0:
         return AssemblyPlan(epsilon, 0.5, 0.5, cv, 0.0)
     eps1 = min(epsilon / (2.0 * d * (cv + 1.0) ** d * cl1),
@@ -306,23 +306,29 @@ def _lane_shape(mask, size):
     return [n if mask >> a & 1 else 1 for a, n in enumerate(size)]
 
 
-# The most processes certification splits its cells over: the core count
-# it has been measured on (BENCH_22.json, 2 cores).  ``sched_getaffinity``
-# does not see a cgroup's CPU quota, so an open-ended count could fork
-# dozens of workers onto a container's two CPUs.
+# The most workers the package runs at once (certification's processes,
+# ``hp-study``'s row threads): the core count they have been measured on
+# (BENCH_22.json, 2 cores).  ``sched_getaffinity`` does not see a cgroup's
+# CPU quota, so an open-ended count could start dozens of workers on a
+# container's two CPUs.
 _MAX_WORKERS = 2
 
 
+def _pool_size(tasks):
+    """Workers for ``tasks`` independent tasks: one per usable core, up to
+    ``_MAX_WORKERS``, and at least one."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(tasks, cores, _MAX_WORKERS))
+
+
 def _workers(ncells):
-    """Processes that split ``ncells`` mesh cells: one per usable core, up to
-    ``_MAX_WORKERS``, or one (the serial loop) where fork is missing or
-    unsafe, as in a process with another live thread, which may hold a lock
-    the child then waits on forever."""
-    if (ncells < 2 or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+    """Processes that split ``ncells`` mesh cells: ``_pool_size``, or one
+    (the serial loop) where fork is missing or unsafe, as in a process with
+    another live thread, which may hold a lock the child then waits on
+    forever."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(ncells, len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    return _pool_size(ncells)
 
 
 def _shares(items, costs, workers):
@@ -598,10 +604,8 @@ def compiled_field(net, row=0):
 def _interpolate(u, ell, p, cfg):
     if cfg.domain == "unit":
         return hp_interpolate(u, geometric_mesh(cfg.sigma, ell), p)
-    if cfg.domain == "sym":
-        return multipatch_interpolate(u, ell, p, sigma=cfg.sigma,
-                                      halfwidth=cfg.halfwidth)
-    raise ValueError(f"unknown domain {cfg.domain!r}")
+    return multipatch_interpolate(u, ell, p, sigma=cfg.sigma,
+                                  halfwidth=cfg.halfwidth)
 
 
 def _p_for(ell, cfg):

@@ -84,9 +84,10 @@ class PiecewisePolynomial:
             gap = max(gap, abs(left - right))
         return gap
 
-    def sup_bounds(self, samples=64):
-        """(sup |v|, sup |v'|) estimated per piece on a Chebyshev-like grid."""
-        t = np.cos(np.linspace(0.0, np.pi, samples))
+    def sup_bounds(self):
+        """(sup |v|, sup |v'|) estimated per piece on a 64-point
+        Chebyshev-like grid."""
+        t = np.cos(np.linspace(0.0, np.pi, 64))
         vmax = dmax = 0.0
         for p in range(self.n_pieces):
             h = self.nodes[p + 1] - self.nodes[p]

@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from .assembly import NetConfig, _interpolate, _p_for, build_phi_eps_f, hp_error
+from .assembly import (NetConfig, _interpolate, _p_for, _pool_size,
+                       build_phi_eps_f, hp_error)
 from .catalog import _KINDS, _PARAM_TYPES, _typed, from_spec
 from .emulation import plan_budget, product_net
 from .metrics import fit_rate
@@ -29,19 +30,6 @@ COLUMNS = ("dim", "func", "params", "sigma", "ell", "p", "N1d", "coeff_l1",
 
 # external spellings accepted next to the catalog keys
 _FUNC_ALIASES = {"corner_r_alpha": "corner"}
-
-
-def _jobs(flag):
-    """--jobs, else RELU_HP_JOBS, else 1; anything but a positive integer
-    is rejected."""
-    text = os.environ.get("RELU_HP_JOBS", "1") if flag is None else flag
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {text!r}")
-    return jobs
 
 
 # The keys a config file may hold, each with the type argparse gives its
@@ -175,7 +163,6 @@ def cmd_hp_study(args):
     u, fname, params = _resolve_func(args, cfg, dim)
     ncfg = _net_config(args, cfg)
     ells = _parse_ells(_pick(args.ell, cfg, "ell", "1..6"))
-    jobs = _jobs(args.jobs)
 
     def study_row(ell):
         t0 = time.perf_counter()
@@ -184,11 +171,10 @@ def cmd_hp_study(args):
         rep = hp_error(u, interp)
         return ell, p, interp, rep, time.perf_counter() - t0
 
-    if jobs > 1 and len(ells) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(study_row, ells))
-    else:
-        results = [study_row(e) for e in ells]
+    # threads, not processes: a row returns Python objects (the
+    # interpolant), which a process would have to pickle back
+    with concurrent.futures.ThreadPoolExecutor(_pool_size(len(ells))) as pool:
+        results = list(pool.map(study_row, ells))
     results.sort(key=lambda r: r[0])
 
     rows = []
@@ -346,8 +332,6 @@ def build_parser():
                        help="per-level interpolation error study -> CSV")
     _add_func_flags(p)
     p.add_argument("--ell", help="levels, e.g. 1..8 or 2,4,6")
-    p.add_argument("--jobs", type=int,
-                   help="concurrent rows (default RELU_HP_JOBS or 1)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--plot", help="write a gnuplot script here")
     p.set_defaults(func_cmd=cmd_hp_study)

@@ -509,30 +509,27 @@ def pwpoly_net(v, epsilon):
     gap = v.continuity_gap()
     if gap > 1e-10 * scale:
         raise ValueError(f"discontinuous at a node: jump {gap:.3e} exceeds 1e-10 * scale")
-    node_vals = v.node_values()
+    # the worst-case branch bounds keep the sup and derivative gaps within
+    # epsilon * scale / 2, so the measurement below only certifies
     tau = 0.5 * epsilon * scale
-    for attempt in range(3):
-        branches, weights = [], []
-        for j, val in enumerate(node_vals):
-            if val != 0.0:
-                branches.append(_hat_branch(v.nodes, j))
-                weights.append(float(val))
-        for i in range(v.n_pieces):
-            s = _bubble_poly(v.ref_coeffs[i])
-            if s is None:
-                continue
-            branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau))
-            weights.append(1.0)
-        lb = _LB(max(1, len(branches)))
-        lb.row(range(len(branches)), weights)
-        net = NeuralNetwork(lb.in_cols, [lb.done()])
-        # the weighted sum of the branches; with none, the zero net
-        if branches:
-            net = concat(net, parallel(depth_align(branches)))
-        sup, dsup, h1 = _measure_pw(net, v)
-        if max(sup, dsup) <= epsilon * scale:
-            break
-        tau *= 0.25
+    branches, weights = [], []
+    for j, val in enumerate(v.node_values()):
+        if val != 0.0:
+            branches.append(_hat_branch(v.nodes, j))
+            weights.append(float(val))
+    for i in range(v.n_pieces):
+        s = _bubble_poly(v.ref_coeffs[i])
+        if s is None:
+            continue
+        branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau))
+        weights.append(1.0)
+    lb = _LB(max(1, len(branches)))
+    lb.row(range(len(branches)), weights)
+    net = NeuralNetwork(lb.in_cols, [lb.done()])
+    # the weighted sum of the branches; with none, the zero net
+    if branches:
+        net = concat(net, parallel(depth_align(branches)))
+    sup, dsup, h1 = _measure_pw(net, v)
     if max(sup, dsup) > epsilon * scale:
         raise AssertionError(
             f"piecewise build missed its certified budget: {max(sup, dsup):.3e} "
@@ -554,15 +551,12 @@ def basis_net(v, epsilon1):
     span = v.nodes[-1] - v.nodes[0]
     vmax, dmax = v.sup_bounds()
     scale = max(1.0, vmax, dmax)
+    # pwpoly_net's worst-case bounds keep the sup and derivative gaps within
+    # eps_pw * scale / 2 on a support of length span: an H1 gap of target / 4
     eps_pw = target / (2.0 * scale * math.sqrt(2.0 * span))
-    for attempt in range(4):
-        net = pwpoly_net(v, min(eps_pw, 0.5))
-        err = net.meta["h1_err"]
-        if err <= target:
-            break
-        eps_pw *= 0.25
+    net = pwpoly_net(v, min(eps_pw, 0.5))
+    err = net.meta["h1_err"]
     if err > target:
         raise AssertionError(
             f"basis net H1 error {err:.3e} exceeds target {target:.3e}")
     return net
-

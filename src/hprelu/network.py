@@ -105,7 +105,7 @@ class NeuralNetwork:
 
     __slots__ = ("input_dim", "layers", "meta", "_packed")
 
-    def __init__(self, input_dim, layers, meta=None):
+    def __init__(self, input_dim, layers):
         input_dim = int(input_dim)
         if input_dim < 1:
             raise ValueError("input_dim must be positive")
@@ -121,7 +121,7 @@ class NeuralNetwork:
             prev = lay.rows
         self.input_dim = input_dim
         self.layers = layers
-        self.meta = dict(meta) if meta else {}
+        self.meta = {}
         self._packed = None
 
     @property

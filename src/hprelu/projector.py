@@ -23,7 +23,9 @@ __all__ = ["hp_interpolate", "multipatch_interpolate", "HpInterpolant"]
 
 _REL_TOL = 1e-12
 _MAX_DOUBLINGS = 4
-_CHUNK_ENTRIES = 40_000_000
+# entries of u evaluated at once: u's own temporaries scale with the block
+# (``fichera_extend`` holds about four), so this bounds the peak memory
+_CHUNK_ENTRIES = 2_000_000
 
 
 def _bubble_slots(axis, p, k):

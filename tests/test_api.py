@@ -11,7 +11,9 @@
 - every property, and every attribute a method stores on ``self``, must be
   read in ``src/hprelu`` or ``perfbench`` (a property's own body aside);
 - every key the package writes into a network's ``meta`` must be read
-  there as ``meta[key]`` or ``meta.get(key)``.
+  there as ``meta[key]`` or ``meta.get(key)``;
+- every parameter with a default (a dataclass field with one included)
+  must be passed at some call in ``src/hprelu`` or ``perfbench``.
 """
 
 import ast
@@ -140,3 +142,58 @@ def test_every_meta_key_has_a_reader():
     read = {k for f in READERS for k in _meta_reads(ast.parse(f.read_text()))}
     assert sorted(written - read - set(META_KEPT)) == []
     assert set(META_KEPT) <= written
+
+
+# parameters whose default no call overrides, and why
+DEFAULT_KEPT = {("cli.main", "argv"): "the console entry point calls main() bare"}
+
+
+def _defaults(body, qual, cls=None):
+    """(qualified name, callee name, parameter, index among a call's
+    positional arguments or None) per parameter with a default, in
+    functions, methods (``__init__`` called by its class's name) and
+    dataclass fields.  A lambda's defaults bind loop variables and are
+    never passed, so lambdas are skipped."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            name = cls if node.name == "__init__" else node.name
+            a = node.args
+            pos = a.posonlyargs + a.args
+            # a method's call does not pass its first parameter
+            skip = int(cls is not None)
+            for i in range(len(pos) - len(a.defaults), len(pos)):
+                yield f"{qual}.{node.name}", name, pos[i].arg, i - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{qual}.{node.name}", name, arg.arg, None
+            yield from _defaults(node.body, f"{qual}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            fields = [st for st in node.body if isinstance(st, ast.AnnAssign)]
+            for i, st in enumerate(fields):
+                if st.value is not None:
+                    yield f"{qual}.{node.name}", node.name, st.target.id, i
+            yield from _defaults(node.body, f"{qual}.{node.name}", node.name)
+
+
+def _passes(call, param, index):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_passed_somewhere():
+    calls = collections.defaultdict(list)
+    for f in READERS:
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                fn = node.func
+                calls[fn.id if isinstance(fn, ast.Name) else fn.attr].append(node)
+    found = sorted(
+        (qual, param)
+        for f in sorted(SRC.glob("*.py"))
+        for qual, name, param, index in _defaults(ast.parse(f.read_text()).body, f.stem)
+        if not any(_passes(c, param, index) for c in calls[name]))
+    assert [k for k in found if k not in DEFAULT_KEPT] == []
+    assert set(DEFAULT_KEPT) <= set(found)

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -76,7 +77,7 @@ def _basis_stage(net):
 def test_plan_split_minima():
     interp = _corner_interp()
     eps = 1e-2
-    plan = plan_assembly(interp, eps)
+    plan = plan_assembly(interp, eps, interp.coeff_l1())
     d = interp.dim
     cv = max(bf.h1_norm for bf in interp.basis)
     cl1 = interp.coeff_l1()
@@ -90,7 +91,7 @@ def test_plan_split_minima():
 def test_plan_budget_soundness():
     interp = _corner_interp()
     for eps in (1e-1, 1e-2, 1e-3):
-        plan = plan_assembly(interp, eps)
+        plan = plan_assembly(interp, eps, interp.coeff_l1())
         d = interp.dim
         two_terms = (plan.epsilon1 * d * (plan.c_v_max + 1.0) ** d * plan.c_l1
                      + plan.epsilon2 * (math.sqrt(d) + 1.0)
@@ -101,9 +102,9 @@ def test_plan_budget_soundness():
 def test_plan_validation():
     interp = _corner_interp()
     with pytest.raises(ValueError):
-        plan_assembly(interp, 0.0)
+        plan_assembly(interp, 0.0, interp.coeff_l1())
     with pytest.raises(ValueError):
-        plan_assembly(interp, 1.0)
+        plan_assembly(interp, 1.0, interp.coeff_l1())
     with pytest.raises(ValueError, match="underflow"):
         plan_assembly(interp, 1e-6, cl1=1e9)
 
@@ -645,6 +646,21 @@ def test_build_f_singular_certifies():
     assert rep.nn_size > _basis_stage(net).size
 
 
+def test_build_f_sym_domain_certifies():
+    # the interior-point case: the corner singularity at the center of
+    # (-1, 1)^2, graded toward it and toward both ends of each axis
+    eps = 0.3
+    net, rep = build_phi_eps_f(corner_singular(2, 0.5), 2, eps,
+                               NetConfig(domain="sym", sigma=0.17))
+    assert rep.certified and rep.h1_error <= eps
+    interp = net.meta["compiled_parts"]["interp"]
+    nodes = interp.axis.nodes
+    assert (nodes[0], nodes[-1]) == (-1.0, 1.0) and 0.0 in nodes
+    assert np.count_nonzero(interp.axis.singular) == 4
+    pts = np.array([[-0.7, -0.3], [0.0, 0.0], [0.4, -0.9], [-0.6, 0.8], [0.3, 0.2]])
+    assert np.max(np.abs(realize_batch(net, pts)[:, 0] - interp.value(pts))) <= 0.5 * eps
+
+
 def test_build_f_grid_check_envelope():
     u = corner_singular(2, 0.5)
     net, rep = build_phi_eps_f(u, 2, 1e-1, NetConfig(sigma=0.17))
@@ -756,6 +772,18 @@ def test_measurement_grids_follow_the_dimension(monkeypatch):
 def test_net_config_rejects_bad_numbers(key, bad):
     with pytest.raises(ValueError, match=f"{key} must be a finite number > 0, got {bad}"):
         NetConfig(**{key: bad})
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"sigma": 0.7}, "sigma must lie in (0, 1/2], got 0.7"),
+    ({"sigma": 0.0}, "sigma must lie in (0, 1/2], got 0.0"),
+    ({"sigma": math.nan}, "sigma must lie in (0, 1/2], got nan"),
+    ({"domain": "x"}, "domain must be 'unit' or 'sym', got 'x'")],
+    ids=["large-sigma", "zero-sigma", "nan-sigma", "unknown-domain"])
+def test_net_config_rejects_bad_settings(entry, message):
+    # rejected when the config is made, not in the first calibration step
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NetConfig(**entry)
 
 
 def test_vector_rejects_empty():

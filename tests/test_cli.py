@@ -1,8 +1,10 @@
 """CLI subcommands: CSV schema, determinism, exit codes."""
 
 import argparse
+import concurrent.futures
 import csv
 import json
+import os
 import struct
 
 import numpy as np
@@ -66,24 +68,52 @@ def test_hp_study_deterministic_bytes(tmp_path):
 
 
 def test_hp_study_jobs_match_serial(tmp_path, monkeypatch):
+    # the rows map over one thread per usable core: one core and two give
+    # the same CSV
+    sizes, pool = [], concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda n: sizes.append(n) or pool(n))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     a = _study(tmp_path, "serial.csv")
-    monkeypatch.setenv("RELU_HP_JOBS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     b = _study(tmp_path, "jobs.csv")
+    assert sizes == [1, 2]
     assert _strip_seconds(a) == _strip_seconds(b)
 
 
 @pytest.mark.parametrize("flag,env", [
     ("0", None), ("-3", None), (None, "abc"), (None, "0"), (None, "-3"), (None, "2.5")])
-def test_hp_study_rejects_bad_jobs(tmp_path, monkeypatch, capsys, flag, env):
-    if env is not None:
-        monkeypatch.setenv("RELU_HP_JOBS", env)
-    extra = () if flag is None else ("--jobs", flag)
-    out = tmp_path / "bad.csv"
-    rc = main(["hp-study", "--dim", "2", "--func", "corner", "--ell", "1",
-               "--out", str(out), *extra])
-    assert rc == 2
-    assert "jobs" in capsys.readouterr().err
-    assert not out.exists()
+def test_hp_study_has_no_jobs_option(tmp_path, monkeypatch, capsys, flag, env):
+    # the worker count follows the cores: --jobs is an unknown flag, and
+    # RELU_HP_JOBS is not read
+    study = ["hp-study", "--dim", "2", "--func", "corner", "--ell", "1", "--out"]
+    if flag is not None:
+        with pytest.raises(SystemExit) as e:
+            main([*study, str(tmp_path / "bad.csv"), "--jobs", flag])
+        assert e.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
+        return
+    assert main([*study, str(tmp_path / "plain.csv")]) == 0
+    monkeypatch.setenv("RELU_HP_JOBS", env)
+    assert main([*study, str(tmp_path / "env.csv")]) == 0
+    assert (_strip_seconds(tmp_path / "plain.csv")
+            == _strip_seconds(tmp_path / "env.csv"))
+
+
+@pytest.mark.parametrize("args, params", [
+    (["--dim", "3", "--func", "edge", "--lam", "0.75", "--axis", "1",
+      "--ell", "1..2"], "axis=1;lam=0.75"),
+    (["--dim", "2", "--func", "fichera", "--ell", "1..3"], "-")],
+    ids=["edge", "fichera"])
+def test_hp_study_edge_and_fichera(tmp_path, args, params):
+    out = tmp_path / "s.csv"
+    assert main(["hp-study", *args, "--out", str(out)]) == 0
+    _, rows = _read_rows(out)
+    assert [r[:3] for r in rows] == [[args[1], args[3], params]] * len(rows)
+    errs = [float(r[10]) for r in rows]
+    assert errs == sorted(errs, reverse=True) and len(set(errs)) == len(errs)
+    assert all(r[12] == "1" for r in rows)
 
 
 def test_hp_study_plot_script(tmp_path):
@@ -215,13 +245,22 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
      "parameter 'value' must be a finite number, got inf"),
     (["--func", "constant", "--value", "nan"],
      "parameter 'value' must be a finite number, got nan"),
-    (["--lam-e", "0.3"], "'corner' reads no parameter 'lam_e'")],
+    (["--lam-e", "0.3"], "'corner' reads no parameter 'lam_e'"),
+    (["--sigma", "0.7"], "sigma must lie in (0, 1/2], got 0.7"),
+    (["--config", {"sigma": 0.7}], "sigma must lie in (0, 1/2], got 0.7"),
+    (["--config", {"domain": "x"}], "domain must be 'unit' or 'sym', got 'x'")],
     ids=["inf-cp", "negative-cp", "nan-halfwidth", "inf-alpha", "inf-value",
-         "nan-value", "unread-param"])
+         "nan-value", "unread-param", "large-sigma", "config-sigma",
+         "config-domain"])
 def test_bad_numbers_rejected_before_calibrating(tmp_path, capsys, monkeypatch,
                                                  cmd, args, message):
     def no_calibration(*a):
         raise AssertionError("calibration ran")
+
+    if isinstance(args[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(args[-1]))
+        args = [*args[:-1], str(cfg)]
 
     monkeypatch.setattr(cli, "_interpolate", no_calibration)
     monkeypatch.setattr(assembly, "_interpolate", no_calibration)

@@ -480,6 +480,32 @@ def test_point_entries_reject_other_ranks(entry, pts):
         entry(net, pts)
 
 
+@pytest.mark.parametrize("entry", [realize_batch, grad_realize_batch])
+def test_point_entries_check_the_point_dimension(entry):
+    # a 1-D batch is n points of a one-input net; any other width than the
+    # net's input dimension is rejected, naming both
+    rng = np.random.default_rng(6)
+    one = random_net(rng, input_dim=1, depth=2)
+    x = np.array([0.1, 0.5, 0.9])
+    got, want = entry(one, x), entry(one, x[:, None])
+    if entry is realize_batch:
+        got, want = (got,), (want,)
+    assert all(map(np.array_equal, got, want))
+    two = random_net(rng, input_dim=2, depth=2)
+    for pts, dim in ((x, 1), (np.zeros((4, 3)), 3)):
+        with pytest.raises(ValueError, match=f"points have dim {dim}, network expects 2"):
+            entry(two, pts)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 4, 2), (3, 5, 2)],
+                         ids=["2-d", "wrong-rows", "wrong-points"])
+def test_run_forward_grad_checks_the_seed_shape(shape):
+    # an explicit seed is (in_dim, npts, nd)
+    net = random_net(np.random.default_rng(7), input_dim=3, depth=2)
+    with pytest.raises(ValueError, match=re.escape("seed must have shape (in_dim, npts, nd)")):
+        backends.run_forward_grad(net.packed(), np.ones((3, 4)), seed=np.zeros(shape))
+
+
 def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
     # the benchmark counts MACs at the module-level run_forward and
     # run_forward_grad, so a pass over many tiles must enter its own entry
