@@ -175,9 +175,11 @@ def _tiled_tuple_stage(pi, sel, cols_in):
     layers = []
     for k, lay in enumerate(concat(pi, identity_net(d, 1)).layers):
         cols = sel[:, lay.col_idx] if k == 0 else t * lay.cols + lay.col_idx
-        layers.append(Layer(T * lay.rows, cols_in if k == 0 else T * lay.cols,
-                            t * lay.rows + lay.row_idx, cols,
-                            np.tile(lay.vals, T), np.tile(lay.bias, T)))
+        # copy t's rows follow copies 0 .. t - 1 and their entries
+        indptr = np.append(t * len(lay.vals) + lay.indptr[:-1], T * len(lay.vals))
+        layers.append(Layer.from_csr(T * lay.rows, cols_in if k == 0 else T * lay.cols,
+                                     indptr, cols.ravel(), np.tile(lay.vals, T),
+                                     np.tile(lay.bias, T)))
     return NeuralNetwork(cols_in, layers)
 
 
@@ -485,10 +487,8 @@ class _CompiledField:
             return np.zeros(ns), np.zeros(ns + [d])
         # only the nonzero tuples run; loc[a][k] for nonzero tuple k
         loc = [la[nz] for la in loc]
-        head = Layer(1, 2 * m, np.zeros(2 * m, dtype=np.int64),
-                     np.arange(2 * m), np.concatenate([rv[nz], -rv[nz]]),
-                     np.zeros(1))
-        head = [(head.indptr, head.col_idx, head.vals, head.bias)]
+        head = [(np.array([0, 2 * m]), np.arange(2 * m),
+                 np.concatenate([rv[nz], -rv[nz]]), np.zeros(1))]
         n = int(np.prod(ns))
         flat = np.unravel_index(np.arange(n), ns)
         # input a on every (live basis index, point) pair of axis a
@@ -585,6 +585,10 @@ class _CompiledField:
 
     def value_axes(self, axes):
         return self._eval_axes(axes)[0]
+
+    def partial_axes(self, axes, j):
+        """The partial along axis j: a view into the cached gradient."""
+        return self._eval_axes(axes)[1][..., j]
 
     def gradient_axes(self, axes):
         return self._eval_axes(axes)[1]

@@ -12,25 +12,26 @@ import numpy as np
 from .network import Layer, NeuralNetwork
 
 
-def _stack_rows(layers):
-    """Block-stack layers sharing the same input width."""
-    cols = layers[0].cols
-    roff = np.cumsum([0] + [lay.rows for lay in layers])
-    row_idx = np.concatenate([lay.row_idx + o for lay, o in zip(layers, roff)])
+def _stack(layers, cols, shifts=None):
+    """The rows of ``layers``, block after block, in one ``cols``-wide layer,
+    layer k's columns moved right by ``shifts[k]`` (by none if omitted).  A
+    shift keeps each row's columns ascending, so the blocks stack as CSR
+    with nothing sorted."""
+    nnz = [len(lay.vals) for lay in layers]
+    starts = np.cumsum([0] + nnz)
+    indptr = np.concatenate([lay.indptr[:-1] for lay in layers] + [starts[-1:]])
+    indptr[:-1] += np.repeat(starts[:-1], [lay.rows for lay in layers])
     col_idx = np.concatenate([lay.col_idx for lay in layers])
-    vals = np.concatenate([lay.vals for lay in layers])
-    bias = np.concatenate([lay.bias for lay in layers])
-    return Layer(roff[-1], cols, row_idx, col_idx, vals, bias)
+    if shifts is not None:
+        col_idx = col_idx + np.repeat(shifts, nnz)
+    return Layer.from_csr(len(indptr) - 1, cols, indptr, col_idx,
+                          np.concatenate([lay.vals for lay in layers]),
+                          np.concatenate([lay.bias for lay in layers]))
 
 
 def _block_diag(layers):
-    roff = np.cumsum([0] + [lay.rows for lay in layers])
     coff = np.cumsum([0] + [lay.cols for lay in layers])
-    row_idx = np.concatenate([lay.row_idx + o for lay, o in zip(layers, roff)])
-    col_idx = np.concatenate([lay.col_idx + o for lay, o in zip(layers, coff)])
-    vals = np.concatenate([lay.vals for lay in layers])
-    bias = np.concatenate([lay.bias for lay in layers])
-    return Layer(roff[-1], coff[-1], row_idx, col_idx, vals, bias)
+    return _stack(layers, int(coff[-1]), coff[:-1])
 
 
 def identity_net(dim, depth):
@@ -64,11 +65,27 @@ def identity_net(dim, depth):
 
 def _pm_stack(lay):
     """The layer over its negation: rows (A; -A), bias (b; -b)."""
-    return Layer(2 * lay.rows, lay.cols,
-                 np.concatenate([lay.row_idx, lay.row_idx + lay.rows]),
-                 np.concatenate([lay.col_idx, lay.col_idx]),
-                 np.concatenate([lay.vals, -lay.vals]),
-                 np.concatenate([lay.bias, -lay.bias]))
+    n = len(lay.vals)
+    return Layer.from_csr(2 * lay.rows, lay.cols,
+                          np.concatenate([lay.indptr[:-1], lay.indptr + n]),
+                          np.concatenate([lay.col_idx, lay.col_idx]),
+                          np.concatenate([lay.vals, -lay.vals]),
+                          np.concatenate([lay.bias, -lay.bias]))
+
+
+def _doubled(lay):
+    """Rows [A, -A] on twice the columns: each row's entries, then the
+    same entries negated and moved right by A's width."""
+    m, cnt = lay.cols, np.diff(lay.indptr)
+    # where each entry of A lands: after the entries of the rows above,
+    # each of which now holds twice its own
+    at = np.arange(len(lay.vals)) + np.repeat(lay.indptr[:-1], cnt)
+    neg = at + np.repeat(cnt, cnt)
+    col_idx = np.empty(2 * len(at), dtype=lay.col_idx.dtype)
+    vals = np.empty(2 * len(at))
+    col_idx[at], col_idx[neg] = lay.col_idx, lay.col_idx + m
+    vals[at], vals[neg] = lay.vals, -lay.vals
+    return Layer.from_csr(lay.rows, 2 * m, 2 * lay.indptr, col_idx, vals, lay.bias)
 
 
 def concat(outer, inner):
@@ -83,18 +100,8 @@ def concat(outer, inner):
         raise ValueError(
             f"cannot compose: inner outputs {inner.output_dim}, outer expects {outer.input_dim}"
         )
-    m = inner.output_dim
-    stacked = _pm_stack(inner.layers[-1])
-    first = outer.layers[0]
-    doubled = Layer(
-        first.rows,
-        2 * m,
-        np.concatenate([first.row_idx, first.row_idx]),
-        np.concatenate([first.col_idx, first.col_idx + m]),
-        np.concatenate([first.vals, -first.vals]),
-        first.bias,
-    )
-    layers = list(inner.layers[:-1]) + [stacked, doubled] + list(outer.layers[1:])
+    layers = (list(inner.layers[:-1]) + [_pm_stack(inner.layers[-1]), _doubled(outer.layers[0])]
+              + list(outer.layers[1:]))
     return NeuralNetwork(inner.input_dim, layers)
 
 
@@ -110,7 +117,8 @@ def parallel(nets):
             raise ValueError(f"net {k}: input_dim {net.input_dim} != {d}")
         if net.depth != L:
             raise ValueError(f"net {k}: depth {net.depth} != {L} (depth_align first)")
-    layers = [_stack_rows([net.layers[0] for net in nets])]
+    # the first layers share the input, so they stack unshifted
+    layers = [_stack([net.layers[0] for net in nets], d)]
     for j in range(1, L):
         layers.append(_block_diag([net.layers[j] for net in nets]))
     return NeuralNetwork(d, layers)

@@ -53,15 +53,11 @@ class WeightedFunction:
         shape = tuple(len(a) for a in axes)
         return np.broadcast_to(self.value(*np.ix_(*axes)), shape)
 
-    def gradient_axes(self, axes):
-        """Gradients on the tensor grid, components on the last axis."""
-        d, grids = len(axes), np.ix_(*axes)
+    def partial_axes(self, axes, j):
+        """The partial derivative along axis j on the tensor grid."""
+        alpha = tuple(1 if i == j else 0 for i in range(len(axes)))
         shape = tuple(len(a) for a in axes)
-        comps = []
-        for j in range(d):
-            alpha = tuple(1 if i == j else 0 for i in range(d))
-            comps.append(np.broadcast_to(self.deriv(alpha, *grids), shape))
-        return np.stack(comps, axis=-1)
+        return np.broadcast_to(self.deriv(alpha, *np.ix_(*axes)), shape)
 
     def __add__(self, other):
         if not isinstance(other, WeightedFunction) or other.dim != self.dim:

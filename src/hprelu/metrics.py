@@ -7,9 +7,12 @@ coincide with sample points.  The subcell count starts at one per cell and
 is doubled until the H1 number settles; the relative gap between the last
 two levels is reported and gates the ``certified`` flag.
 
-A field is anything with ``value_axes(axes)`` and ``gradient_axes(axes)``
-evaluating on the tensor grid of per-axis point arrays: catalog functions,
-``HpInterpolant`` and ``compiled_field`` views.
+A field is anything with ``value_axes(axes)`` and ``partial_axes(axes, j)``
+evaluating on the tensor grid of per-axis point arrays, the values and the
+partial derivative along axis j: catalog functions, ``HpInterpolant`` and
+``compiled_field`` views.  The measurement asks for the values first, then
+each partial; a field may compute everything on the values call and serve
+the partials from it, as a compiled field does.
 """
 
 from dataclasses import dataclass
@@ -30,6 +33,10 @@ _JITTER = 1e-7
 # rounding-noise scale, where the relative gap never settles
 _RTOL = 1e-3
 _ATOL = 1e-14
+# points of one slab: the grid is cut along its first axis into slabs of at
+# most this many points (at least one plane), so the error arrays stay
+# bounded
+_SLAB_POINTS = 4_000_000
 
 
 @dataclass
@@ -63,13 +70,18 @@ def _axis_quad(cells, n_q, q, rng):
 
 
 def _sq_errors(f, g, axes_pts, axes_wts):
-    """(l2^2, semi^2, linf) over the tensor grid of axes_pts."""
+    """(l2^2, semi^2, linf) over the tensor grid of axes_pts.
+
+    Per slab the gradient gap is one (slab..., d) array, filled one
+    component at a time, f's partial less g's, then squared in place: no
+    field's whole gradient is held beside it.  Each number is the same
+    operation on the same operands in the same layout as the difference of
+    the stacked gradients, so the sums come out bit for bit the same."""
     d = len(axes_pts)
     shape = tuple(len(a) for a in axes_pts)
-    # slab along the first axis so the error tensors stay bounded
     n0 = shape[0]
     rest = int(np.prod(shape[1:], dtype=np.int64)) if d > 1 else 1
-    slab = max(1, min(n0, 4_000_000 // max(1, rest)))
+    slab = max(1, min(n0, _SLAB_POINTS // max(1, rest)))
     wt_rest = np.ones(shape[1:])
     for j, w in enumerate(axes_wts[1:]):
         wt_rest = wt_rest * w.reshape([-1 if i == j else 1 for i in range(d - 1)])
@@ -77,12 +89,17 @@ def _sq_errors(f, g, axes_pts, axes_wts):
     for lo in range(0, n0, slab):
         sl = slice(lo, min(n0, lo + slab))
         axes_sl = [axes_pts[0][sl]] + list(axes_pts[1:])
-        dv = f.value_axes(axes_sl) - g.value_axes(axes_sl)
-        dg = f.gradient_axes(axes_sl) - g.gradient_axes(axes_sl)
+        dv = np.subtract(f.value_axes(axes_sl), g.value_axes(axes_sl))
+        gap = np.empty(dv.shape + (d,))
+        for j in range(d):
+            gap[..., j] = f.partial_axes(axes_sl, j)
+            gap[..., j] -= g.partial_axes(axes_sl, j)
+        sq = np.sum(np.multiply(gap, gap, out=gap), axis=-1)
+        del gap
         wt = axes_wts[0][sl].reshape((-1,) + (1,) * (d - 1)) * wt_rest
-        l2 += float(np.sum(wt * dv * dv))
-        semi += float(np.sum(wt * np.sum(dg * dg, axis=-1)))
-        linf = max(linf, float(np.max(np.abs(dv))))
+        semi += float(np.sum(np.multiply(wt, sq, out=sq)))
+        l2 += float(np.sum(np.multiply(np.multiply(wt, dv, out=wt), dv, out=wt)))
+        linf = max(linf, float(np.max(np.abs(dv, out=dv))))
     return l2, semi, linf
 
 
@@ -94,9 +111,9 @@ def h1_error(f, g, cells, q=10, max_doublings=3):
     way the integrand demands.
     """
     for field in (f, g):
-        if not (hasattr(field, "value_axes") and hasattr(field, "gradient_axes")):
+        if not (hasattr(field, "value_axes") and hasattr(field, "partial_axes")):
             raise TypeError(f"{type(field).__name__} is not a tensor field: "
-                            "it needs value_axes and gradient_axes")
+                            "it needs value_axes and partial_axes")
     cells = [np.asarray(c, dtype=np.float64) for c in cells]
 
     def level(nq):

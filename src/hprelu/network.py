@@ -1,9 +1,11 @@
 """Sparse ReLU networks as explicit weight tuples.
 
 A network is a finite list of affine layers (A_l, b_l); the realization
-applies ReLU between layers and leaves the final layer affine.  Weights are
-stored as row-major sorted triplets so that serialization is canonical and
-the size statistic counts exactly the nonzero entries.
+applies ReLU between layers and leaves the final layer affine.  Each A_l is
+stored in compressed sparse row form with 32-bit column indices, every row's
+entries in ascending column order, so its entries in storage order are the
+row-major sorted triplets that serialization writes, and the size statistic
+counts exactly the nonzero entries.
 """
 
 import json
@@ -16,47 +18,77 @@ from . import backends
 
 
 class Layer:
-    """One affine layer A x + b with triplet-stored A.
+    """One affine layer A x + b with A in compressed sparse row form.
 
-    Triplets are canonicalized to row-major (i, j) order; duplicate entries
-    are rejected.  Explicitly stored zeros are kept but never counted by
-    size statistics.
+    ``indptr`` (int64, rows + 1 entries) bounds each row's run of
+    ``col_idx`` (int32) and ``vals``; within a row the columns ascend, so
+    storage order is canonical row-major (i, j) order.  ``row_idx``, the row
+    of each entry, is derived on demand.  12 bytes a weight and 16 a row.
+
+    The constructor takes triplets in any order and canonicalizes them;
+    ``from_csr`` takes rows that are already canonical.  Duplicate entries
+    and layers of 2**31 columns or more are rejected.  Explicitly stored
+    zeros are kept but never counted by size statistics.
     """
 
-    __slots__ = ("rows", "cols", "row_idx", "col_idx", "vals", "bias", "_indptr")
+    __slots__ = ("rows", "cols", "indptr", "col_idx", "vals", "bias")
 
     def __init__(self, rows, cols, row_idx, col_idx, vals, bias):
-        rows = int(rows)
-        cols = int(cols)
-        if rows < 1 or cols < 1:
-            raise ValueError("layer dimensions must be positive")
+        rows, cols = _dims(rows, cols)
         row_idx = np.asarray(row_idx, dtype=np.int64).ravel()
         col_idx = np.asarray(col_idx, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=np.float64).ravel()
         if not (len(row_idx) == len(col_idx) == len(vals)):
             raise ValueError("triplet arrays must have equal length")
-        if len(row_idx) and (
-            row_idx.min() < 0 or row_idx.max() >= rows or col_idx.min() < 0 or col_idx.max() >= cols
-        ):
+        if len(row_idx) and (row_idx.min() < 0 or row_idx.max() >= rows):
             raise ValueError("triplet index out of range")
+        _check_cols(col_idx, cols)
         order = np.lexsort((col_idx, row_idx))
         row_idx = row_idx[order]
         col_idx = col_idx[order]
-        vals = vals[order]
         if len(row_idx) > 1:
             same = (np.diff(row_idx) == 0) & (np.diff(col_idx) == 0)
             if same.any():
                 raise ValueError("duplicate triplet entry")
+        self._set(rows, cols, np.searchsorted(row_idx, np.arange(rows + 1)),
+                  col_idx, vals[order], bias)
+
+    @classmethod
+    def from_csr(cls, rows, cols, indptr, col_idx, vals, bias):
+        """A layer from CSR arrays whose rows already hold their columns in
+        ascending order: checked, never sorted.  The calculus builds every
+        layer it stacks this way."""
+        rows, cols = _dims(rows, cols)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        col_idx = np.asarray(col_idx)
+        vals = np.asarray(vals, dtype=np.float64)
+        n = len(col_idx)
+        if col_idx.dtype.kind not in "iu":
+            raise ValueError("column indices must be integers")
+        if (indptr.shape != (rows + 1,) or indptr[0] != 0 or indptr[-1] != n
+                or col_idx.shape != (n,) or vals.shape != (n,)
+                or (indptr[1:] < indptr[:-1]).any()):
+            raise ValueError("indptr must bound rows + 1 runs of the entries")
+        _check_cols(col_idx, cols)
+        # each entry lies right of the one before it, unless it starts a row
+        starts = np.zeros(n + 1, dtype=bool)
+        starts[indptr] = True
+        if not ((col_idx[1:] > col_idx[:-1]) | starts[1:-1]).all():
+            raise ValueError("columns must ascend within each row")
+        lay = cls.__new__(cls)
+        lay._set(rows, cols, indptr, col_idx, vals, bias)
+        return lay
+
+    def _set(self, rows, cols, indptr, col_idx, vals, bias):
         bias = np.asarray(bias, dtype=np.float64).ravel()
         if len(bias) != rows:
             raise ValueError(f"bias length {len(bias)} != rows {rows}")
         self.rows = rows
         self.cols = cols
-        self.row_idx = row_idx
-        self.col_idx = col_idx
+        self.indptr = indptr
+        self.col_idx = col_idx.astype(np.int32, copy=False)
         self.vals = vals
         self.bias = bias
-        self._indptr = None
 
     @classmethod
     def from_dense(cls, a, b=None):
@@ -69,10 +101,9 @@ class Layer:
         return cls(a.shape[0], a.shape[1], i, j, a[i, j], b)
 
     @property
-    def indptr(self):
-        if self._indptr is None:
-            self._indptr = np.searchsorted(self.row_idx, np.arange(self.rows + 1)).astype(np.int64)
-        return self._indptr
+    def row_idx(self):
+        """The row of each stored entry (int64), rebuilt on each read."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr))
 
     @property
     def nnz_weights(self):
@@ -86,6 +117,22 @@ class Layer:
         a = np.zeros((self.rows, self.cols))
         a[self.row_idx, self.col_idx] = self.vals
         return a
+
+
+def _dims(rows, cols):
+    rows = int(rows)
+    cols = int(cols)
+    if rows < 1 or cols < 1:
+        raise ValueError("layer dimensions must be positive")
+    # col_idx is int32
+    if cols >= 2 ** 31:
+        raise ValueError(f"a layer has at most 2**31 - 1 columns, got {cols}")
+    return rows, cols
+
+
+def _check_cols(col_idx, cols):
+    if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= cols):
+        raise ValueError("triplet index out of range")
 
 
 @dataclass(frozen=True)
@@ -155,7 +202,7 @@ class NeuralNetwork:
             live = [np.ones(self.output_dim, dtype=bool)]
             for lay in self.layers[:0:-1]:
                 read = np.zeros(lay.cols, dtype=bool)
-                read[lay.col_idx[live[-1][lay.row_idx]]] = True
+                read[lay.col_idx[np.repeat(live[-1], np.diff(lay.indptr))]] = True
                 live.append(read)
             self._packed = backends.Packed(_pack_rows(self.layers, live[::-1]))
         return self._packed
@@ -167,9 +214,11 @@ def _pack_rows(layers, live):
 
     Live rows keep their order and their terms in stored order.  A layer's
     columns are renumbered to the packed rows they read only when the
-    layer before it dropped rows.  Then, in each layer but the output, only the first of
-    the rows that compute the same thing stays: same bias bits and the
-    same terms in the same order, a term being the kept row it reads and
+    layer before it dropped rows; either way they leave as int64, the
+    index type of ``indptr``, so the kernel converts no index array on any
+    call.  Then, in each layer but the output, only the first of the rows
+    that compute the same thing stays: same bias bits and the same terms in
+    the same order, a term being the kept row it reads and
     its value bits (``_row_keys``).  Its readers read that row in place of
     the others.  Identical operations in identical order give identical
     bits, so this moves no bit.  Rows over ``backends._EXACT_ROW_NNZ``
@@ -184,11 +233,10 @@ def _pack_rows(layers, live):
         cnt = np.diff(indptr)
         whole = outs.all()
         if not whole:
-            keep = outs[lay.row_idx]
+            keep = np.repeat(outs, cnt)
             cnt, cols, vals, bias = cnt[outs], cols[keep], vals[keep], bias[outs]
             indptr = np.concatenate(([0], np.cumsum(cnt)))
-        if rep is not None:
-            cols = rep[cols]
+        cols = cols.astype(np.int64) if rep is None else rep[cols]
         # rep[j]: the packed row that stands for row j of this layer
         rep = None if whole else np.cumsum(outs) - 1
         if k < len(layers) - 1 and _may_repeat(indptr, cols, vals, bias):
@@ -211,11 +259,13 @@ def _pack_rows(layers, live):
 def _may_repeat(indptr, cols, vals, bias):
     """Whether two rows of a packed layer share the wrapping int64 sum of
     their bias bits and, over their terms, their value bits plus 1,000,003
-    times their column.  Bit-identical rows do; a shared sum only sends
+    times their column (taken in int64: in int32 it wraps from column
+    2,148 on).  Bit-identical rows do; a shared sum only sends
     the layer to the exact keys.  It costs a few numpy calls, a fraction of
     the keys', which matters on the many small layers of the basis nets a
     build measures, where nothing merges."""
-    h = np.concatenate(([0], np.cumsum(cols * 1_000_003 + vals.view(np.int64))))
+    h = np.concatenate(([0], np.cumsum(
+        np.multiply(cols, 1_000_003, dtype=np.int64) + vals.view(np.int64))))
     h = h[indptr[1:]] - h[indptr[:-1]] + bias.view(np.int64)
     h.sort()
     return bool((h[1:] == h[:-1]).any())

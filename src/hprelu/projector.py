@@ -177,13 +177,11 @@ class HpInterpolant:
         mats = [self._axis_matrices(np.asarray(x))[0] for x in axes_pts]
         return self._tensor_contract(mats)
 
-    def gradient_axes(self, axes_pts):
-        pairs = [self._axis_matrices(np.asarray(x), want_deriv=True) for x in axes_pts]
-        comps = []
-        for j in range(self.dim):
-            mats = [pairs[i][1] if i == j else pairs[i][0] for i in range(self.dim)]
-            comps.append(self._tensor_contract(mats))
-        return np.stack(comps, axis=-1)
+    def partial_axes(self, axes_pts, j):
+        """The partial derivative along axis j on the tensor grid."""
+        mats = [self._axis_matrices(np.asarray(x), want_deriv=i == j)[int(i == j)]
+                for i, x in enumerate(axes_pts)]
+        return self._tensor_contract(mats)
 
     def _tensor_contract(self, mats):
         t = self.coeffs

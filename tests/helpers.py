@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from hprelu import backends, network
+from hprelu import backends, metrics, network
 from hprelu.assembly import _tiled_tuple_stage
 from hprelu.basis import PiecewisePolynomial
 from hprelu.calculus import concat
@@ -207,9 +207,70 @@ def whole_document_deserialize(text):
         raise ValueError(f"inconsistent layer chain: {e}") from e
 
 
+def gradient_axes(field, axes):
+    """A tensor field's gradient on the grid of ``axes``, its partials
+    stacked on the last axis."""
+    return np.stack([field.partial_axes(axes, j) for j in range(len(axes))], axis=-1)
+
+
+def stacked_sq_errors(f, g, axes_pts, axes_wts):
+    """Reference for ``metrics._sq_errors``: per slab the difference of the
+    two stacked gradients, squared and summed as whole arrays, the
+    measurement before it streamed one component at a time.  The slabs
+    follow ``metrics._SLAB_POINTS`` as the library's do."""
+    d = len(axes_pts)
+    shape = tuple(len(a) for a in axes_pts)
+    n0 = shape[0]
+    rest = int(np.prod(shape[1:], dtype=np.int64)) if d > 1 else 1
+    slab = max(1, min(n0, metrics._SLAB_POINTS // max(1, rest)))
+    wt_rest = np.ones(shape[1:])
+    for j, w in enumerate(axes_wts[1:]):
+        wt_rest = wt_rest * w.reshape([-1 if i == j else 1 for i in range(d - 1)])
+    l2 = semi = linf = 0.0
+    for lo in range(0, n0, slab):
+        sl = slice(lo, min(n0, lo + slab))
+        axes_sl = [axes_pts[0][sl]] + list(axes_pts[1:])
+        dv = f.value_axes(axes_sl) - g.value_axes(axes_sl)
+        dg = gradient_axes(f, axes_sl) - gradient_axes(g, axes_sl)
+        wt = axes_wts[0][sl].reshape((-1,) + (1,) * (d - 1)) * wt_rest
+        l2 += float(np.sum(wt * dv * dv))
+        semi += float(np.sum(wt * np.sum(dg * dg, axis=-1)))
+        linf = max(linf, float(np.max(np.abs(dv))))
+    return l2, semi, linf
+
+
+def canonical_triplets(rows, cols, row_idx, col_idx, vals, bias):
+    """Reference for the ``Layer`` constructor: the triplet canonicalization
+    of the layer that stored triplets, returning its (row_idx, col_idx,
+    vals, bias) in row-major order as int64, int64, float64, float64, or
+    raising the ValueError it raised."""
+    rows, cols = int(rows), int(cols)
+    if rows < 1 or cols < 1:
+        raise ValueError("layer dimensions must be positive")
+    row_idx = np.asarray(row_idx, dtype=np.int64).ravel()
+    col_idx = np.asarray(col_idx, dtype=np.int64).ravel()
+    vals = np.asarray(vals, dtype=np.float64).ravel()
+    if not (len(row_idx) == len(col_idx) == len(vals)):
+        raise ValueError("triplet arrays must have equal length")
+    if len(row_idx) and (
+        row_idx.min() < 0 or row_idx.max() >= rows or col_idx.min() < 0 or col_idx.max() >= cols
+    ):
+        raise ValueError("triplet index out of range")
+    order = np.lexsort((col_idx, row_idx))
+    row_idx, col_idx, vals = row_idx[order], col_idx[order], vals[order]
+    if len(row_idx) > 1:
+        same = (np.diff(row_idx) == 0) & (np.diff(col_idx) == 0)
+        if same.any():
+            raise ValueError("duplicate triplet entry")
+    bias = np.asarray(bias, dtype=np.float64).ravel()
+    if len(bias) != rows:
+        raise ValueError(f"bias length {len(bias)} != rows {rows}")
+    return row_idx, col_idx, vals, bias
+
+
 def interp_gradient(interp, pts):
     """Gradients of an ``HpInterpolant`` at scattered (n, d) points, axis by
-    axis from its basis matrices: the oracle for ``gradient_axes``."""
+    axis from its basis matrices: the oracle for ``partial_axes``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     pairs = [interp._axis_matrices(pts[:, j], want_deriv=True)
              for j in range(interp.dim)]

@@ -24,11 +24,13 @@ import hprelu
 
 SRC = pathlib.Path(hprelu.__file__).parent
 
-# called only by the benchmark (perfbench/worker.py): resolve_backend for its
-# environment record, and NetConfig.for_dim, which returns the plain
-# defaults, for its 3d workload's config.  A method's key is its
-# module-qualified class and its name
-BENCHMARK_ONLY = {("backends", "resolve_backend"), ("assembly.NetConfig", "for_dim")}
+# called only by the benchmark: resolve_backend for its environment record
+# and NetConfig.for_dim, which returns the plain defaults, for its 3d
+# workload's config (perfbench/worker.py), and _CompiledField.gradient_axes,
+# which perfbench/spans.py wraps by name on every compiled field.  A
+# method's key is its module-qualified class and its name
+BENCHMARK_ONLY = {("backends", "resolve_backend"), ("assembly.NetConfig", "for_dim"),
+                  ("assembly._CompiledField", "gradient_axes")}
 
 
 def _names(tree):

@@ -1,10 +1,19 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hprelu.catalog import WeightedFunction, analytic_fn, corner_singular
+from hprelu import metrics
+from hprelu.assembly import build_phi_eps_c, compiled_field, quad_cells
+from hprelu.catalog import (WeightedFunction, analytic_fn, corner_singular,
+                            edge_singular)
 from hprelu.mesh import geometric_mesh
 from hprelu.metrics import ErrorReport, fit_rate, h1_error
 from hprelu.projector import hp_interpolate
+
+from helpers import stacked_sq_errors
 
 
 def _fn1(value, deriv, name):
@@ -111,3 +120,60 @@ def test_h1_error_rejects_non_fields():
             h1_error(bad, _ZERO, cells)
         with pytest.raises(TypeError, match=name):
             h1_error(_ZERO, bad, cells)
+
+
+def _interp(d):
+    u = corner_singular(2, 0.5) if d == 2 else corner_singular(3, 0.8) + edge_singular(0.6)
+    return u, hp_interpolate(u, geometric_mesh(0.5, 1 if d == 3 else 2), 2)
+
+
+def _catalog_case(d):
+    u, it = _interp(d)
+    return u, it, quad_cells(it, 3), 4, 2
+
+
+def _compiled_case(d):
+    _, it = _interp(d)
+    return it, compiled_field(build_phi_eps_c(it, 0.2)), quad_cells(it, 3), 4, 0
+
+
+def _hex(rep):
+    return {k: float.hex(v) if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(rep).items()}
+
+
+@pytest.mark.parametrize("slabs", ["default", "several"])
+@pytest.mark.parametrize("case", [_catalog_case, _compiled_case], ids=["catalog", "compiled"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_streamed_gap_is_bitwise(monkeypatch, d, case, slabs):
+    # the gap filled one component at a time gives every report field of the
+    # stacked difference, bit for bit
+    f, g, cells, q, doublings = case(d)
+    if slabs == "several":
+        # about three slabs at the first level, more at the finer ones
+        n = [(len(c) - 1) * q for c in cells]
+        monkeypatch.setattr(metrics, "_SLAB_POINTS", math.prod(n[1:]) * (n[0] // 3))
+        assert n[0] // 3 >= 2
+    got = h1_error(f, g, cells, q=q, max_doublings=doublings)
+    monkeypatch.setattr(metrics, "_sq_errors", stacked_sq_errors)
+    assert _hex(got) == _hex(h1_error(f, g, cells, q=q, max_doublings=doublings))
+
+
+def test_one_level_holds_few_grid_arrays():
+    # one 3d measurement level, catalog function against interpolant, peaks
+    # under 8 arrays of the grid's size: the (..., 3) gap, the value gap and
+    # what one partial of each field takes to compute.  Holding both stacked
+    # gradients, their difference and its square took 10
+    u, it = _interp(3)
+    cells, q = quad_cells(it, 5), 6
+    n = (len(cells[0]) - 1) * q
+    assert n ** 3 <= metrics._SLAB_POINTS
+    # a first call also fills one-time caches (quadrature rules, imports)
+    h1_error(u, it, cells, q=q, max_doublings=0)
+    tracemalloc.start()
+    try:
+        h1_error(u, it, cells, q=q, max_doublings=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (8 * n ** 3), peak / (8 * n ** 3)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hprelu import backends
+from hprelu import backends, network
 from hprelu.network import (
     Layer,
     NeuralNetwork,
@@ -26,6 +26,7 @@ from hprelu.network import (
 )
 
 from helpers import (
+    canonical_triplets,
     dense_realize,
     fd_jacobian,
     inorder_realize,
@@ -120,6 +121,106 @@ def test_layer_validation():
         NeuralNetwork(
             2, [Layer(1, 1, [0], [0], [1.0], [0.0])]
         )  # input width mismatch
+
+
+# values with explicit zeros of both signs among them
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _triplets(draw):
+    """(rows, cols, row_idx, col_idx, vals, bias) in random order, with one-row
+    layers, empty rows and explicit zeros; sometimes with a duplicate or an
+    out-of-range entry."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                          unique=True, max_size=rows * cols))
+    flaw = draw(st.sampled_from([None] * 4 + ["duplicate", "row", "col", "negative"]))
+    if flaw == "duplicate" and cells:
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(cells)))
+    elif flaw in ("row", "col", "negative"):
+        bad = {"row": (rows, 0), "col": (0, cols), "negative": (0, -1)}[flaw]
+        cells.insert(draw(st.integers(0, len(cells))), bad)
+    vals = draw(st.lists(_VALUES, min_size=len(cells), max_size=len(cells)))
+    bias = draw(st.lists(_VALUES, min_size=rows, max_size=rows))
+    return (rows, cols, [i for i, _ in cells], [j for _, j in cells], vals, bias)
+
+
+def _canonical_text(cols, row_idx, col_idx, vals, bias):
+    """A one-layer network's serialize() text written from canonical
+    triplets."""
+    trips = ", ".join("[%d, %d, %.17g]" % t for t in zip(
+        row_idx.tolist(), col_idx.tolist(), vals.tolist()))
+    return ('{"input_dim": %d, "layers": [{"rows": %d, "cols": %d, "weights": [%s], '
+            '"bias": [%s]}]}' % (cols, len(bias), cols, trips,
+                                 ", ".join("%.17g" % b for b in bias.tolist())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triplets())
+def test_layer_is_canonical_csr(args):
+    # the CSR layer holds exactly what the triplet layer it replaced held
+    try:
+        want = canonical_triplets(*args)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            Layer(*args)
+        return
+    row_idx, col_idx, vals, bias = want
+    rows, cols = args[:2]
+    lay = Layer(*args)
+    assert lay.col_idx.dtype == np.int32 and lay.indptr.dtype == np.int64
+    assert np.array_equal(lay.row_idx, row_idx) and np.array_equal(lay.col_idx, col_idx)
+    assert np.array_equal(lay.vals.view(np.uint64), vals.view(np.uint64))
+    assert np.array_equal(lay.bias.view(np.uint64), bias.view(np.uint64))
+    assert np.array_equal(lay.indptr, np.searchsorted(row_idx, np.arange(rows + 1)))
+    dense = np.zeros((rows, cols))
+    dense[row_idx, col_idx] = vals
+    assert np.array_equal(lay.dense().view(np.uint64), dense.view(np.uint64))
+    assert serialize(NeuralNetwork(cols, [lay])) == _canonical_text(cols, *want)
+    nbytes = sum(a.nbytes for a in (lay.indptr, lay.col_idx, lay.vals, lay.bias))
+    assert nbytes <= 12 * len(vals) + 8 * (2 * rows + 1)
+    # the same rows given as CSR make the same layer
+    again = Layer.from_csr(rows, cols, lay.indptr, lay.col_idx, lay.vals, lay.bias)
+    assert serialize(NeuralNetwork(cols, [again])) == _canonical_text(cols, *want)
+
+
+def test_layer_rejects_what_int32_cannot_index():
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        Layer(1, 2 ** 31, [0], [0], [1.0], [0.0])
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        Layer.from_csr(1, 2 ** 31, [0, 1], np.array([0]), [1.0], [0.0])
+    Layer(1, 2 ** 31 - 1, [0], [2 ** 31 - 2], [1.0], [0.0])
+
+
+@pytest.mark.parametrize("indptr, col_idx, message", [
+    ([0, 2, 2], [1, 0], "ascend"),       # a row's columns out of order
+    ([0, 2, 2], [1, 1], "ascend"),       # a repeated entry
+    ([0, 1, 3], [0, 1, 1], "ascend"),
+    ([0, 2, 1], [0, 1], "indptr"),       # a row of negative length
+    ([0, 1], [0], "indptr"),             # too few rows
+    ([0, 1, 2], [0, 2], "out of range"),
+    ([0, 1, 2], [0.0, 1.0], "integers"),  # float column indices
+    ([0, 1, 2], [[0], [1]], "indptr"),    # not a flat array
+])
+def test_from_csr_rejects_bad_rows(indptr, col_idx, message):
+    with pytest.raises(ValueError, match=message):
+        Layer.from_csr(2, 2, indptr, np.asarray(col_idx), np.ones(len(col_idx)), [0.0, 0.0])
+
+
+def test_may_repeat_sums_in_int64():
+    # two identical rows above column 2,147, where column * 1,000,003 leaves
+    # int32, are found whatever the index type
+    vals = np.array([0.5, -1.25, 0.5, -1.25])
+    for dtype in (np.int32, np.int64):
+        cols = np.array([3000, 70000, 3000, 70000], dtype=dtype)
+        assert network._may_repeat(np.array([0, 2, 4]), cols, vals, np.zeros(2))
+    # rows (1, 4000) and (2000, 2001) share the int64 sum; in int32 arithmetic
+    # 4000 * 1,000,003 wraps and the sums differ
+    for dtype in (np.int32, np.int64):
+        cols = np.array([1, 4000, 2000, 2001], dtype=dtype)
+        assert network._may_repeat(np.array([0, 2, 4]), cols, np.ones(4), np.zeros(2))
 
 
 def test_serialize_round_trip_bit_exact():
