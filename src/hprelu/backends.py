@@ -10,6 +10,13 @@ kernel call, not with the package.
 The one forward pass, with or without jacobian directions, runs narrow
 layers in cache-sized tiles of points, each held plane-major: the values,
 then one contiguous plane per direction (``_narrow_run``).
+
+An identity-seeded jacobian pass of a ``Packed`` list on d > 1 inputs
+carries one plane, not d, through the axis-separable prefix of the layers
+(``Packed.separable``), where each row reads at most one input axis, and
+scatters it into the d planes by each row's axis at the cut.  A direction
+a row does not read has its sum start at +0.0 and add only finite weights
+times +0.0, so it is +0.0 there in the d-plane pass too: no bit moves.
 """
 
 import functools
@@ -88,9 +95,12 @@ def run_forward(packed, x):
 
     ReLU is applied after every layer except the last.  Returns the final
     (out_dim, npts) array: ``run_forward_grad``'s values, bit for bit,
-    from the same pass with no jacobian directions.
+    from the same pass with no jacobian directions.  On more than one input
+    a ``Packed`` list splits its runs at the axis-separable cut, as the
+    jacobian pass does, so the prefix tiles by its own width.
     """
     y = np.ascontiguousarray(x, dtype=np.float64)
+    _prefix(packed, len(y))
     return _forward(packed, y, np.empty(y.shape + (0,)))[0]
 
 
@@ -107,7 +117,8 @@ class Packed(list):
     layers and each layer with a row over ``_EXACT_ROW_NNZ`` entries,
     computed once: a list held for many passes (a network's, a
     certification lane's) is built as one, and the forward pass packs any
-    other list on each call.
+    other list on each call.  Once ``separable`` has found the cut, a run
+    across it is split there.
     """
 
     def __init__(self, layers):
@@ -119,10 +130,50 @@ class Packed(list):
                 self.runs[-1][1] = i + 1
             else:
                 self.runs.append([i, i + 1, narrow])
+        self._separable = None
+
+    def separable(self):
+        """(cut, axes): the axis-separable prefix, layers [0, cut), and the
+        input axis each row of layer cut - 1 reads (-1: none; None when
+        cut is 0).
+
+        Input column a is axis a.  A layer belongs to the prefix when its
+        rows are narrow, so they sum in order, its weights are finite, so a
+        weight times +0.0 is a signed zero, and each row reads rows of at
+        most one axis.  Found on the first call, which splits the run
+        across the cut so that the prefix tiles by its own width.
+        """
+        if self._separable is None:
+            cut, axes = 0, None
+            none = np.iinfo(np.int64).max
+            for indptr, cols, vals, _ in self:
+                cnt = np.diff(indptr)
+                if cnt.max(initial=0) > _EXACT_ROW_NNZ or not np.isfinite(vals).all():
+                    break
+                read = cols if axes is None else axes[cols]
+                # per row the largest and the smallest axis it reads: -1
+                # and `none` for a row that reads none
+                hi = np.full(len(cnt), -1, dtype=np.int64)
+                lo = np.full(len(cnt), none, dtype=np.int64)
+                full = cnt > 0
+                if full.any():
+                    starts = indptr[:-1][full]
+                    hi[full] = np.maximum.reduceat(read, starts)
+                    lo[full] = np.minimum.reduceat(np.where(read < 0, none, read), starts)
+                if ((hi >= 0) & (lo != hi)).any():
+                    break
+                cut, axes = cut + 1, hi
+            for k, (start, stop, narrow) in enumerate(self.runs):
+                if start < cut < stop:
+                    self.runs[k:k + 1] = [[start, cut, narrow], [cut, stop, narrow]]
+                    break
+            self._separable = cut, axes
+        return self._separable
 
 
 def _narrow_run(layers, y, jac, relu_last):
-    """Run narrow layers tile by tile over the points.
+    """Run narrow layers tile by tile over the points, in as few tiles as
+    ``_tile_points`` allows, all of near-equal size.
 
     y is (in, npts) and jac (in, npts, nd), point-major as the public pass
     holds them.  A tile is one plane-major (1 + nd, rows, tile) array: the
@@ -133,12 +184,12 @@ def _narrow_run(layers, y, jac, relu_last):
     """
     npts, nd = jac.shape[1], jac.shape[2]
     rows = [len(indptr) - 1 for indptr, _, _, _ in layers]
-    tile = _tile_points(max(rows + [y.shape[0]]), nd)
+    tiles = -(-npts // _tile_points(max(rows + [y.shape[0]]), nd))
     y_out = np.empty((rows[-1], npts))
     jac_out = np.empty((rows[-1], npts, nd))
     relu = [True] * (len(layers) - 1) + [relu_last]
-    for p0 in range(0, npts, tile):
-        p1 = min(npts, p0 + tile)
+    for i in range(tiles):
+        p0, p1 = i * npts // tiles, (i + 1) * npts // tiles
         t = np.empty((1 + nd, y.shape[0], p1 - p0))
         t[0] = y[:, p0:p1]
         t[1:] = jac[:, p0:p1].transpose(2, 0, 1)
@@ -158,9 +209,19 @@ def _narrow_run(layers, y, jac, relu_last):
     return y_out, jac_out
 
 
-def _forward(packed, y, jac):
-    """The pass behind both entries: values y (in, npts) and directions jac
-    (in, npts, nd), nd = 0 for values alone.
+def _prefix(packed, d):
+    """``packed.separable()`` on d > 1 inputs, for a ``Packed`` list only:
+    any other list is packed anew on each call, and looking for its cut on
+    each call would cost more than the cut saves."""
+    if d > 1 and isinstance(packed, Packed):
+        return packed.separable()
+    return 0, None
+
+
+def _forward(packed, y, jac, first=0, end=None):
+    """The pass behind both entries through the layers [first, end), run
+    boundaries both: values y (in, npts) and directions jac (in, npts, nd),
+    nd = 0 for values alone.
 
     Maximal runs of narrow layers go tile by tile over the points, each tile
     through the whole run while it sits in cache; a layer with a wide row
@@ -173,6 +234,8 @@ def _forward(packed, y, jac):
     npts, nd = jac.shape[1], jac.shape[2]
     last = len(packed) - 1
     for start, stop, narrow in packed.runs:
+        if start < first or (end is not None and start >= end):
+            continue
         if narrow:
             y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last)
             continue
@@ -202,14 +265,27 @@ def run_forward_grad(packed, x, seed=None):
     nd directions, which is what chain-rule callers want when the input
     dimension is large.  ``Packed`` lists bring their run split along; any
     other list of packed layers is split on each call.
+
+    With the identity seed and in_dim > 1, a ``Packed`` list runs its
+    axis-separable prefix (``Packed.separable``) with one plane seeded 1.0
+    on every input, which is then scattered into the in_dim planes by each
+    row's axis, +0.0 elsewhere; the layers after it run as with any seed.
+    The planes come out bit for bit as from the explicit identity seed.
     """
     d, npts = x.shape
     y = np.ascontiguousarray(x, dtype=np.float64)
-    if seed is None:
-        jac = np.zeros((d, npts, d))
-        jac[np.arange(d), :, np.arange(d)] = 1.0
-    else:
+    if seed is not None:
         jac = np.asarray(seed, dtype=np.float64)
         if jac.ndim != 3 or jac.shape[0] != d or jac.shape[1] != npts:
             raise ValueError("seed must have shape (in_dim, npts, nd)")
-    return _forward(packed, y, jac)
+        return _forward(packed, y, jac)
+    cut, axes = _prefix(packed, d)
+    if cut:
+        y, one = _forward(packed, y, np.ones((d, npts, 1)), end=cut)
+        jac = np.zeros((len(axes), npts, d))
+        rows = np.flatnonzero(axes >= 0)
+        jac[rows, :, axes[rows]] = one[rows, :, 0]
+    else:
+        jac = np.zeros((d, npts, d))
+        jac[np.arange(d), :, np.arange(d)] = 1.0
+    return _forward(packed, y, jac, first=cut)

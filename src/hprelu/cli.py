@@ -279,6 +279,7 @@ def cmd_nn_info(args):
     print(f"live_rows {st.live_rows}")
     print(f"neurons {st.neurons}")
     print(f"max_width {max(st.widths)}")
+    print(f"separable_depth {st.separable_depth}")
     return 0
 
 

@@ -145,6 +145,7 @@ class NetworkStats:
     input_dim: int
     output_dim: int
     widths: tuple
+    separable_depth: int
 
 
 class NeuralNetwork:
@@ -292,7 +293,10 @@ def stats(net):
 
     ``live_size`` counts the nonzero weights and biases of the packed rows
     (``packed``: live, each bit-identical row once), the terms a pass
-    multiplies, and ``live_rows`` those rows, the ones a pass computes."""
+    multiplies, and ``live_rows`` those rows, the ones a pass computes.
+    ``separable_depth`` counts the leading packed layers whose
+    identity-seeded jacobian runs as one plane: every layer of a one-input
+    net, else the axis-separable prefix (``backends.Packed.separable``)."""
     packed = net.packed()
     return NetworkStats(
         depth=net.depth,
@@ -304,6 +308,8 @@ def stats(net):
         input_dim=net.input_dim,
         output_dim=net.output_dim,
         widths=tuple(lay.rows for lay in net.layers),
+        separable_depth=(net.depth if net.input_dim == 1
+                         else packed.separable()[0]),
     )
 
 

@@ -160,6 +160,27 @@ def packed_rows(packed):
             for indptr, cols, vals, bias in packed]
 
 
+def separable_prefix(net):
+    """Reference for ``backends.Packed.separable`` in plain Python: the
+    number of leading packed layers in which every row holds at most
+    ``_EXACT_ROW_NNZ`` terms, all of finite value, and reads rows of at most
+    one input axis (input column a is axis a), and the axis of each row of
+    the last of them, -1 for a row that reads none (None if there is no
+    such layer)."""
+    axes, cut = list(range(net.input_dim)), 0
+    for indptr, cols, vals, _ in net.packed():
+        row_axes = []
+        for r in range(len(indptr) - 1):
+            terms = range(indptr[r], indptr[r + 1])
+            read = {axes[cols[t]] for t in terms} - {-1}
+            if (len(terms) > backends._EXACT_ROW_NNZ or len(read) > 1
+                    or not all(np.isfinite(vals[t]) for t in terms)):
+                return cut, (None if cut == 0 else axes)
+            row_axes.append(read.pop() if read else -1)
+        axes, cut = row_axes, cut + 1
+    return cut, axes
+
+
 def whole_document_deserialize(text):
     """Reference for ``network.deserialize``: the decoder that parses the
     whole text into Python lists first and converts the layers after, with

@@ -38,7 +38,13 @@ from hprelu.network import (
 )
 from hprelu.projector import HpInterpolant, hp_interpolate
 
-from helpers import assert_linf_envelope, merged_rows, packed_rows, per_cell_field
+from helpers import (
+    assert_linf_envelope,
+    merged_rows,
+    packed_rows,
+    per_cell_field,
+    separable_prefix,
+)
 
 _CACHE = {}
 
@@ -260,6 +266,31 @@ def test_compiled_field_bitwise_tensor():
     assert np.array_equal(f.value_axes(axes), vals[:, 0].reshape(13, 11))
     assert np.array_equal(f.gradient_axes(axes),
                           jac[:, 0, :].reshape(13, 11, 2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_compiled_net_jacobian_one_plane_through_the_basis(dim):
+    # the basis stage and the selector read one axis per row, so the
+    # identity-seeded pass carries one jacobian plane through them; the
+    # product stage mixes the axes, and values and jacobians are those of
+    # the explicit identity seed, bit for bit
+    net = _lane_net(dim)
+    cut, axes = net.packed().separable()
+    want_cut, want_axes = separable_prefix(net)
+    assert (cut, axes.tolist()) == (want_cut, want_axes)
+    assert net.meta["depth_basis"] < cut < net.depth
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(0.0, 1.0, (300, dim))
+    pts[:3] = np.array([0.0, 0.5, 1.0])[:, None]
+    seed = np.zeros((dim, 300, dim))
+    seed[np.arange(dim), :, np.arange(dim)] = 1.0
+    want = backends.run_forward_grad(backends.Packed(list(net.packed())),
+                                     pts.T, seed=seed)
+    vals, jac = grad_realize_batch(net, pts)
+    got = (vals.T, np.moveaxis(jac, 0, 1), realize_batch(net, pts).T)
+    for a, b in zip(got, want + want[:1]):
+        assert np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                              b.view(np.int64))
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hprelu.network import _fmt, deserialize, realize_batch, serialize
 from hprelu.projector import HpInterpolant
 from hprelu.verify import verify_calculus
 
-from helpers import merged_rows
+from helpers import merged_rows, separable_prefix
 
 
 def _read_rows(path):
@@ -303,6 +303,9 @@ def test_nn_info_live_size(tmp_path, capsys):
         _value(v) != 0.0 for _, terms in rows for _, v in terms)
     assert info["size"] == "5517"
     assert (info["live_size"], info["live_rows"]) == (str(nonzero), str(len(rows)))
+    # the basis stage and the selector run one jacobian plane
+    assert info["separable_depth"] == str(separable_prefix(net)[0])
+    assert 0 < int(info["separable_depth"]) < net.depth
     # 4,914 weights and biases are live before shared rows merge
     assert nonzero < 4914
     assert len(rows) < sum(lay.rows for lay in net.layers)

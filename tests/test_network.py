@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hprelu import backends, network
+from hprelu.calculus import full_parallel
 from hprelu.network import (
     Layer,
     NeuralNetwork,
@@ -33,6 +34,7 @@ from helpers import (
     merged_rows,
     packed_rows,
     random_net,
+    separable_prefix,
     whole_document_deserialize,
 )
 
@@ -640,11 +642,13 @@ def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch):
+    """Spy on the in-order kernel: one entry per call, the points of the
+    plane it sums."""
     kernel, calls = backends._csr_add, []
 
-    def count(*args):
-        calls.append(1)
-        return kernel(*args)
+    def count(indptr, cols, vals, x, out):
+        calls.append(x.shape[1])
+        return kernel(indptr, cols, vals, x, out)
 
     monkeypatch.setattr(backends, "_csr_add", count)
     return calls
@@ -681,6 +685,172 @@ def test_tile_floor(monkeypatch, rows):
                 y = backends.run_forward(net.packed(), x)
             assert len(kernel_calls) == (1 + nd) * net.depth * tiles
             assert np.array_equal(_bits(y.T), _bits(want))
+
+
+@pytest.mark.parametrize("npts, tile, sizes", [
+    (250, 61, [50] * 5), (62, 61, [31, 31]), (61, 61, [61]), (7, 3, [2, 2, 3]),
+    (0, 61, [])])
+def test_tiles_are_balanced(monkeypatch, npts, tile, sizes):
+    # a run takes as many tiles as full ones would need, of near-equal
+    # size, not full tiles and a runt; no points, no tile
+    net = NeuralNetwork(1, [Layer(3, 1, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 2.0],
+                                  [0.5, 0.0, -0.5]),
+                            Layer(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0], [0.0])])
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", tile)
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    y = backends.run_forward(net.packed(), np.linspace(-1.0, 1.0, npts)[None, :])
+    assert y.shape == (1, npts)
+    assert kernel_calls == [k for k in sizes for _ in range(net.depth)]
+
+
+def _one_input_net(draw, widths, wide=None, inf=None):
+    """A one-input net through ``widths`` (widths[0] == 1) whose rows may
+    hold no entries, explicit 0.0 weights, or be read by no later row.  Its
+    rows are narrow, but row 0 of layer ``wide`` reads every row before it;
+    the first weight of layer ``inf`` is +-inf."""
+    layers = []
+    for k, (rows, cols) in enumerate(zip(widths[1:], widths[:-1])):
+        ri, ci = [], []
+        for r in range(rows):
+            row = list(range(cols)) if (k, r) == (wide, 0) else draw(st.lists(
+                st.integers(0, cols - 1), unique=True, max_size=min(cols, 4)))
+            ri += [r] * len(row)
+            ci += row
+        vals = draw(st.lists(st.one_of(st.just(0.0), _signed),
+                             min_size=len(ci), max_size=len(ci)))
+        if k == inf and vals:
+            vals[0] = draw(st.sampled_from([np.inf, -np.inf]))
+        bias = draw(st.lists(_signed, min_size=rows, max_size=rows))
+        layers.append(Layer(rows, cols, ri, ci, vals, bias))
+    return NeuralNetwork(1, layers)
+
+
+@st.composite
+def _separable_nets(draw, max_pts=9):
+    """``full_parallel`` of d random one-input nets, an axis-separable
+    prefix, then up to two narrow layers whose rows read any columns.  At
+    times the first net holds a row of 33-36 entries or a +-inf weight in
+    its layer ``planted``.  Points may hold +-inf.  Returns the net, the
+    points and (kind, planted) of what was planted, or None."""
+    d = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([None, "inf"] + (["wide"] if depth > 1 else [])))
+    planted = draw(st.integers(1 if kind == "wide" else 0, depth - 1))
+    nets = []
+    for a in range(d):
+        widths = [1] + draw(st.lists(st.integers(1, 4), min_size=depth, max_size=depth))
+        if a == 0 and kind == "wide":
+            widths[planted] = draw(st.integers(backends._EXACT_ROW_NNZ + 1, 36))
+        nets.append(_one_input_net(
+            draw, widths, wide=planted if a == 0 and kind == "wide" else None,
+            inf=planted if a == 0 and kind == "inf" else None))
+    layers = list(full_parallel(nets).layers)
+    for _ in range(draw(st.integers(0, 2))):
+        cols, rows = layers[-1].rows, draw(st.integers(1, 4))
+        ri, ci = [], []
+        for r in range(rows):
+            row = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                                max_size=min(cols, 4)))
+            ri += [r] * len(row)
+            ci += row
+        vals = draw(st.lists(_signed, min_size=len(ci), max_size=len(ci)))
+        bias = draw(st.lists(_signed, min_size=rows, max_size=rows))
+        layers.append(Layer(rows, cols, ri, ci, vals, bias))
+    inf = st.one_of(_signed, st.sampled_from([np.inf, -np.inf]))
+    pts = draw(st.lists(st.lists(inf, min_size=d, max_size=d),
+                        min_size=1, max_size=max_pts))
+    return (NeuralNetwork(d, layers), np.array(pts, dtype=np.float64),
+            None if kind is None else (kind, planted))
+
+
+def _identity_seed(d, n):
+    seed = np.zeros((d, n, d))
+    seed[np.arange(d), :, np.arange(d)] = 1.0
+    return seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_separable_nets(), st.integers(1, 4))
+def test_separable_prefix_moves_no_bit(case, tile):
+    # the identity-seeded pass carries one plane through the separable
+    # prefix; values and jacobians equal the explicit identity seed's (on a
+    # list never split at the cut) and the in-order oracle's, bit for bit,
+    # with tiles of `tile` points on both sides of the cut
+    net, pts, planted = case
+    cut, axes = net.packed().separable()
+    want_cut, want_axes = separable_prefix(net)
+    assert cut == want_cut
+    assert (None if axes is None else axes.tolist()) == want_axes
+    if planted is not None:
+        kind, k = planted
+        indptr, _, vals, _ = net.packed()[k]
+        live = (np.diff(indptr).max(initial=0) > backends._EXACT_ROW_NNZ if kind == "wide"
+                else not np.isfinite(vals).all())
+        # the cut stops at a wide row or a non-finite weight that a pass runs
+        assert cut <= k or not live
+    d, n = net.input_dim, len(pts)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+        mp.setattr(backends, "_TILE_BYTES", 0)
+        mp.setattr(backends, "_TILE_MIN", tile)
+        whole = backends.Packed(list(net.packed()))
+        want = backends.run_forward_grad(whole, pts.T, seed=_identity_seed(d, n))
+        got = backends.run_forward_grad(net.packed(), pts.T)
+        values = backends.run_forward(net.packed(), pts.T)
+        served = grad_realize_batch(net, pts)
+        oracle = inorder_realize(net, pts, jac=True)
+    assert whole._separable is None
+    for a, b in zip(got + (values,), want + want[:1]):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert np.array_equal(_bits(served[0]), _bits(want[0].T))
+    assert np.array_equal(_bits(served[1]), _bits(np.moveaxis(want[1], 1, 0)))
+    if planted is None or planted[0] != "wide":
+        # a wide row sums by a BLAS dot, in an order of its own
+        assert np.array_equal(_bits(served[0]), _bits(oracle[0]))
+        assert np.array_equal(_bits(served[1]), _bits(oracle[1]))
+
+
+def _mixed_after_separable(rng, depth):
+    """``full_parallel`` of two one-input nets of ``depth`` narrow layers,
+    then a layer whose every row reads both axes and a narrow output."""
+    nets = [random_net(rng, input_dim=1, depth=depth, width_hi=5, density=1.0)
+            for _ in range(2)]
+    prefix = full_parallel(nets)
+    width = prefix.output_dim
+    mix = Layer.from_dense(np.ones((3, width)), rng.standard_normal(3))
+    return NeuralNetwork(2, list(prefix.layers) + [
+        mix, Layer.from_dense(rng.standard_normal((1, 3)))])
+
+
+def test_separable_prefix_kernel_calls(monkeypatch):
+    # in 25 tiles of 4 points, the prefix sums 2 planes per layer per tile
+    # (the values and the one jacobian plane), the layers after it 1 + d
+    rng = np.random.default_rng(11)
+    net = _mixed_after_separable(rng, depth=3)
+    assert net.packed().separable()[0] == 3
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", 4)
+    x = rng.standard_normal((2, 100))
+    y, jac = backends.run_forward_grad(net.packed(), x)
+    assert len(kernel_calls) == (2 * 3 + 3 * 2) * 25
+    want = backends.run_forward_grad(backends.Packed(list(net.packed())), x,
+                                     seed=_identity_seed(2, 100))
+    assert np.array_equal(_bits(y), _bits(want[0]))
+    assert np.array_equal(_bits(jac), _bits(want[1]))
+    # an explicit seed, as certification's lanes pass, keeps d planes
+    kernel_calls.clear()
+    backends.run_forward_grad(net.packed(), x, seed=_identity_seed(2, 100))
+    assert len(kernel_calls) == 3 * net.depth * 25
+
+
+def test_one_input_nets_skip_the_prefix():
+    # a one-input net carries one plane anyway: no pass looks for its cut
+    net = random_net(np.random.default_rng(12), input_dim=1, depth=3)
+    realize_batch(net, np.ones((4, 1)))
+    grad_realize_batch(net, np.ones((4, 1)))
+    assert net.packed()._separable is None
+    assert stats(net).separable_depth == net.depth
 
 
 @st.composite
