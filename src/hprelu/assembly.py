@@ -19,8 +19,8 @@ input axes.  Only the all-axes lane sees the (tuple x point) batch, of the
 cell's live tuples with a nonzero coefficient; the others run once per
 cell on the points of their own axes.
 
-Certification runs on every usable core, up to ``_MAX_WORKERS`` (the two
-cores it was measured on): forked workers each compute whole cells,
+Certification runs on every usable core, up to ``backends._MAX_WORKERS``
+(the two cores it was measured on): forked workers each compute whole cells,
 shared by cost (points times nonzero tuples), and write them into one
 shared buffer, so no sum is split or reordered and the bits do not depend
 on the number of workers.  One cell, one core, no ``os.fork`` or another
@@ -308,29 +308,15 @@ def _lane_shape(mask, size):
     return [n if mask >> a & 1 else 1 for a, n in enumerate(size)]
 
 
-# The most workers the package runs at once (certification's processes,
-# ``hp-study``'s row threads): the core count they have been measured on
-# (BENCH_22.json, 2 cores).  ``sched_getaffinity`` does not see a cgroup's
-# CPU quota, so an open-ended count could start dozens of workers on a
-# container's two CPUs.
-_MAX_WORKERS = 2
-
-
-def _pool_size(tasks):
-    """Workers for ``tasks`` independent tasks: one per usable core, up to
-    ``_MAX_WORKERS``, and at least one."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(tasks, cores, _MAX_WORKERS))
-
-
 def _workers(ncells):
-    """Processes that split ``ncells`` mesh cells: ``_pool_size``, or one
-    (the serial loop) where fork is missing or unsafe, as in a process with
-    another live thread, which may hold a lock the child then waits on
-    forever."""
+    """Processes that split ``ncells`` mesh cells: ``backends._pool_size``,
+    or one (the serial loop) where fork is missing or unsafe, as in a
+    process with another live thread, which may hold a lock the child then
+    waits on forever.  A served pass joins its tile threads before it
+    returns, so it leaves none behind."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return _pool_size(ncells)
+    return backends._pool_size(ncells)
 
 
 def _shares(items, costs, workers):

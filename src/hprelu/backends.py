@@ -11,6 +11,15 @@ The one forward pass, with or without jacobian directions, runs narrow
 layers in cache-sized tiles of points, each held plane-major: the values,
 then one contiguous plane per direction (``_narrow_run``).
 
+The two serving entries, ``run_forward`` and ``run_forward_grad`` with no
+seed, hand a narrow run's tiles to threads, one per usable core up to
+``_MAX_WORKERS``, each a contiguous block of whole tiles, while the tile
+bounds stay where one thread puts them.  A tile is a range of columns the
+in-order loop sums on its own, so no bit moves; a wide layer, whose BLAS
+sums may depend on the column range, runs whole on the caller's thread.  A
+pass with an explicit seed (certification, which already runs a process
+per core) stays on one thread.
+
 An identity-seeded jacobian pass of a ``Packed`` list on d > 1 inputs
 carries one plane, not d, through the axis-separable prefix of the layers
 (``Packed.separable``), where each row reads at most one input axis, and
@@ -19,7 +28,10 @@ a row does not read has its sum start at +0.0 and add only finite weights
 times +0.0, so it is +0.0 there in the d-plane pass too: no bit moves.
 """
 
+import contextvars
 import functools
+import os
+import threading
 
 import numpy as np
 
@@ -30,6 +42,21 @@ HAS_NUMBA = False
 
 def resolve_backend():
     return "numpy"
+
+
+# The most workers the package runs at once (certification's processes,
+# ``hp-study``'s row threads, a served pass's tile threads): the core count
+# they have been measured on (BENCH_22.json, BENCH_27.json, 2 cores).
+# ``sched_getaffinity`` does not see a cgroup's CPU quota, so an open-ended
+# count could start dozens of workers on a container's two CPUs.
+_MAX_WORKERS = 2
+
+
+def _pool_size(tasks):
+    """Workers for ``tasks`` independent tasks: one per usable core, up to
+    ``_MAX_WORKERS``, and at least one."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(tasks, cores, _MAX_WORKERS))
 
 
 # Cap on the nnz*points working-set per BLAS chunk of a wide row.
@@ -97,11 +124,13 @@ def run_forward(packed, x):
     (out_dim, npts) array: ``run_forward_grad``'s values, bit for bit,
     from the same pass with no jacobian directions.  On more than one input
     a ``Packed`` list splits its runs at the axis-separable cut, as the
-    jacobian pass does, so the prefix tiles by its own width.
+    jacobian pass does, so the prefix tiles by its own width.  Narrow runs
+    share their tiles out to ``_pool_size`` threads.
     """
     y = np.ascontiguousarray(x, dtype=np.float64)
     _prefix(packed, len(y))
-    return _forward(packed, y, np.empty(y.shape + (0,)))[0]
+    return _forward(packed, y, np.empty(y.shape + (0,)),
+                    threads=_pool_size(y.shape[1]))[0]
 
 
 def _tile_points(width, nd):
@@ -171,7 +200,7 @@ class Packed(list):
         return self._separable
 
 
-def _narrow_run(layers, y, jac, relu_last):
+def _narrow_run(layers, y, jac, relu_last, threads):
     """Run narrow layers tile by tile over the points, in as few tiles as
     ``_tile_points`` allows, all of near-equal size.
 
@@ -181,31 +210,72 @@ def _narrow_run(layers, y, jac, relu_last):
     kernel call; the jacobian planes start from +0.0 where the values start
     from the bias, and the ReLU mask multiplies them plane by plane.
     Returns the run's (out, npts) values and (out, npts, nd) jacobian.
+
+    The tiles go in contiguous blocks to ``min(tiles, threads)`` threads:
+    the caller's takes the first block, each started thread one more, and
+    each writes only its own columns of the outputs.  Every buffer a block
+    writes is allocated here, on the caller's thread: two tiles that the
+    layers take in turn and a mask plane.  A thread that allocated its own
+    would open a malloc arena of its own, and the memory with it.
     """
     npts, nd = jac.shape[1], jac.shape[2]
     rows = [len(indptr) - 1 for indptr, _, _, _ in layers]
-    tiles = -(-npts // _tile_points(max(rows + [y.shape[0]]), nd))
+    widest = max(rows + [y.shape[0]])
+    tiles = -(-npts // _tile_points(widest, nd))
     y_out = np.empty((rows[-1], npts))
     jac_out = np.empty((rows[-1], npts, nd))
     relu = [True] * (len(layers) - 1) + [relu_last]
-    for i in range(tiles):
-        p0, p1 = i * npts // tiles, (i + 1) * npts // tiles
-        t = np.empty((1 + nd, y.shape[0], p1 - p0))
-        t[0] = y[:, p0:p1]
-        t[1:] = jac[:, p0:p1].transpose(2, 0, 1)
-        for (indptr, cols, vals, bias), r, act in zip(layers, rows, relu):
-            o = np.empty((1 + nd, r, p1 - p0))
-            o[0] = bias[:, None]
-            o[1:] = 0.0
-            for k in range(1 + nd):
-                _csr_add(indptr, cols, vals, t[k], o[k])
-            if act:
-                if nd:
-                    o[1:] *= o[0] > 0.0
-                np.maximum(o[0], 0.0, out=o[0])
-            t = o
-        y_out[:, p0:p1] = t[0]
-        jac_out[:, p0:p1] = t[1:].transpose(1, 2, 0)
+    threads = max(1, min(tiles, threads))
+    span = -(-npts // max(tiles, 1))
+    bufs = [(np.empty((2, (1 + nd) * widest * span)),
+             np.empty(widest * span, dtype=bool)) for _ in range(threads)]
+
+    def block(k):
+        planes, mask = bufs[k]
+        for i in range(k * tiles // threads, (k + 1) * tiles // threads):
+            p0, p1 = i * npts // tiles, (i + 1) * npts // tiles
+            n = p1 - p0
+            t = planes[0, :(1 + nd) * len(y) * n].reshape(1 + nd, len(y), n)
+            t[0] = y[:, p0:p1]
+            t[1:] = jac[:, p0:p1].transpose(2, 0, 1)
+            for j, ((indptr, cols, vals, bias), r, act) in enumerate(
+                    zip(layers, rows, relu)):
+                o = planes[1 - j % 2, :(1 + nd) * r * n].reshape(1 + nd, r, n)
+                o[0] = bias[:, None]
+                o[1:] = 0.0
+                for q in range(1 + nd):
+                    _csr_add(indptr, cols, vals, t[q], o[q])
+                if act:
+                    if nd:
+                        m = mask[:r * n].reshape(r, n)
+                        np.greater(o[0], 0.0, out=m)
+                        o[1:] *= m
+                    np.maximum(o[0], 0.0, out=o[0])
+                t = o
+            y_out[:, p0:p1] = t[0]
+            jac_out[:, p0:p1] = t[1:].transpose(1, 2, 0)
+
+    errors = {}
+
+    def work(k):
+        try:
+            block(k)
+        except BaseException as e:
+            errors[k] = e
+
+    started = []
+    try:
+        for k in range(1, threads):
+            # in the caller's context, so its np.errstate holds there too
+            started.append(threading.Thread(
+                target=contextvars.copy_context().run, args=(work, k)))
+            started[-1].start()
+        block(0)
+    finally:
+        for th in started:
+            th.join()
+    if errors:
+        raise errors[min(errors)]
     return y_out, jac_out
 
 
@@ -218,10 +288,11 @@ def _prefix(packed, d):
     return 0, None
 
 
-def _forward(packed, y, jac, first=0, end=None):
+def _forward(packed, y, jac, first=0, end=None, threads=1):
     """The pass behind both entries through the layers [first, end), run
     boundaries both: values y (in, npts) and directions jac (in, npts, nd),
-    nd = 0 for values alone.
+    nd = 0 for values alone.  Narrow runs share their tiles out to at most
+    ``threads`` threads (``_narrow_run``).
 
     Maximal runs of narrow layers go tile by tile over the points, each tile
     through the whole run while it sits in cache; a layer with a wide row
@@ -237,7 +308,8 @@ def _forward(packed, y, jac, first=0, end=None):
         if start < first or (end is not None and start >= end):
             continue
         if narrow:
-            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last)
+            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last,
+                                 threads)
             continue
         indptr, cols, vals, bias = packed[start]
         rows = indptr.shape[0] - 1
@@ -271,6 +343,9 @@ def run_forward_grad(packed, x, seed=None):
     on every input, which is then scattered into the in_dim planes by each
     row's axis, +0.0 elsewhere; the layers after it run as with any seed.
     The planes come out bit for bit as from the explicit identity seed.
+
+    With no seed, narrow runs share their tiles out to ``_pool_size``
+    threads; an explicit seed runs on the caller's thread alone.
     """
     d, npts = x.shape
     y = np.ascontiguousarray(x, dtype=np.float64)
@@ -280,12 +355,14 @@ def run_forward_grad(packed, x, seed=None):
             raise ValueError("seed must have shape (in_dim, npts, nd)")
         return _forward(packed, y, jac)
     cut, axes = _prefix(packed, d)
+    threads = _pool_size(npts)
     if cut:
-        y, one = _forward(packed, y, np.ones((d, npts, 1)), end=cut)
+        y, one = _forward(packed, y, np.ones((d, npts, 1)), end=cut,
+                          threads=threads)
         jac = np.zeros((len(axes), npts, d))
         rows = np.flatnonzero(axes >= 0)
         jac[rows, :, axes[rows]] = one[rows, :, 0]
     else:
         jac = np.zeros((d, npts, d))
         jac[np.arange(d), :, np.arange(d)] = 1.0
-    return _forward(packed, y, jac, first=cut)
+    return _forward(packed, y, jac, first=cut, threads=threads)

@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from .assembly import (NetConfig, _interpolate, _p_for, _pool_size,
-                       build_phi_eps_f, hp_error)
+from .assembly import NetConfig, _interpolate, _p_for, build_phi_eps_f, hp_error
+from .backends import _pool_size
 from .catalog import _KINDS, _PARAM_TYPES, _typed, from_spec
 from .emulation import plan_budget, product_net
 from .metrics import fit_rate

@@ -326,8 +326,12 @@ def _points(net, pts):
 
 
 def realize_batch(net, pts):
-    """Evaluate the network on an (n, input_dim) point array -> (n, out)."""
-    return backends.run_forward(net.packed(), _points(net, pts).T).T
+    """Evaluate the network on an (n, input_dim) point array -> (n, out).
+
+    Points run in ``grad_realize_batch``'s chunks, so the values are its
+    values bit for bit on every batch, and the memory of a large batch is
+    bounded by its chunk."""
+    return _chunked(net, pts, grad=False)[0]
 
 
 def realize(net, x):
@@ -345,24 +349,36 @@ def _grad_chunk(n, width, nd):
     return max(64, min(n, int(_JAC_BUDGET / max(1, width * nd))))
 
 
-def grad_realize_batch(net, pts):
-    """Values and jacobians on a batch: returns (vals (n, out), jac (n, out, d)).
+def _chunked(net, pts, grad):
+    """The one chunk loop of both point entries: (vals (n, out), jac (n,
+    out, d), or None without ``grad``).
 
-    The jacobian is the a.e. forward-mode derivative with relu'(0) = 0.
     Points run in ``_grad_chunk`` chunks so the jacobian buffer stays
-    bounded.
+    bounded.  The chunk bounds are where a wide row's BLAS dot may start
+    its column ranges, so both entries cut at the same points.
     """
     pts = _points(net, pts)
     n, d = pts.shape
     chunk = _grad_chunk(n, max(lay.rows for lay in net.layers), d)
     vals = np.empty((n, net.output_dim))
-    jac = np.empty((n, net.output_dim, d))
+    jac = np.empty((n, net.output_dim, d)) if grad else None
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        y, j = backends.run_forward_grad(net.packed(), pts[lo:hi].T)
+        if grad:
+            y, j = backends.run_forward_grad(net.packed(), pts[lo:hi].T)
+            jac[lo:hi] = np.moveaxis(j, 1, 0)
+        else:
+            y = backends.run_forward(net.packed(), pts[lo:hi].T)
         vals[lo:hi] = y.T
-        jac[lo:hi] = np.moveaxis(j, 1, 0)
     return vals, jac
+
+
+def grad_realize_batch(net, pts):
+    """Values and jacobians on a batch: returns (vals (n, out), jac (n, out, d)).
+
+    The jacobian is the a.e. forward-mode derivative with relu'(0) = 0.
+    """
+    return _chunked(net, pts, grad=True)
 
 
 def grad_realize(net, x):

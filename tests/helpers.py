@@ -8,6 +8,7 @@ trapezoid refinement for integrals.
 import itertools
 import json
 import struct
+import threading
 
 import numpy as np
 
@@ -39,6 +40,19 @@ def random_net(rng, input_dim=None, depth=None, width_hi=6, density=0.7):
         b = np.where(rng.random(rows) < 0.8, rng.standard_normal(rows), 0.0)
         layers.append(Layer.from_dense(a, b))
     return NeuralNetwork(input_dim, layers)
+
+
+def kernel_threads(monkeypatch):
+    """Spy on the in-order kernel (``backends._csr_add``): the set of
+    threads that call it."""
+    kernel, threads = backends._csr_add, set()
+
+    def record(*args):
+        threads.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(backends, "_csr_add", record)
+    return threads
 
 
 def random_continuous_pwpoly(rng, n_pieces, degree):

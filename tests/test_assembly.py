@@ -40,6 +40,7 @@ from hprelu.projector import HpInterpolant, hp_interpolate
 
 from helpers import (
     assert_linf_envelope,
+    kernel_threads,
     merged_rows,
     packed_rows,
     per_cell_field,
@@ -523,7 +524,7 @@ def _count_forks(mp, cores, cap=None):
         return fork()
 
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    mp.setattr(assembly, "_MAX_WORKERS", cores if cap is None else cap)
+    mp.setattr(backends, "_MAX_WORKERS", cores if cap is None else cap)
     mp.setattr(os, "fork", counted)
     return forks
 
@@ -601,9 +602,25 @@ def test_certification_falls_back_to_the_serial_loop(monkeypatch, why):
 def test_certification_workers_stop_at_the_cap(monkeypatch):
     net, axes = _small_net(), _certify_axes(_corner_interp())
     with monkeypatch.context() as mp:
-        forks = _count_forks(mp, 64, cap=assembly._MAX_WORKERS)
+        forks = _count_forks(mp, 64, cap=backends._MAX_WORKERS)
         _field_bits(net, axes)
-    assert len(forks) == assembly._MAX_WORKERS - 1
+    assert len(forks) == backends._MAX_WORKERS - 1
+    _no_child_left()
+
+
+def test_certification_forks_after_a_threaded_serve(monkeypatch):
+    # a served pass shares its tiles out to threads and joins them all, so
+    # the process has one live thread again and certification still forks
+    net, axes = _small_net(), _certify_axes(_corner_interp())
+    forks = _count_forks(monkeypatch, 3)
+    with monkeypatch.context() as mp:
+        mp.setattr(backends, "_TILE_BYTES", 0)
+        mp.setattr(backends, "_TILE_MIN", 8)
+        threads = kernel_threads(mp)
+        grad_realize_batch(net, np.random.default_rng(2).uniform(0, 1, (100, 2)))
+    assert len(threads) == 3
+    _field_bits(net, axes)
+    assert len(forks) == 2
     _no_child_left()
 
 

@@ -1,10 +1,13 @@
 """Network type, realization, stats, gradients and JSON round trips."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from helpers import (
     dense_realize,
     fd_jacobian,
     inorder_realize,
+    kernel_threads,
     merged_rows,
     packed_rows,
     random_net,
@@ -424,22 +428,26 @@ _signed = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -2.0]),
                     st.floats(-1e3, 1e3))
 
 
+def _drawn_layer(draw, rows, cols, nnz):
+    """A rows x cols layer whose rows hold up to ``nnz`` entries each."""
+    ri, ci = [], []
+    for r in range(rows):
+        row = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                            max_size=min(cols, nnz)))
+        ri += [r] * len(row)
+        ci += row
+    vals = draw(st.lists(_signed, min_size=len(ci), max_size=len(ci)))
+    bias = draw(st.lists(_signed, min_size=rows, max_size=rows))
+    return Layer(rows, cols, ri, ci, vals, bias)
+
+
 @st.composite
 def _narrow_nets(draw, max_pts=5):
     """Nets whose rows hold 0 to _EXACT_ROW_NNZ entries each, on 1 to
     ``max_pts`` points."""
     widths = draw(st.lists(st.integers(1, 40), min_size=2, max_size=4))
-    layers = []
-    for rows, cols in zip(widths[1:], widths[:-1]):
-        ri, ci = [], []
-        for r in range(rows):
-            row = draw(st.lists(st.integers(0, cols - 1), unique=True,
-                                max_size=min(cols, backends._EXACT_ROW_NNZ)))
-            ri += [r] * len(row)
-            ci += row
-        vals = draw(st.lists(_signed, min_size=len(ci), max_size=len(ci)))
-        bias = draw(st.lists(_signed, min_size=rows, max_size=rows))
-        layers.append(Layer(rows, cols, ri, ci, vals, bias))
+    layers = [_drawn_layer(draw, rows, cols, backends._EXACT_ROW_NNZ)
+              for rows, cols in zip(widths[1:], widths[:-1])]
     net = NeuralNetwork(widths[0], layers)
     pts = draw(st.lists(st.lists(_signed, min_size=widths[0], max_size=widths[0]),
                         min_size=1, max_size=max_pts))
@@ -612,7 +620,9 @@ def test_run_forward_grad_checks_the_seed_shape(shape):
 def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
     # the benchmark counts MACs at the module-level run_forward and
     # run_forward_grad, so a pass over many tiles must enter its own entry
-    # once and the other never
+    # once and the other never, from the caller's thread or a tile thread
+    _cores(monkeypatch, 2)
+    threads = kernel_threads(monkeypatch)
     rng = np.random.default_rng(8)
     net = random_net(rng, input_dim=2, depth=4, width_hi=9)
     calls = []
@@ -636,9 +646,17 @@ def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
     for name, nd in (("run_forward_grad", 2), ("run_forward", 0)):
         calls.clear()
         kernel_calls.clear()
+        threads.clear()
         getattr(backends, name)(net.packed(), x)
         assert calls == [name]
         assert len(kernel_calls) == (1 + nd) * net.depth * 25
+        assert len(threads) == 2
+
+
+def _cores(mp, cores):
+    """Give the process ``cores`` usable cores and a worker cap of as many."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    mp.setattr(backends, "_MAX_WORKERS", cores)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -698,10 +716,182 @@ def test_tiles_are_balanced(monkeypatch, npts, tile, sizes):
                             Layer(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0], [0.0])])
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", tile)
+    # one thread, so the calls come in tile order
+    monkeypatch.setattr(backends, "_MAX_WORKERS", 1)
     kernel_calls = _count_kernel_calls(monkeypatch)
     y = backends.run_forward(net.packed(), np.linspace(-1.0, 1.0, npts)[None, :])
     assert y.shape == (1, npts)
     assert kernel_calls == [k for k in sizes for _ in range(net.depth)]
+
+
+def test_large_value_batches_run_in_chunks(monkeypatch):
+    # realize_batch runs in grad_realize_batch's chunks, so on a batch of
+    # several chunks its values are that entry's bit for bit, and a
+    # 100,000-point batch peaks at one chunk's pass plus its values, not at
+    # the wide head's whole (240, 100000) input of 192 MB
+    rng = np.random.default_rng(13)
+    net = NeuralNetwork(2, [Layer(240, 2, np.arange(240).repeat(2), np.tile([0, 1], 240),
+                                  rng.standard_normal(480), rng.standard_normal(240)),
+                            Layer.from_dense(rng.standard_normal((1, 240)))])
+    assert max(np.diff(net.packed()[1][0])) > backends._EXACT_ROW_NNZ
+    monkeypatch.setattr(network, "_JAC_BUDGET", 1_000_000)
+    pts = rng.uniform(-1.0, 1.0, (100_000, 2))
+    chunk = network._grad_chunk(len(pts), 240, 2)
+    assert chunk == 2083
+    few = pts[:3 * chunk + 5]
+    assert np.array_equal(_bits(realize_batch(net, few)),
+                          _bits(grad_realize_batch(net, few)[0]))
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            realize_batch(net, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(pts[:chunk])
+    assert peak(pts) < one + 2 * 8 * len(pts) < 0.1 * 240 * 8 * len(pts)
+
+
+@st.composite
+def _wide_head_nets(draw):
+    """A ``_narrow_nets`` net, then a narrow layer of 33-40 rows and a head
+    of one or two rows that read all of them: narrow runs, then a layer a
+    BLAS dot sums.  On 0 to 40 points that may hold +-inf."""
+    net, _ = draw(_narrow_nets())
+    rows = draw(st.integers(backends._EXACT_ROW_NNZ + 1, 40))
+    mid = _drawn_layer(draw, rows, net.output_dim, 4)
+    out = draw(st.integers(1, 2))
+    vals = draw(st.lists(_signed, min_size=out * rows, max_size=out * rows))
+    head = Layer(out, rows, np.arange(out).repeat(rows), np.tile(np.arange(rows), out),
+                 vals, draw(st.lists(_signed, min_size=out, max_size=out)))
+    n = draw(st.one_of(st.sampled_from([0, 1, 7]), st.integers(0, 40)))
+    inf = st.one_of(_signed, st.sampled_from([np.inf, -np.inf]))
+    d = net.input_dim
+    pts = draw(st.lists(inf, min_size=n * d, max_size=n * d))
+    return (NeuralNetwork(d, list(net.layers) + [mid, head]),
+            np.reshape(np.array(pts, dtype=np.float64), (n, d)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_wide_head_nets(), st.integers(1, 4), st.integers(2, 4))
+def test_threaded_tiles_move_no_bit(case, tile, workers):
+    # the serving entries share each narrow run's tiles out to threads; the
+    # values and jacobians of both equal the one-thread pass's bit for bit,
+    # and the tiles are the one-thread pass's tiles
+    net, pts = case
+    n = len(pts)
+
+    def serve(cores):
+        # a short switch interval interleaves the threads' Python steps
+        # finely, so a lost or misplaced write would show
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(backends, "_TILE_BYTES", 0)
+            mp.setattr(backends, "_TILE_MIN", tile)
+            _cores(mp, cores)
+            threads = kernel_threads(mp)
+            tiles = _count_kernel_calls(mp)
+            sys.setswitchinterval(1e-6)
+            try:
+                got = (backends.run_forward(net.packed(), pts.T),
+                       *backends.run_forward_grad(net.packed(), pts.T))
+            finally:
+                sys.setswitchinterval(interval)
+        return got, sorted(tiles), len(threads)
+
+    want, want_tiles, _ = serve(1)
+    got, got_tiles, threads = serve(workers)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(_bits(a), _bits(b))
+    assert got_tiles == want_tiles
+    # every narrow run has ceil(n / tile) tiles
+    assert (threads > 1) == (-(-n // tile) > 1)
+
+
+def test_an_explicit_seed_starts_no_thread(monkeypatch):
+    # certification passes explicit seeds, and it runs a process per core
+    # already: only the identity-seeded pass shares its tiles out
+    rng = np.random.default_rng(8)
+    net = random_net(rng, input_dim=2, depth=4, width_hi=9)
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", 4)
+    threads = kernel_threads(monkeypatch)
+    x = rng.standard_normal((2, 100))
+    backends.run_forward_grad(net.packed(), x, seed=_identity_seed(2, 100))
+    assert threads == {threading.get_ident()}
+    threads.clear()
+    backends.run_forward_grad(net.packed(), x)
+    assert len(threads) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    realize_batch, grad_realize_batch,
+    lambda net, pts: backends.run_forward(net.packed(), pts.T),
+    lambda net, pts: backends.run_forward_grad(net.packed(), pts.T),
+    lambda net, pts: backends.run_forward_grad(
+        net.packed(), pts.T, seed=_identity_seed(2, len(pts)))],
+    ids=["realize_batch", "grad_realize_batch", "run_forward",
+         "run_forward_grad", "explicit-seed"])
+def test_entries_leave_no_thread_behind(monkeypatch, entry):
+    # certification forks only from a process with one live thread, so every
+    # tile thread is joined before an entry returns
+    rng = np.random.default_rng(9)
+    net = random_net(rng, input_dim=2, depth=4, width_hi=9)
+    _cores(monkeypatch, 4)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", 4)
+    before = threading.active_count()
+    entry(net, rng.standard_normal((101, 2)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_failing_tile_raises_in_the_caller(monkeypatch, where):
+    # a tile that fails on a started thread raises in the caller, as one on
+    # the caller's own thread does, and either way every thread is joined
+    rng = np.random.default_rng(10)
+    net = random_net(rng, input_dim=2, depth=3, width_hi=9)
+    _cores(monkeypatch, 3)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", 4)
+    caller, kernel = threading.get_ident(), backends._csr_add
+
+    def failing(*args):
+        if (threading.get_ident() == caller) == (where == "caller"):
+            raise ZeroDivisionError("this tile fails")
+        return kernel(*args)
+
+    monkeypatch.setattr(backends, "_csr_add", failing)
+    before = threading.active_count()
+    for entry in (realize_batch, grad_realize_batch):
+        with pytest.raises(ZeroDivisionError, match="this tile fails"):
+            entry(net, rng.standard_normal((100, 2)))
+        assert threading.active_count() == before
+
+
+def test_tile_threads_keep_the_callers_errstate(monkeypatch):
+    # a started thread runs in the caller's context: the inf * 0.0 of the
+    # ReLU mask in its tile (point -1, the second tile) is silent under the
+    # caller's np.errstate(invalid="ignore") and raises under "raise"
+    net = NeuralNetwork(1, [Layer(2, 1, [0, 1], [0, 0], [np.inf, 1.0], [0.0, 0.0]),
+                            Layer(1, 2, [0, 0], [0, 1], [1.0, 1.0], [0.0])])
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", 1)
+    threads = kernel_threads(monkeypatch)
+    x = np.array([1.0, -1.0])
+    with np.errstate(invalid="ignore"), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        _, jac = grad_realize_batch(net, x)
+    assert not seen
+    assert len(threads) == 2
+    assert np.isnan(jac[1, 0, 0])
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        grad_realize_batch(net, x)
 
 
 def _one_input_net(draw, widths, wide=None, inf=None):
