@@ -209,7 +209,9 @@ def build_phi_eps_c(interp, epsilon, rows=None):
         vmax, _ = bf.sup_bounds()
         if vmax > 1.0 + 1e-9:
             raise ValueError("basis function exceeds the unit sup bound")
-    nets = [basis_net(bf, plan.epsilon1) for bf in interp.basis]
+    # a bubble tail depends on no element: one per distinct key and build
+    tails = {}
+    nets = [basis_net(bf, plan.epsilon1, tails) for bf in interp.basis]
     sup_slack = max(n.meta["measured_sup"] for n in nets)
     if 1.0 + sup_slack > _PRODUCT_BOX:
         raise AssertionError("basis outputs leave the product box")
@@ -403,16 +405,25 @@ class _CompiledField:
                       for k in range(interp.axis.n_intervals)]
         self._last = None
 
-    def _tables(self, axes):
+    def _tables(self, axes, ks):
         """Values and derivatives of every 1d basis net on each axis'
-        point set; entries outside a support are exact zeros."""
-        zv, zd = [], []
-        for a in axes:
-            x1 = np.asarray(a, dtype=np.float64)[:, None]
-            pairs = [grad_realize_batch(bnet, x1) for bnet in self.nets]
-            zv.append(np.stack([v[:, 0] for v, _ in pairs]))
-            zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
-        return zv, zd
+        point set, where a cell reads them: at the points whose interval
+        (``ks``, per axis) is in the function's support.  No cell reads the
+        other entries, which stay zero.
+
+        Each net runs once, on its points of the d axes end to end.  No
+        basis-net row has more than ``backends._EXACT_ROW_NNZ`` entries, so
+        every row sums in stored order and a point's bits do not depend on
+        the points beside it."""
+        x = np.concatenate([np.asarray(a, dtype=np.float64) for a in axes])
+        k = np.concatenate(ks)
+        zv, zd = np.zeros((2, len(self.nets), len(x)))
+        for i, (bf, bnet) in enumerate(zip(self.interp.basis, self.nets)):
+            at = np.flatnonzero(np.isin(k, bf.support))
+            v, j = grad_realize_batch(bnet, x[at, None])
+            zv[i, at], zd[i, at] = v[:, 0], j[:, 0, 0]
+        cuts = np.cumsum([len(a) for a in axes])[:-1]
+        return np.split(zv, cuts, axis=1), np.split(zd, cuts, axis=1)
 
     def _inputs(self, s, l, srcs, st, at, size):
         """Rows of the lanes ``srcs`` of layer l, stacked, on the columns
@@ -521,16 +532,16 @@ class _CompiledField:
         if last is not None and len(last[0]) == len(axes) and all(
                 a is b for a, b in zip(last[0], axes)):
             return last[1], last[2]
+        ks = [self.interp.axis.find(np.asarray(a)) for a in axes]
         segs = []
-        for a in axes:
-            ks = self.interp.axis.find(np.asarray(a))
+        for k in ks:
             bounds = np.concatenate(
-                ([0], np.nonzero(np.diff(ks))[0] + 1, [len(ks)]))
-            segs.append([(int(ks[lo]), slice(int(lo), int(hi)))
+                ([0], np.nonzero(np.diff(k))[0] + 1, [len(k)]))
+            segs.append([(int(k[lo]), slice(int(lo), int(hi)))
                          for lo, hi in zip(bounds[:-1], bounds[1:])])
         cells = [(tuple(c[0] for c in cell), tuple(c[1] for c in cell))
                  for cell in itertools.product(*segs)]
-        zv, zd = self._tables(axes)
+        zv, zd = self._tables(axes, ks)
         shape = tuple(len(a) for a in axes)
         n, d = math.prod(shape), self.d
         workers = _workers(len(cells))

@@ -154,7 +154,7 @@ class Packed(list):
         super().__init__(layers)
         self.runs = []
         for i, (indptr, _, _, _) in enumerate(self):
-            narrow = len(indptr) < 2 or np.diff(indptr).max() <= _EXACT_ROW_NNZ
+            narrow = len(indptr) < 2 or (indptr[1:] - indptr[:-1]).max() <= _EXACT_ROW_NNZ
             if narrow and self.runs and self.runs[-1][2]:
                 self.runs[-1][1] = i + 1
             else:

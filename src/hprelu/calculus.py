@@ -106,7 +106,10 @@ def concat(outer, inner):
 
 
 def parallel(nets):
-    """Parallelize networks of equal depth on a shared input; size adds exactly."""
+    """Parallelize networks of equal depth on a shared input; size adds exactly.
+
+    One net comes back as a new net over its own ``Layer`` objects, which
+    are byte for byte what stacking would copy."""
     nets = list(nets)
     if not nets:
         raise ValueError("need at least one network")
@@ -117,6 +120,8 @@ def parallel(nets):
             raise ValueError(f"net {k}: input_dim {net.input_dim} != {d}")
         if net.depth != L:
             raise ValueError(f"net {k}: depth {net.depth} != {L} (depth_align first)")
+    if len(nets) == 1:
+        return NeuralNetwork(d, nets[0].layers)
     # the first layers share the input, so they stack unshifted
     layers = [_stack([net.layers[0] for net in nets], d)]
     for j in range(1, L):

@@ -11,6 +11,12 @@ summation order hits them back to back).
 Error budgets are chosen by explicit worst-case recurrences over the
 construction trees (ranges, value errors, derivative errors per node) and
 recorded in net.meta.
+
+A basis function is one reference polynomial composed with the affine
+element map, so a bubble branch reads its element only in its first two
+layers.  The rest, its tail, is built once per distinct (polynomial bits,
+sawtooth depth, product boxes) in a build and shared, as ``Layer``
+objects, by every branch with that key; nothing is kept between builds.
 """
 
 import math
@@ -382,10 +388,16 @@ def _branch_errors(s, h, m):
     return e_out, g_out, mo, boxes
 
 
-def _bubble_branch(xl, xr, s, tau_v, tau_d):
+def _bubble_branch(xl, xr, s, tau_v, tau_d, tails):
     """Branch net realizing (1-t^2) s(t) inside (xl, xr) and exactly 0 at
     and beyond the endpoints (the clamps vanish there and zero-on-zero
-    kills the products)."""
+    kills the products).
+
+    Only the two interval layers read the element.  The tail, every layer
+    after them, follows from (s, m, mo, boxes) alone, so it is built once
+    per distinct key into ``tails`` and the branches of one build that
+    share a key share its ``Layer`` objects.  The key holds s's bits, not
+    its floats: -0.0 == 0.0, but a -0.0 bias serializes apart."""
     h = xr - xl
     s = np.asarray(s, dtype=np.float64)
     q = len(s) - 1
@@ -393,48 +405,46 @@ def _bubble_branch(xl, xr, s, tau_v, tau_d):
         lambda m: _branch_errors(s, h, m), tau_v, tau_d,
         f"pwpoly branch on [{xl:g}, {xr:g}]")
     su = 2.0 / h
-    layers = []
     lb = _LB(1)
     lb.row([0], [1.0], -xl)
     lb.row([0], [1.0], -xr)
     lb.row([0], [-1.0], xr)
     lb.row([0], [-1.0], xl)
-    layers.append(lb.done())
-
-    if q == 0:
-        lb = _LB(4)
-        lb.row([0, 1], [su, -su])
-        lb.row([2, 3], [su, -su])
-        layers.append(lb.done())
-        _nonneg_product_tail(layers, 2, m, scale=float(s[0]))
-        return NeuralNetwork(1, layers)
-
+    first = lb.done()
     # layout after the second layer: [u, w, t+, t-, h+, h-] (t only kept
-    # while Horner stages still need it)
+    # while Horner stages still need it, h only for a nonconstant s)
     lb = _LB(4)
     lb.row([0, 1], [su, -su])
     lb.row([2, 3], [su, -su])
     if q >= 2:
         lb.row([0, 1], [su, -su], -1.0)
         lb.row([0, 1], [-su, su], 1.0)
-    cq, cq1 = float(s[q]), float(s[q - 1])
-    lb.row([0, 1], [cq * su, -cq * su], cq1 - cq)
-    lb.row([0, 1], [-cq * su, cq * su], cq - cq1)
-    layers.append(lb.done())
+    if q >= 1:
+        cq, cq1 = float(s[q]), float(s[q - 1])
+        lb.row([0, 1], [cq * su, -cq * su], cq1 - cq)
+        lb.row([0, 1], [-cq * su, cq * su], cq - cq1)
+    key = (s.tobytes(), m, mo, tuple(boxes))
+    if key not in tails:
+        tails[key] = _bubble_tail(s, m, mo, boxes)
+    return NeuralNetwork(1, [first, lb.done()] + tails[key])
 
+
+def _bubble_tail(s, m, mo, boxes):
+    """The layers of a bubble branch after its interval layers: u*w*s(0)
+    for a constant s, else the Horner stages of s and the inner and outer
+    products."""
+    layers = []
+    q = len(s) - 1
+    if q == 0:
+        lb, base = _square_chains(layers, 2, [], _NONNEG_TFORMS, m)
+        lb.row(*_chain_out(base, 3, m, float(s[0]) * 8.0))
+        layers.append(lb.done())
+        return layers
     for k, box in zip(range(q - 2, -1, -1), boxes):
         _pw_horner_stage(layers, float(s[k]), box, m, drop_t=k == 0)
     # layout now [u, w, h+, h-]
     _inner_outer_tail(layers, m, mo)
-    return NeuralNetwork(1, layers)
-
-
-def _nonneg_product_tail(layers, base_width, m, scale):
-    """Chains for u*w from two nonnegative channels (cols 0, 1), final
-    affine row scaled by ``scale``."""
-    lb, base = _square_chains(layers, base_width, [], _NONNEG_TFORMS, m)
-    lb.row(*_chain_out(base, 3, m, scale * 8.0))
-    layers.append(lb.done())
+    return layers
 
 
 def _pw_horner_stage(layers, c_k, Mk, m, drop_t):
@@ -495,11 +505,15 @@ def _measure_pw(net, v):
     return sup, dsup, math.sqrt(acc)
 
 
-def pwpoly_net(v, epsilon):
+def pwpoly_net(v, epsilon, tails=None):
     """Continuous piecewise polynomial as a ReLU net: exact at the nodes
     (hat carriers), certified sup/derivative error elsewhere, exactly 0
     outside the node span on the side of any vanishing endpoint value.
-    ``net.meta`` records the measured sup, derivative sup and H1 gaps."""
+    ``net.meta`` records the measured sup, derivative sup and H1 gaps.
+
+    ``tails`` holds the bubble tails built so far (``_bubble_branch``);
+    ``build_phi_eps_c`` passes one dict for the nets of a build, and a
+    call without one starts its own."""
     if not isinstance(v, PiecewisePolynomial):
         raise TypeError("expected a PiecewisePolynomial record")
     if not 0.0 < epsilon < 1.0:
@@ -512,6 +526,7 @@ def pwpoly_net(v, epsilon):
     # the worst-case branch bounds keep the sup and derivative gaps within
     # epsilon * scale / 2, so the measurement below only certifies
     tau = 0.5 * epsilon * scale
+    tails = {} if tails is None else tails
     branches, weights = [], []
     for j, val in enumerate(v.node_values()):
         if val != 0.0:
@@ -521,7 +536,8 @@ def pwpoly_net(v, epsilon):
         s = _bubble_poly(v.ref_coeffs[i])
         if s is None:
             continue
-        branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau))
+        branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau,
+                                       tails))
         weights.append(1.0)
     lb = _LB(max(1, len(branches)))
     lb.row(range(len(branches)), weights)
@@ -538,9 +554,10 @@ def pwpoly_net(v, epsilon):
     return net
 
 
-def basis_net(v, epsilon1):
+def basis_net(v, epsilon1, tails=None):
     """Network for one hp basis function with measured H1 error below
-    epsilon1 * |v|_H1 and exact nodal values."""
+    epsilon1 * |v|_H1 and exact nodal values; ``tails`` as in
+    ``pwpoly_net``."""
     if not 0.0 < epsilon1 <= 1.0:
         raise ValueError("epsilon1 must lie in (0, 1]")
     support = getattr(v, "support", None)
@@ -554,7 +571,7 @@ def basis_net(v, epsilon1):
     # pwpoly_net's worst-case bounds keep the sup and derivative gaps within
     # eps_pw * scale / 2 on a support of length span: an H1 gap of target / 4
     eps_pw = target / (2.0 * scale * math.sqrt(2.0 * span))
-    net = pwpoly_net(v, min(eps_pw, 0.5))
+    net = pwpoly_net(v, min(eps_pw, 0.5), tails)
     err = net.meta["h1_err"]
     if err > target:
         raise AssertionError(

@@ -203,7 +203,7 @@ class NeuralNetwork:
             live = [np.ones(self.output_dim, dtype=bool)]
             for lay in self.layers[:0:-1]:
                 read = np.zeros(lay.cols, dtype=bool)
-                read[lay.col_idx[np.repeat(live[-1], np.diff(lay.indptr))]] = True
+                read[lay.col_idx[np.repeat(live[-1], lay.indptr[1:] - lay.indptr[:-1])]] = True
                 live.append(read)
             self._packed = backends.Packed(_pack_rows(self.layers, live[::-1]))
         return self._packed
@@ -231,7 +231,9 @@ def _pack_rows(layers, live):
     rep = None
     for k, (lay, outs) in enumerate(zip(layers, live)):
         indptr, cols, vals, bias = lay.indptr, lay.col_idx, lay.vals, lay.bias
-        cnt = np.diff(indptr)
+        # not np.diff, whose Python wrapper costs more than the subtraction
+        # on the small layers of the basis nets each build packs
+        cnt = indptr[1:] - indptr[:-1]
         whole = outs.all()
         if not whole:
             keep = np.repeat(outs, cnt)

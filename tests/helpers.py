@@ -12,12 +12,14 @@ import threading
 
 import numpy as np
 
-from hprelu import backends, metrics, network
+from hprelu import backends, emulation, metrics, network
 from hprelu.assembly import _tiled_tuple_stage
 from hprelu.basis import PiecewisePolynomial
-from hprelu.calculus import concat
+from hprelu.calculus import _block_diag, _stack, concat
 from hprelu.catalog import WeightedFunction
-from hprelu.emulation import _chain_out, _square_chains
+from hprelu.emulation import (_LB, _NONNEG_TFORMS, _branch_errors, _chain_out,
+                              _inner_outer_tail, _pw_horner_stage, _smallest_depth,
+                              _square_chains)
 from hprelu.mesh import Axis1D
 from hprelu.network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate
@@ -466,3 +468,81 @@ def zeta_value(i, t):
     if i == 2:
         return 0.5 * (1.0 - t)
     return 0.5 * legendre_antideriv(i - 2, t)
+
+
+def stacked_parallel(nets):
+    """``calculus.parallel`` as the plain fold, with no one-net case: the
+    first layers stacked on the shared input, every later one
+    block-diagonal."""
+    nets = list(nets)
+    d = nets[0].input_dim
+    layers = [_stack([net.layers[0] for net in nets], d)]
+    layers += [_block_diag([net.layers[j] for net in nets])
+               for j in range(1, nets[0].depth)]
+    return NeuralNetwork(d, layers)
+
+
+def unshared_bubble_branch(xl, xr, s, tau_v, tau_d, tails=None):
+    """``emulation._bubble_branch`` built whole for every element: no tail
+    is looked up in or stored to ``tails``."""
+    h = xr - xl
+    s = np.asarray(s, dtype=np.float64)
+    q = len(s) - 1
+    m, (_, _, mo, boxes) = _smallest_depth(
+        lambda m: _branch_errors(s, h, m), tau_v, tau_d, "oracle branch")
+    su = 2.0 / h
+    layers = []
+    lb = _LB(1)
+    lb.row([0], [1.0], -xl)
+    lb.row([0], [1.0], -xr)
+    lb.row([0], [-1.0], xr)
+    lb.row([0], [-1.0], xl)
+    layers.append(lb.done())
+
+    if q == 0:
+        lb = _LB(4)
+        lb.row([0, 1], [su, -su])
+        lb.row([2, 3], [su, -su])
+        layers.append(lb.done())
+        lb, base = _square_chains(layers, 2, [], _NONNEG_TFORMS, m)
+        lb.row(*_chain_out(base, 3, m, float(s[0]) * 8.0))
+        layers.append(lb.done())
+        return NeuralNetwork(1, layers)
+
+    lb = _LB(4)
+    lb.row([0, 1], [su, -su])
+    lb.row([2, 3], [su, -su])
+    if q >= 2:
+        lb.row([0, 1], [su, -su], -1.0)
+        lb.row([0, 1], [-su, su], 1.0)
+    cq, cq1 = float(s[q]), float(s[q - 1])
+    lb.row([0, 1], [cq * su, -cq * su], cq1 - cq)
+    lb.row([0, 1], [-cq * su, cq * su], cq - cq1)
+    layers.append(lb.done())
+
+    for k, box in zip(range(q - 2, -1, -1), boxes):
+        _pw_horner_stage(layers, float(s[k]), box, m, drop_t=k == 0)
+    _inner_outer_tail(layers, m, mo)
+    return NeuralNetwork(1, layers)
+
+
+def unshared_basis_net(monkeypatch, bf, epsilon1):
+    """``emulation.basis_net`` with every bubble branch built whole
+    (``unshared_bubble_branch``) and every parallel stacked
+    (``stacked_parallel``)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(emulation, "_bubble_branch", unshared_bubble_branch)
+        mp.setattr(emulation, "parallel", stacked_parallel)
+        return emulation.basis_net(bf, epsilon1)
+
+
+def per_axis_tables(field, axes):
+    """The basis-net tables of ``_CompiledField`` one axis at a time:
+    every basis net run on each axis' points alone, at every point."""
+    zv, zd = [], []
+    for a in axes:
+        x1 = np.asarray(a, dtype=np.float64)[:, None]
+        pairs = [grad_realize_batch(bnet, x1) for bnet in field.nets]
+        zv.append(np.stack([v[:, 0] for v, _ in pairs]))
+        zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
+    return zv, zd

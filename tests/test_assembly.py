@@ -43,6 +43,7 @@ from helpers import (
     kernel_threads,
     merged_rows,
     packed_rows,
+    per_axis_tables,
     per_cell_field,
     separable_prefix,
 )
@@ -557,6 +558,34 @@ _FORK_CASES = {
     "one-cell": lambda: (_small_net(), [np.linspace(0.6, 0.9, 7),
                                         np.linspace(0.55, 0.95, 5)]),
 }
+
+
+@pytest.mark.parametrize("case", ["2d", "3d-criterion-6"])
+def test_tables_run_each_basis_net_once(monkeypatch, case):
+    net, axes = _FORK_CASES[case]()
+    field = compiled_field(net)
+    # the premise: every basis-net row sums in stored order, so no point's
+    # bits depend on the points run beside it
+    widest = max(int(np.diff(lay.indptr).max())
+                 for bnet in field.nets for lay in bnet.layers)
+    assert widest <= backends._EXACT_ROW_NNZ
+    ks = [field.interp.axis.find(a) for a in axes]
+    runs = []
+    monkeypatch.setattr(assembly, "grad_realize_batch",
+                        lambda bnet, x: runs.append(1) or grad_realize_batch(bnet, x))
+    zv, zd = field._tables(axes, ks)
+    assert len(runs) == len(field.nets)
+    monkeypatch.undo()
+    wv, wd = per_axis_tables(field, axes)
+    assert len(zv) == len(zd) == len(axes)
+    for k, a, b in zip(ks + ks, zv + zd, wv + wd):
+        assert a.shape == b.shape
+        for i, bf in enumerate(field.interp.basis):
+            # what a cell reads, the points of the support, bit for bit;
+            # zeros elsewhere
+            read = np.isin(k, bf.support)
+            assert a[i, read].tobytes() == b[i, read].tobytes()
+            assert not a[i, ~read].any()
 
 
 @pytest.mark.parametrize("case", list(_FORK_CASES))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hprelu.calculus import concat, depth_align, full_parallel, identity_net, parallel
-from hprelu.network import realize, realize_batch
+from hprelu.network import realize, realize_batch, serialize
 
-from helpers import dense_realize, random_net
+from helpers import dense_realize, random_net, stacked_parallel
 
 
 def test_identity_net_exact_and_sizes():
@@ -82,6 +82,19 @@ def test_depth_align_preserves_realization():
             assert np.allclose(
                 realize_batch(after, pts), realize_batch(before, pts), atol=1e-13
             )
+
+
+def test_parallel_of_one_net_is_the_net():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        net = random_net(rng)
+        par, fold = parallel([net]), stacked_parallel([net])
+        assert par.layers == net.layers
+        assert serialize(par) == serialize(fold)
+        for a, b in zip(par.layers, fold.layers):
+            for key in ("indptr", "col_idx", "vals", "bias"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_parallel_rejects_mismatched():

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from hprelu import emulation
+from hprelu.assembly import build_phi_eps_c
 from hprelu.basis import PiecewisePolynomial, build_basis
+from hprelu.catalog import corner_singular, edge_singular
 from hprelu.emulation import (
     ToleranceBudget,
     _binary_core,
+    _bubble_branch,
     basis_net,
     plan_budget,
     product_net,
@@ -16,9 +20,16 @@ from hprelu.emulation import (
 )
 from hprelu.legendre import zeta_coeffs
 from hprelu.mesh import geometric_mesh
-from hprelu.network import grad_realize_batch, realize, realize_batch
+from hprelu.network import NeuralNetwork, grad_realize_batch, realize, realize_batch, serialize
+from hprelu.projector import hp_interpolate
 
-from helpers import inorder_realize, random_continuous_pwpoly, square_net
+from helpers import (
+    inorder_realize,
+    random_continuous_pwpoly,
+    square_net,
+    unshared_basis_net,
+    unshared_bubble_branch,
+)
 
 # ------------------------------------------------------------------ square
 
@@ -275,6 +286,92 @@ def test_basis_net_rejects_wide_support():
     bf = build_basis(ax, 2)[0]
     with pytest.raises(ValueError):
         basis_net(bf, 0.0)
+
+
+# ---------------------------------------------------------- bubble tails
+
+def _tail_keys(monkeypatch):
+    """The key of every bubble tail built, in build order."""
+    built, tail = [], emulation._bubble_tail
+
+    def record(s, m, mo, boxes):
+        built.append((s.tobytes(), m, mo, tuple(boxes)))
+        return tail(s, m, mo, boxes)
+
+    monkeypatch.setattr(emulation, "_bubble_tail", record)
+    return built
+
+
+# a 2d interpolant whose degree-4 bubbles need a Horner stage, and the 3d
+# corner+edge interpolant of criterion 6 (ell = 2, p = 2)
+_TAIL_CASES = {
+    "2d-p4": lambda: hp_interpolate(corner_singular(2, 0.5),
+                                    geometric_mesh(0.17, 2), 4),
+    "3d": lambda: hp_interpolate(corner_singular(3, 0.8) + edge_singular(0.6),
+                                 geometric_mesh(0.25, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAIL_CASES))
+def test_build_shares_each_bubble_tail(monkeypatch, case):
+    interp = _TAIL_CASES[case]()
+    built = _tail_keys(monkeypatch)
+    net = build_phi_eps_c(interp, 5e-2)
+    nets = net.meta["compiled_parts"]["nets"]
+    # built once per distinct key
+    assert built and len(set(built)) == len(built)
+    if case == "2d-p4":
+        assert any(boxes for _, _, _, boxes in built)
+    # a bubble net is concat(sum row, branch): its tail layers but the last
+    # (whose (+,-) stacking concat builds anew) follow the interval layers
+    tails = {}
+    for bf, bnet in zip(interp.basis, nets):
+        if not np.any(bf.node_values()):
+            tails.setdefault(id(bnet.layers[2]), []).append(bnet.layers[2:-2])
+    assert len(tails) == len(built)
+    assert sum(map(len, tails.values())) > len(tails)
+    for group in tails.values():
+        assert all(a is b for layers in group for a, b in zip(group[0], layers))
+    # each net as if built alone, every branch whole and every parallel
+    # stacked
+    eps1 = net.meta["plan"].epsilon1
+    for bf, bnet in zip(interp.basis, nets):
+        assert serialize(bnet) == serialize(unshared_basis_net(monkeypatch, bf, eps1))
+    # no tail outlives its build
+    first = list(built)
+    built.clear()
+    again = build_phi_eps_c(interp, 5e-2)
+    assert built == first
+    assert serialize(again) == serialize(net)
+
+
+def test_standalone_basis_nets_build_their_own_tails(monkeypatch):
+    built = _tail_keys(monkeypatch)
+    bf = [bf for bf in build_basis(geometric_mesh(0.5, 2), 3)
+          if not np.any(bf.node_values())][0]
+    basis_net(bf, 0.1)
+    basis_net(bf, 0.1)
+    assert len(built) == 2 and built[0] == built[1]
+
+
+@pytest.mark.parametrize("s", [(-0.0, -0.25), (-0.0, 0.0625, -0.3125)])
+def test_tail_keys_hold_the_bits(s):
+    # -0.0 == 0.0, but each sign gets its own tail; a repeat shares one
+    flip = (0.0,) + s[1:]
+    tails = {}
+    nets = [_bubble_branch(0.2, 0.6, np.array(c), 1e-3, 1e-3, tails)
+            for c in (s, flip, s)]
+    assert len(tails) == 2
+    assert nets[2].layers[2] is nets[0].layers[2]
+    assert nets[1].layers[2] is not nets[0].layers[2]
+    for c, bnet in zip((s, flip, s), nets):
+        assert serialize(bnet) == serialize(
+            unshared_bubble_branch(0.2, 0.6, np.array(c), 1e-3, 1e-3))
+    if len(s) > 2:
+        # s[0] is the last Horner stage's bias, inside the tail, so a key
+        # of floats would hand one sign the other's tail
+        tail = [serialize(NeuralNetwork(6, bnet.layers[2:])) for bnet in nets[:2]]
+        assert tail[0] != tail[1]
 
 
 # ------------------------------------------------------------ composition
