@@ -43,11 +43,12 @@ import numpy as np
 from . import backends
 from .calculus import (_pm_stack, concat, depth_align, full_parallel,
                        identity_net, parallel)
-from .emulation import ToleranceBudget, basis_net, product_net
+from .emulation import BasisNets, ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
 from .mesh import geometric_mesh
-from .network import Layer, NeuralNetwork, _grad_chunk, grad_realize_batch
-from .network import realize_batch  # noqa: F401  (perfbench/spans.py wraps it)
+from .network import Layer, NeuralNetwork, _grad_chunk
+# not called here; perfbench/spans.py wraps these names
+from .network import grad_realize_batch, realize_batch  # noqa: F401
 from .projector import hp_interpolate, multipatch_interpolate
 
 __all__ = [
@@ -209,9 +210,11 @@ def build_phi_eps_c(interp, epsilon, rows=None):
         vmax, _ = bf.sup_bounds()
         if vmax > 1.0 + 1e-9:
             raise ValueError("basis function exceeds the unit sup bound")
-    # a bubble tail depends on no element: one per distinct key and build
-    tails = {}
-    nets = [basis_net(bf, plan.epsilon1, tails) for bf in interp.basis]
+    # a bubble tail depends on no element: one per distinct key and build,
+    # and one measurement pass for the build's basis nets
+    basis = BasisNets()
+    nets = [basis_net(bf, plan.epsilon1, basis) for bf in interp.basis]
+    basis.measure()
     sup_slack = max(n.meta["measured_sup"] for n in nets)
     if 1.0 + sup_slack > _PRODUCT_BOX:
         raise AssertionError("basis outputs leave the product box")
@@ -231,7 +234,8 @@ def build_phi_eps_c(interp, epsilon, rows=None):
     bound = 2 * head.size + 2 * (2 * T * (pi.size + d) + 2 * phi_basis.size)
     assert net.size <= bound, (net.size, bound)
     net.meta.update(
-        plan=plan, compiled_parts={"nets": nets, "pi": pi, "interp": interp, "vmat": vmat},
+        plan=plan, compiled_parts={"basis": basis, "pi": pi, "interp": interp,
+                                    "vmat": vmat},
         depth_basis=phi_basis.depth, depth_product=pi.depth)
     return net
 
@@ -385,7 +389,7 @@ class _CompiledField:
 
     def __init__(self, parts, row):
         self.interp = interp = parts["interp"]
-        self.nets = parts["nets"]
+        self.basis = parts["basis"]
         self.vrow = parts["vmat"][row]
         self.d = d = interp.dim
         self.N = interp.N1d
@@ -411,17 +415,18 @@ class _CompiledField:
         (``ks``, per axis) is in the function's support.  No cell reads the
         other entries, which stay zero.
 
-        Each net runs once, on its points of the d axes end to end.  No
-        basis-net row has more than ``backends._EXACT_ROW_NNZ`` entries, so
-        every row sums in stored order and a point's bits do not depend on
-        the points beside it."""
+        Each net's points of the d axes run end to end in one
+        ``BasisNets.run``: a head per bubble net, a tail per group of
+        them and a whole pass for each other net, every one packed once
+        per build.  No basis-net row has more than
+        ``backends._EXACT_ROW_NNZ`` entries, so every row sums in stored
+        order and a point's bits do not depend on the points beside it."""
         x = np.concatenate([np.asarray(a, dtype=np.float64) for a in axes])
         k = np.concatenate(ks)
-        zv, zd = np.zeros((2, len(self.nets), len(x)))
-        for i, (bf, bnet) in enumerate(zip(self.interp.basis, self.nets)):
-            at = np.flatnonzero(np.isin(k, bf.support))
-            v, j = grad_realize_batch(bnet, x[at, None])
-            zv[i, at], zd[i, at] = v[:, 0], j[:, 0, 0]
+        at = [np.flatnonzero(np.isin(k, bf.support)) for bf in self.interp.basis]
+        zv, zd = np.zeros((2, len(at), len(x)))
+        for i, (a, (v, j)) in enumerate(zip(at, self.basis.run([x[a] for a in at]))):
+            zv[i, a], zd[i, a] = v, j
         cuts = np.cumsum([len(a) for a in axes])[:-1]
         return np.split(zv, cuts, axis=1), np.split(zd, cuts, axis=1)
 

@@ -16,7 +16,12 @@ A basis function is one reference polynomial composed with the affine
 element map, so a bubble branch reads its element only in its first two
 layers.  The rest, its tail, is built once per distinct (polynomial bits,
 sawtooth depth, product boxes) in a build and shared, as ``Layer``
-objects, by every branch with that key; nothing is kept between builds.
+objects, by every branch with that key.  It also runs once per pass: the
+build's measurement (``BasisNets``) runs each bubble net's two interval
+layers on its own points, then each tail once on the columns of all the
+nets that share it.  Heads and tails are packed once per build, and
+certification's tables reuse those packings.  Nothing is kept between
+builds.
 """
 
 import math
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from . import backends
 from .basis import PiecewisePolynomial
 from .calculus import concat, depth_align, full_parallel, identity_net, parallel
 from .legendre import gauss_rule, polyval
@@ -480,13 +486,14 @@ def _inner_outer_tail(layers, m, mo):
 _GRID_SHIFT = 0.3819660112501051
 
 
-def _measure_pw(net, v):
-    """Net-vs-record gaps (sup of the value gap, sup of the derivative
-    gap, H1 distance), one pass per piece: the sups on a shifted 128-point
-    grid plus two points next to the ends (the derivative off the nodes),
-    the H1 distance by a 4-point Gauss rule on 24 panels."""
+def _pw_points(v):
+    """The measurement points of each piece of ``v`` as (points, n,
+    weights): first the n points of the sups, a shifted 128-point grid
+    plus two points next to the ends (the derivative off the nodes), then
+    the points of the H1 distance, a 4-point Gauss rule on 24 panels, whose
+    weights come last."""
     gt, gw = gauss_rule(4)
-    sup = dsup = acc = 0.0
+    pieces = []
     for i in range(v.n_pieces):
         a, b = v.nodes[i], v.nodes[i + 1]
         t = a + (b - a) * (np.arange(128) + _GRID_SHIFT) / 128
@@ -495,69 +502,167 @@ def _measure_pw(net, v):
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         x = np.concatenate((t, (mid[:, None] + half[:, None] * gt).ravel()))
-        vals, jac = grad_realize_batch(net, x[:, None])
-        dv, dg = vals[:, 0] - v(x), jac[:, 0, 0] - v.deriv(x)
-        n = len(t)
+        pieces.append((x, len(t), (half[:, None] * gw).ravel()))
+    return pieces
+
+
+def _pw_gaps(v, pieces, vals, der):
+    """Net-vs-record gaps (sup of the value gap, sup of the derivative
+    gap, H1 distance) from the net's values and derivatives at the points
+    of ``_pw_points``, all pieces end to end, summed piece by piece."""
+    sup = dsup = acc = 0.0
+    lo = 0
+    for x, n, wts in pieces:
+        hi = lo + len(x)
+        dv, dg = vals[lo:hi] - v(x), der[lo:hi] - v.deriv(x)
+        lo = hi
         sup = max(sup, float(np.max(np.abs(dv[:n]))))
         dsup = max(dsup, float(np.max(np.abs(dg[:n]))))
-        wts = (half[:, None] * gw).ravel()
         acc += float(np.dot(wts, dv[n:] * dv[n:]) + np.dot(wts, dg[n:] * dg[n:]))
     return sup, dsup, math.sqrt(acc)
 
 
-def pwpoly_net(v, epsilon, tails=None):
+class BasisNets:
+    """The piecewise-polynomial nets of one build and their one measurement.
+
+    ``tails`` holds the bubble tails built so far (``_bubble_branch``).  A
+    net whose one branch is a bubble runs as its head, the two interval
+    layers, then the layers its tail's key fixes: the shared tail and the
+    two that ``concat`` builds from its last layer and the unit sum row.
+    Its group, the tail's first ``Layer``, is recorded as it is built, and
+    each group keeps one net of those layers.  ``run`` runs each head on
+    its net's points, applies the ReLU after it as ``backends._narrow_run``
+    does, then each group's tail once, seeded with the heads' jacobians, on
+    the columns of all its nets side by side; any other net runs whole.  No
+    basis-net row has over ``backends._EXACT_ROW_NNZ`` entries, so every
+    row sums in stored order and each net's values and derivatives are
+    those of its own whole pass, bit for bit.  Each head and tail is packed
+    once, on its first run.
+
+    ``add`` builds a net and ``measure`` certifies all of them in one
+    ``run``.  The compiled net keeps the object for its certification
+    tables; nothing else outlives the build.
+    """
+
+    def __init__(self):
+        self.tails = {}
+        self.nets = []
+        # per net: (its head or the whole net, its group or None)
+        self._runs = []
+        self._groups = {}
+        # per net: (record, gap limit, H1 limit)
+        self._limits = []
+
+    def add(self, v, epsilon, target):
+        """``pwpoly_net(v, epsilon, target)`` with its measurement left to
+        ``measure``."""
+        if not isinstance(v, PiecewisePolynomial):
+            raise TypeError("expected a PiecewisePolynomial record")
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
+        vmax, dmax = v.sup_bounds()
+        scale = max(1.0, vmax, dmax)
+        gap = v.continuity_gap()
+        if gap > 1e-10 * scale:
+            raise ValueError(f"discontinuous at a node: jump {gap:.3e} exceeds 1e-10 * scale")
+        # the worst-case branch bounds keep the sup and derivative gaps within
+        # epsilon * scale / 2, so the measurement only certifies
+        tau = 0.5 * epsilon * scale
+        branches, weights = [], []
+        for j, val in enumerate(v.node_values()):
+            if val != 0.0:
+                branches.append(_hat_branch(v.nodes, j))
+                weights.append(float(val))
+        bubbles = 0
+        for i in range(v.n_pieces):
+            s = _bubble_poly(v.ref_coeffs[i])
+            if s is None:
+                continue
+            branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau,
+                                           self.tails))
+            weights.append(1.0)
+            bubbles += 1
+        lb = _LB(max(1, len(branches)))
+        lb.row(range(len(branches)), weights)
+        net = NeuralNetwork(lb.in_cols, [lb.done()])
+        # the weighted sum of the branches; with none, the zero net
+        if branches:
+            net = concat(net, parallel(depth_align(branches)))
+        run = net, None
+        if bubbles == len(branches) == 1:
+            group = branches[0].layers[2]
+            if group not in self._groups:
+                self._groups[group] = NeuralNetwork(net.layers[2].cols, net.layers[2:])
+            run = NeuralNetwork(1, net.layers[:2]), group
+        self.nets.append(net)
+        self._runs.append(run)
+        self._limits.append((v, epsilon * scale, target))
+        return net
+
+    def run(self, xs):
+        """(values, derivatives) of each net at its 1-D points ``xs[i]``."""
+        out, cols = [], {}
+        for i, ((first, group), x) in enumerate(zip(self._runs, xs)):
+            if group is None:
+                vals, jac = grad_realize_batch(first, x[:, None])
+                out.append((vals[:, 0], jac[:, 0, 0]))
+                continue
+            y, jac = backends.run_forward_grad(first.packed(), x[None, :])
+            # the head's ReLU as _narrow_run applies it inside a whole pass
+            jac *= (y > 0.0)[:, :, None]
+            np.maximum(y, 0.0, out=y)
+            cols.setdefault(group, []).append((i, y, jac))
+            out.append(None)
+        for group, heads in cols.items():
+            y, jac = backends.run_forward_grad(
+                self._groups[group].packed(),
+                np.concatenate([y for _, y, _ in heads], axis=1),
+                seed=np.concatenate([jac for _, _, jac in heads], axis=1))
+            lo = 0
+            for i, head, _ in heads:
+                hi = lo + head.shape[1]
+                out[i] = y[0, lo:hi], jac[0, lo:hi, 0]
+                lo = hi
+        return out
+
+    def measure(self):
+        """Measure every net, record its sup, derivative sup and H1 gaps in
+        ``net.meta``, and raise on the first, in build order, that misses
+        its gap limit or its H1 target."""
+        points = [_pw_points(v) for v, _, _ in self._limits]
+        xs = [np.concatenate([x for x, _, _ in pieces]) for pieces in points]
+        for net, (v, limit, target), pieces, (vals, der) in zip(
+                self.nets, self._limits, points, self.run(xs)):
+            sup, dsup, h1 = _pw_gaps(v, pieces, vals, der)
+            if max(sup, dsup) > limit:
+                raise AssertionError(
+                    f"piecewise build missed its certified budget: {max(sup, dsup):.3e} "
+                    f"> {limit:.3e}")
+            net.meta.update(measured_sup=sup, measured_dsup=dsup, h1_err=h1)
+            if net.meta["h1_err"] > target:
+                raise AssertionError(
+                    f"basis net H1 error {h1:.3e} exceeds target {target:.3e}")
+
+
+def pwpoly_net(v, epsilon, target=math.inf):
     """Continuous piecewise polynomial as a ReLU net: exact at the nodes
     (hat carriers), certified sup/derivative error elsewhere, exactly 0
     outside the node span on the side of any vanishing endpoint value.
-    ``net.meta`` records the measured sup, derivative sup and H1 gaps.
-
-    ``tails`` holds the bubble tails built so far (``_bubble_branch``);
-    ``build_phi_eps_c`` passes one dict for the nets of a build, and a
-    call without one starts its own."""
-    if not isinstance(v, PiecewisePolynomial):
-        raise TypeError("expected a PiecewisePolynomial record")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    vmax, dmax = v.sup_bounds()
-    scale = max(1.0, vmax, dmax)
-    gap = v.continuity_gap()
-    if gap > 1e-10 * scale:
-        raise ValueError(f"discontinuous at a node: jump {gap:.3e} exceeds 1e-10 * scale")
-    # the worst-case branch bounds keep the sup and derivative gaps within
-    # epsilon * scale / 2, so the measurement below only certifies
-    tau = 0.5 * epsilon * scale
-    tails = {} if tails is None else tails
-    branches, weights = [], []
-    for j, val in enumerate(v.node_values()):
-        if val != 0.0:
-            branches.append(_hat_branch(v.nodes, j))
-            weights.append(float(val))
-    for i in range(v.n_pieces):
-        s = _bubble_poly(v.ref_coeffs[i])
-        if s is None:
-            continue
-        branches.append(_bubble_branch(v.nodes[i], v.nodes[i + 1], s, tau, tau,
-                                       tails))
-        weights.append(1.0)
-    lb = _LB(max(1, len(branches)))
-    lb.row(range(len(branches)), weights)
-    net = NeuralNetwork(lb.in_cols, [lb.done()])
-    # the weighted sum of the branches; with none, the zero net
-    if branches:
-        net = concat(net, parallel(depth_align(branches)))
-    sup, dsup, h1 = _measure_pw(net, v)
-    if max(sup, dsup) > epsilon * scale:
-        raise AssertionError(
-            f"piecewise build missed its certified budget: {max(sup, dsup):.3e} "
-            f"> {epsilon * scale:.3e}")
-    net.meta.update(measured_sup=sup, measured_dsup=dsup, h1_err=h1)
+    ``net.meta`` records the measured sup, derivative sup and H1 gaps; an
+    H1 gap over ``target`` raises."""
+    nets = BasisNets()
+    net = nets.add(v, epsilon, target)
+    nets.measure()
     return net
 
 
-def basis_net(v, epsilon1, tails=None):
+def basis_net(v, epsilon1, nets=None):
     """Network for one hp basis function with measured H1 error below
-    epsilon1 * |v|_H1 and exact nodal values; ``tails`` as in
-    ``pwpoly_net``."""
+    epsilon1 * |v|_H1 and exact nodal values.
+
+    ``build_phi_eps_c`` passes the ``BasisNets`` of its build, which
+    measures all of them at once; a call without one measures its net
+    alone."""
     if not 0.0 < epsilon1 <= 1.0:
         raise ValueError("epsilon1 must lie in (0, 1]")
     support = getattr(v, "support", None)
@@ -571,9 +676,6 @@ def basis_net(v, epsilon1, tails=None):
     # pwpoly_net's worst-case bounds keep the sup and derivative gaps within
     # eps_pw * scale / 2 on a support of length span: an H1 gap of target / 4
     eps_pw = target / (2.0 * scale * math.sqrt(2.0 * span))
-    net = pwpoly_net(v, min(eps_pw, 0.5), tails)
-    err = net.meta["h1_err"]
-    if err > target:
-        raise AssertionError(
-            f"basis net H1 error {err:.3e} exceeds target {target:.3e}")
-    return net
+    if nets is None:
+        return pwpoly_net(v, min(eps_pw, 0.5), target)
+    return nets.add(v, min(eps_pw, 0.5), target)

@@ -56,17 +56,18 @@ class ErrorReport:
 
 
 def _axis_quad(cells, n_q, q, rng):
+    """Points and weights of the q-point Gauss rule on each of the n_q
+    equal subcells of every cell, each subcell's points shifted by one
+    jitter draw (drawn subcell by subcell, left to right) and clipped
+    inside it."""
     t, w = gauss_rule(q)
-    pts, wts = [], []
-    for lo, hi in zip(cells[:-1], cells[1:]):
-        sub = np.linspace(lo, hi, n_q + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            h = b - a
-            off = _JITTER * h * (2.0 * rng.random() - 1.0)
-            x = 0.5 * ((b - a) * t + (a + b)) + off
-            pts.append(np.clip(x, a + 1e-14 * h, b - 1e-14 * h))
-            wts.append(0.5 * h * w)
-    return np.concatenate(pts), np.concatenate(wts)
+    sub = np.linspace(cells[:-1], cells[1:], n_q + 1, axis=1)
+    a, b = sub[:, :-1].reshape(-1, 1), sub[:, 1:].reshape(-1, 1)
+    h = b - a
+    off = _JITTER * h * (2.0 * rng.random((len(h), 1)) - 1.0)
+    x = 0.5 * (h * t + (a + b)) + off
+    return (np.clip(x, a + 1e-14 * h, b - 1e-14 * h).ravel(),
+            (0.5 * h * w).ravel())
 
 
 def _sq_errors(f, g, axes_pts, axes_wts):

@@ -232,7 +232,8 @@ def _pack_rows(layers, live):
     for k, (lay, outs) in enumerate(zip(layers, live)):
         indptr, cols, vals, bias = lay.indptr, lay.col_idx, lay.vals, lay.bias
         # not np.diff, whose Python wrapper costs more than the subtraction
-        # on the small layers of the basis nets each build packs
+        # on the small layers of the basis-net heads and tails each build
+        # packs
         cnt = indptr[1:] - indptr[:-1]
         whole = outs.all()
         if not whole:
@@ -265,8 +266,10 @@ def _may_repeat(indptr, cols, vals, bias):
     times their column (taken in int64: in int32 it wraps from column
     2,148 on).  Bit-identical rows do; a shared sum only sends
     the layer to the exact keys.  It costs a few numpy calls, a fraction of
-    the keys', which matters on the many small layers of the basis nets a
-    build measures, where nothing merges."""
+    the keys', which matters on the small layers a build packs for its
+    basis nets, where nothing merges: one head per bubble net, one shared
+    tail per group of them (``emulation.BasisNets``) and each other net
+    whole."""
     h = np.concatenate(([0], np.cumsum(
         np.multiply(cols, 1_000_003, dtype=np.int64) + vals.view(np.int64))))
     h = h[indptr[1:]] - h[indptr[:-1]] + bias.view(np.int64)

@@ -17,9 +17,10 @@ from hprelu.assembly import _tiled_tuple_stage
 from hprelu.basis import PiecewisePolynomial
 from hprelu.calculus import _block_diag, _stack, concat
 from hprelu.catalog import WeightedFunction
-from hprelu.emulation import (_LB, _NONNEG_TFORMS, _branch_errors, _chain_out,
-                              _inner_outer_tail, _pw_horner_stage, _smallest_depth,
-                              _square_chains)
+from hprelu.emulation import (_GRID_SHIFT, _LB, _NONNEG_TFORMS, _branch_errors,
+                              _chain_out, _inner_outer_tail, _pw_horner_stage,
+                              _smallest_depth, _square_chains)
+from hprelu.legendre import gauss_rule
 from hprelu.mesh import Axis1D
 from hprelu.network import Layer, NeuralNetwork, grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate
@@ -276,6 +277,23 @@ def stacked_sq_errors(f, g, axes_pts, axes_wts):
     return l2, semi, linf
 
 
+def loop_axis_quad(cells, n_q, q, rng):
+    """Reference for ``metrics._axis_quad``: the subcells one at a time,
+    a jitter draw each, as the measurement did before it drew them all at
+    once."""
+    t, w = gauss_rule(q)
+    pts, wts = [], []
+    for lo, hi in zip(cells[:-1], cells[1:]):
+        sub = np.linspace(lo, hi, n_q + 1)
+        for a, b in zip(sub[:-1], sub[1:]):
+            h = b - a
+            off = metrics._JITTER * h * (2.0 * rng.random() - 1.0)
+            x = 0.5 * ((b - a) * t + (a + b)) + off
+            pts.append(np.clip(x, a + 1e-14 * h, b - 1e-14 * h))
+            wts.append(0.5 * h * w)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
 def canonical_triplets(rows, cols, row_idx, col_idx, vals, bias):
     """Reference for the ``Layer`` constructor: the triplet canonicalization
     of the layer that stored triplets, returning its (row_idx, col_idx,
@@ -336,7 +354,7 @@ def per_cell_field(net, axes, row=0):
     zv, zd = [], []
     for a in axes:
         pairs = [grad_realize_batch(b, np.asarray(a, dtype=float)[:, None])
-                 for b in parts["nets"]]
+                 for b in parts["basis"].nets]
         zv.append(np.stack([v[:, 0] for v, _ in pairs]))
         zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
     cells = [interp.axis.find(np.asarray(a)) for a in axes]
@@ -536,13 +554,37 @@ def unshared_basis_net(monkeypatch, bf, epsilon1):
         return emulation.basis_net(bf, epsilon1)
 
 
+def per_net_measure(net, v):
+    """Reference for the gaps ``emulation.BasisNets.measure`` records: one
+    whole ``grad_realize_batch`` pass of ``net`` per piece of ``v``, the
+    measurement before the shared tails ran once per build."""
+    gt, gw = gauss_rule(4)
+    sup = dsup = acc = 0.0
+    for i in range(v.n_pieces):
+        a, b = v.nodes[i], v.nodes[i + 1]
+        t = a + (b - a) * (np.arange(128) + _GRID_SHIFT) / 128
+        t = np.concatenate((t, [a + 1e-6 * (b - a), b - 1e-6 * (b - a)]))
+        edges = np.linspace(a, b, 25)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        x = np.concatenate((t, (mid[:, None] + half[:, None] * gt).ravel()))
+        vals, jac = grad_realize_batch(net, x[:, None])
+        dv, dg = vals[:, 0] - v(x), jac[:, 0, 0] - v.deriv(x)
+        n = len(t)
+        sup = max(sup, float(np.max(np.abs(dv[:n]))))
+        dsup = max(dsup, float(np.max(np.abs(dg[:n]))))
+        wts = (half[:, None] * gw).ravel()
+        acc += float(np.dot(wts, dv[n:] * dv[n:]) + np.dot(wts, dg[n:] * dg[n:]))
+    return sup, dsup, np.sqrt(acc)
+
+
 def per_axis_tables(field, axes):
     """The basis-net tables of ``_CompiledField`` one axis at a time:
     every basis net run on each axis' points alone, at every point."""
     zv, zd = [], []
     for a in axes:
         x1 = np.asarray(a, dtype=np.float64)[:, None]
-        pairs = [grad_realize_batch(bnet, x1) for bnet in field.nets]
+        pairs = [grad_realize_batch(bnet, x1) for bnet in field.basis.nets]
         zv.append(np.stack([v[:, 0] for v, _ in pairs]))
         zd.append(np.stack([j[:, 0, 0] for _, j in pairs]))
     return zv, zd

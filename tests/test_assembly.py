@@ -76,7 +76,7 @@ def _small_net(eps=1e-2):
 
 def _basis_stage(net):
     """The basis stage of a compiled net, rebuilt from its basis nets."""
-    nets = net.meta["compiled_parts"]["nets"]
+    nets = net.meta["compiled_parts"]["basis"].nets
     return full_parallel([parallel(depth_align(nets))] * net.input_dim)
 
 
@@ -564,18 +564,31 @@ _FORK_CASES = {
 def test_tables_run_each_basis_net_once(monkeypatch, case):
     net, axes = _FORK_CASES[case]()
     field = compiled_field(net)
+    nets = field.basis.nets
     # the premise: every basis-net row sums in stored order, so no point's
     # bits depend on the points run beside it
     widest = max(int(np.diff(lay.indptr).max())
-                 for bnet in field.nets for lay in bnet.layers)
+                 for bnet in nets for lay in bnet.layers)
     assert widest <= backends._EXACT_ROW_NNZ
     ks = [field.interp.axis.find(a) for a in axes]
-    runs = []
-    monkeypatch.setattr(assembly, "grad_realize_batch",
-                        lambda bnet, x: runs.append(1) or grad_realize_batch(bnet, x))
+    runs, run = [], backends.run_forward_grad
+
+    def counted(packed, x, seed=None):
+        runs.append((len(packed), seed is None))
+        return run(packed, x, seed=seed)
+
+    monkeypatch.setattr(backends, "run_forward_grad", counted)
     zv, zd = field._tables(axes, ks)
-    assert len(runs) == len(field.nets)
     monkeypatch.undo()
+    # one whole pass per hat, one two-layer head per bubble net and one
+    # tail per group of bubble nets, seeded with their heads' jacobians
+    bubbles = [bnet for bf, bnet in zip(field.interp.basis, nets)
+               if not np.any(bf.node_values())]
+    tails = {id(bnet.layers[2]): bnet.depth - 2 for bnet in bubbles}
+    assert len(bubbles) > len(tails)
+    want = ([(bnet.depth, True) for bnet in nets if bnet not in bubbles]
+            + [(2, True)] * len(bubbles) + [(n, False) for n in tails.values()])
+    assert sorted(runs) == sorted(want)
     wv, wd = per_axis_tables(field, axes)
     assert len(zv) == len(zd) == len(axes)
     for k, a, b in zip(ks + ks, zv + zd, wv + wd):
@@ -586,6 +599,29 @@ def test_tables_run_each_basis_net_once(monkeypatch, case):
             read = np.isin(k, bf.support)
             assert a[i, read].tobytes() == b[i, read].tobytes()
             assert not a[i, ~read].any()
+
+
+def test_each_tail_is_packed_once_per_build(monkeypatch):
+    interp = _corner_interp()
+    axes = _certify_axes(interp)
+    ks = [interp.axis.find(a) for a in axes]
+    packed, pack = [], network._pack_rows
+    monkeypatch.setattr(network, "_pack_rows",
+                        lambda layers, live: packed.append(layers[0]) or pack(layers, live))
+    builds = []
+    for _ in range(2):
+        packed.clear()
+        # the measurement, then certification's tables
+        net = build_phi_eps_c(interp, 1e-2)
+        compiled_field(net)._tables(axes, ks)
+        nets = net.meta["compiled_parts"]["basis"].nets
+        tails = {id(bnet.layers[2]) for bf, bnet in zip(interp.basis, nets)
+                 if not np.any(bf.node_values())}
+        times = collections.Counter(map(id, packed))
+        assert tails and all(times[t] == 1 for t in tails)
+        # the nets stay alive, so no id of theirs is reused
+        builds.append((net, tails))
+    assert builds[0][1].isdisjoint(builds[1][1])
 
 
 @pytest.mark.parametrize("case", list(_FORK_CASES))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hprelu import emulation
+from hprelu import assembly, backends, calculus, emulation, network
 from hprelu.assembly import build_phi_eps_c
 from hprelu.basis import PiecewisePolynomial, build_basis
 from hprelu.catalog import corner_singular, edge_singular
@@ -25,6 +25,7 @@ from hprelu.projector import hp_interpolate
 
 from helpers import (
     inorder_realize,
+    per_net_measure,
     random_continuous_pwpoly,
     square_net,
     unshared_basis_net,
@@ -317,7 +318,7 @@ def test_build_shares_each_bubble_tail(monkeypatch, case):
     interp = _TAIL_CASES[case]()
     built = _tail_keys(monkeypatch)
     net = build_phi_eps_c(interp, 5e-2)
-    nets = net.meta["compiled_parts"]["nets"]
+    nets = net.meta["compiled_parts"]["basis"].nets
     # built once per distinct key
     assert built and len(set(built)) == len(built)
     if case == "2d-p4":
@@ -372,6 +373,73 @@ def test_tail_keys_hold_the_bits(s):
         # of floats would hand one sign the other's tail
         tail = [serialize(NeuralNetwork(6, bnet.layers[2:])) for bnet in nets[:2]]
         assert tail[0] != tail[1]
+
+
+# ------------------------------------------------- grouped basis-net pass
+
+# (interpolant, compile epsilon): eval-2d's interpolant (the benchmark's
+# eps = 1e-1 corner build at its calibrated ell = 3, p = 3), criterion 6's
+# 3d one at its compile budget, and the 2d p = 4 one with Horner stages
+_GROUP_CASES = {
+    "eval-2d": lambda: (hp_interpolate(corner_singular(2, 0.5),
+                                       geometric_mesh(0.17, 3), 3), 5e-2),
+    "3d-criterion-6": lambda: (_TAIL_CASES["3d"](), 1e-1),
+    "2d-p4": lambda: (_TAIL_CASES["2d-p4"](), 5e-2),
+}
+
+
+@pytest.mark.parametrize("case", list(_GROUP_CASES))
+def test_grouped_pass_matches_each_net(case):
+    interp, eps = _GROUP_CASES[case]()
+    net = build_phi_eps_c(interp, eps)
+    basis = net.meta["compiled_parts"]["basis"]
+    bubbles = [bnet for bf, bnet in zip(interp.basis, basis.nets)
+               if not np.any(bf.node_values())]
+    # some tail runs for more than one net
+    assert len({id(bnet.layers[2]) for bnet in bubbles}) < len(bubbles)
+    # the measurement records each net's own whole pass, piece by piece
+    for bf, bnet in zip(interp.basis, basis.nets):
+        got = [bnet.meta[k] for k in ("measured_sup", "measured_dsup", "h1_err")]
+        assert list(map(float.hex, got)) == list(map(float.hex, per_net_measure(bnet, bf)))
+    # points in and out of each support, of a different count per net
+    rng = np.random.default_rng(3)
+    lo, hi = interp.axis.nodes[0], interp.axis.nodes[-1]
+    xs = [np.concatenate((rng.uniform(bf.nodes[0], bf.nodes[-1], 30 + 7 * i),
+                          rng.uniform(lo, hi, 10)))
+          for i, bf in enumerate(interp.basis)]
+    for bnet, x, (v, j) in zip(basis.nets, xs, basis.run(xs)):
+        wv, wj = grad_realize_batch(bnet, x[:, None])
+        assert v.tobytes() == wv[:, 0].tobytes()
+        assert j.tobytes() == wj[:, 0, 0].tobytes()
+
+
+def _size(v):
+    """The entry count of a container or of a memoizing function's cache."""
+    if isinstance(v, (dict, list, set)):
+        return len(v)
+    return v.cache_info().currsize if hasattr(v, "cache_info") else None
+
+
+def _module_state():
+    """(name, id, size) of every module-level value of the modules a build
+    runs through, and of every class attribute defined there."""
+    out = []
+    for mod in (emulation, assembly, backends, calculus, network):
+        for name, val in vars(mod).items():
+            items = [(name, val)]
+            if isinstance(val, type) and val.__module__ == mod.__name__:
+                items += [(f"{name}.{k}", v) for k, v in vars(val).items()]
+            out += [(f"{mod.__name__}.{k}", id(v), _size(v)) for k, v in items]
+    return out
+
+
+def test_builds_leave_no_state():
+    interp, eps = _GROUP_CASES["2d-p4"]()
+    build_phi_eps_c(interp, eps)
+    before = _module_state()
+    for _ in range(2):
+        build_phi_eps_c(interp, eps)
+    assert _module_state() == before
 
 
 # ------------------------------------------------------------ composition

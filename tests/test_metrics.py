@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hprelu import metrics
 from hprelu.assembly import build_phi_eps_c, compiled_field, quad_cells
@@ -13,7 +15,7 @@ from hprelu.mesh import geometric_mesh
 from hprelu.metrics import ErrorReport, fit_rate, h1_error
 from hprelu.projector import hp_interpolate
 
-from helpers import stacked_sq_errors
+from helpers import loop_axis_quad, stacked_sq_errors
 
 
 def _fn1(value, deriv, name):
@@ -74,6 +76,30 @@ def test_jitter_determinism():
     r1 = h1_error(f, _ZERO, [np.array([0.0, 1.0])])
     r2 = h1_error(f, _ZERO, [np.array([0.0, 1.0])])
     assert r1.h1_error == r2.h1_error
+
+
+@st.composite
+def _quad_cases(draw):
+    """Increasing cell arrays (positive gaps of very unequal widths), a
+    subcell count, a rule order and a seed."""
+    lo = draw(st.floats(-10.0, 10.0))
+    gaps = draw(st.lists(st.floats(1e-9, 5.0), min_size=1, max_size=12))
+    # every gap is far above the float spacing near lo, so none collapses
+    cells = lo + np.cumsum([0.0] + gaps)
+    return (cells, draw(st.integers(1, 8)), draw(st.integers(1, 12)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quad_cases())
+def test_axis_quad_matches_the_subcell_loop(case):
+    cells, n_q, q, seed = case
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = metrics._axis_quad(cells, n_q, q, rng), loop_axis_quad(cells, n_q, q, ref)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    # the same draws, so the next level's generator state is unchanged
+    assert rng.random() == ref.random()
 
 
 def test_fit_exp():
