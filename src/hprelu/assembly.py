@@ -45,7 +45,7 @@ from .calculus import (_pm_stack, concat, depth_align, full_parallel,
                        identity_net, parallel)
 from .emulation import BasisNets, ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
-from .mesh import geometric_mesh
+from .mesh import graded_axis
 from .network import Layer, NeuralNetwork, _grad_chunk
 # not called here; perfbench/spans.py wraps these names
 from .network import grad_realize_batch, realize_batch  # noqa: F401
@@ -198,7 +198,7 @@ def build_phi_eps_c(interp, epsilon, rows=None):
     for r in rows:
         if (r.dim, r.p) != (d, interp.p) or not (
                 np.array_equal(r.axis.nodes, ax.nodes)
-                and np.array_equal(r.axis.singular, ax.singular)):
+                and np.array_equal(r.axis.centers, ax.centers)):
             raise ValueError("every row must share interp's mesh and degree")
     plan = plan_assembly(interp, epsilon, cl1=max(r.coeff_l1() for r in rows))
     check = (plan.epsilon1 * d * (plan.c_v_max + 1.0) ** d * plan.c_l1
@@ -246,7 +246,7 @@ _QUAD_RATIO = 0.25
 
 def quad_cells(interp, grade=8):
     """Per-axis quadrature partitions: the axis nodes with every singular
-    interval geometrically sub-refined toward its grading center, the same
+    interval graded again toward its center by ``graded_axis``, the same
     array for each of the d axes.
 
     Plain Gauss panels settle slowly against the derivative blowup in the
@@ -255,12 +255,9 @@ def quad_cells(interp, grade=8):
     ax = interp.axis
     pieces = [ax.nodes]
     for k in np.nonzero(ax.singular)[0]:
-        xl, xr = ax.nodes[k], ax.nodes[k + 1]
-        steps = (xr - xl) * _QUAD_RATIO ** np.arange(1, grade + 1)
-        if k == 0 or xl == 0.0:
-            pieces.append(xl + steps)
-        else:
-            pieces.append(xr - steps)
+        ends = ax.nodes[k:k + 2]
+        sub = graded_axis(*ends, ends[np.isin(ends, ax.centers)], _QUAD_RATIO, grade)
+        pieces.append(sub.nodes[1:-1])
     return [np.unique(np.concatenate(pieces))] * interp.dim
 
 
@@ -609,7 +606,7 @@ def compiled_field(net, row=0):
 
 def _interpolate(u, ell, p, cfg):
     if cfg.domain == "unit":
-        return hp_interpolate(u, geometric_mesh(cfg.sigma, ell), p)
+        return hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), cfg.sigma, ell), p)
     return multipatch_interpolate(u, ell, p, sigma=cfg.sigma,
                                   halfwidth=cfg.halfwidth)
 

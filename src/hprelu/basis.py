@@ -9,6 +9,7 @@ grouped by interval with rising mode index.
 import numpy as np
 
 from .legendre import gauss_rule, polyder, polyval, zeta_coeffs
+from .mesh import _checked_nodes
 
 __all__ = ["PiecewisePolynomial", "BasisFunction", "build_basis", "basis_count"]
 
@@ -22,11 +23,7 @@ class PiecewisePolynomial:
     """
 
     def __init__(self, nodes, ref_coeffs):
-        self.nodes = np.asarray(nodes, dtype=np.float64)
-        if self.nodes.ndim != 1 or len(self.nodes) < 2:
-            raise ValueError("need at least two nodes")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
+        self.nodes = _checked_nodes(nodes)
         if len(ref_coeffs) != len(self.nodes) - 1:
             raise ValueError("one coefficient array per piece")
         self.ref_coeffs = [np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in ref_coeffs]

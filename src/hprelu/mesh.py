@@ -1,35 +1,45 @@
 """Graded 1d meshes.
 
-An axis mesh is a sorted node array plus a per-interval flag marking the
-intervals that touch a grading center (where polynomial degree is forced
-down to 1).  Two constructors: a single geometric grading toward the left
-endpoint of (0,1), and a four-patch symmetric grading on (-a,a) toward
-{-a, 0, a}.  A d-dimensional mesh is d copies of one axis; the
-interpolant takes d from its function.
+An axis mesh is a sorted node array plus its grading centers, each a node;
+an interval with a center at one end is singular (its polynomial degree is
+forced down to 1).  ``graded_axis`` grades (lo, hi) toward any set of
+centers.  A d-dimensional mesh is d copies of one axis; the interpolant
+takes d from its function.
 """
+
+import numbers
 
 import numpy as np
 
-__all__ = [
-    "Axis1D",
-    "geometric_mesh",
-    "multipatch_axis",
-]
+__all__ = ["Axis1D", "graded_axis"]
+
+
+def _checked_nodes(nodes):
+    """``nodes`` as float64, checked to be one axis."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    if not (nodes.ndim == 1 and len(nodes) >= 2 and np.all(np.isfinite(nodes))
+            and np.all(np.diff(nodes) > 0)):
+        raise ValueError("need two or more nodes, finite and strictly increasing")
+    return nodes
+
+
+def _level(ell):
+    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral) or ell < 0:
+        raise ValueError(f"refinement level must be an integer >= 0, got {ell!r}")
+    return int(ell)
 
 
 class Axis1D:
-    """One mesh axis: nodes, singular-interval flags, level."""
+    """One mesh axis: nodes, grading centers, level."""
 
-    def __init__(self, nodes, singular, ell):
-        self.nodes = np.asarray(nodes, dtype=np.float64)
-        self.singular = np.asarray(singular, dtype=bool)
-        if self.nodes.ndim != 1 or len(self.nodes) < 2:
-            raise ValueError("need at least two nodes")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if len(self.singular) != len(self.nodes) - 1:
-            raise ValueError("one singular flag per interval")
-        self.ell = int(ell)
+    def __init__(self, nodes, centers, ell):
+        self.nodes = _checked_nodes(nodes)
+        self.centers = np.asarray(centers, dtype=np.float64)
+        if self.centers.ndim != 1 or not np.all(np.isin(self.centers, self.nodes)):
+            raise ValueError(f"every center must be a node, got {centers!r}")
+        self.singular = (np.isin(self.nodes[:-1], self.centers)
+                         | np.isin(self.nodes[1:], self.centers))
+        self.ell = _level(ell)
 
     @property
     def n_intervals(self):
@@ -42,36 +52,30 @@ class Axis1D:
         return np.clip(k, 0, self.n_intervals - 1)
 
 
-def geometric_mesh(sigma, ell):
-    """Geometric grading of (0,1) toward 0: nodes 0, sigma^ell, ..., sigma, 1."""
+def graded_axis(lo, hi, centers, sigma, ell):
+    """(lo, hi) graded geometrically toward each of ``centers``.
+
+    The centers and the ends cut (lo, hi); each piece is graded toward each
+    of its ends that is a center, split at its midpoint if both are.  A part
+    (x, y) graded toward x has the nodes x + (y - x) * (0, sigma^ell, ...,
+    sigma, 1), ell + 1 intervals; toward y it is the mirror -(-y + (y - x) *
+    base), which keeps a center at 0 reached from the left as node -0.0.
+    """
+    lo, hi, centers = float(lo), float(hi), np.asarray(centers, dtype=np.float64)
     if not 0.0 < sigma <= 0.5:
         raise ValueError(f"grading ratio must lie in (0, 1/2], got {sigma}")
-    if ell < 0:
-        raise ValueError("refinement level must be >= 0")
-    nodes = np.concatenate(([0.0], sigma ** np.arange(ell, -1, -1, dtype=np.float64)))
-    singular = np.zeros(ell + 1, dtype=bool)
-    singular[0] = True
-    return Axis1D(nodes, singular, ell)
-
-
-def multipatch_axis(sigma, ell, halfwidth=1.0):
-    """Symmetric axis on (-a,a): four geometric patches graded toward -a, 0, a.
-
-    Patch images are (-a,-a/2), (-a/2,0), (0,a/2), (a/2,a); each contributes
-    ell+1 intervals with the one touching a grading center flagged singular.
-    """
-    a = float(halfwidth)
-    if not 0.0 < a < np.inf:
-        raise ValueError(f"halfwidth must be a finite number > 0, got {a!r}")
-    base = geometric_mesh(sigma, ell).nodes  # 0, sigma^ell, ..., 1
-    h = 0.5 * a
-    neg_outer = -a + h * base          # graded toward -a
-    neg_inner = np.sort(-h * base)     # graded toward 0 from the left
-    pos_inner = h * base               # graded toward 0 from the right
-    pos_outer = np.sort(a - h * base)  # graded toward a
-    nodes = np.concatenate((neg_outer, neg_inner[1:], pos_inner[1:], pos_outer[1:]))
-    n = ell + 1
-    singular = np.zeros(4 * n, dtype=bool)
-    singular[[0, 2 * n - 1, 2 * n, 4 * n - 1]] = True
-    return Axis1D(nodes, singular, ell)
-
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"ends must be finite with lo < hi, got ({lo}, {hi})")
+    if centers.ndim != 1 or not len(centers) or not np.all((lo <= centers) & (centers <= hi)):
+        raise ValueError(f"need one or more centers in [{lo}, {hi}], got {centers}")
+    base = np.concatenate(([0.0], sigma ** np.arange(_level(ell), -1, -1, dtype=np.float64)))
+    nodes = [[lo]]
+    cuts = np.unique(np.concatenate(([lo, hi], centers)))
+    for x, y in zip(cuts[:-1], cuts[1:]):
+        # the part graded toward x ends at m, the one toward y starts there
+        m = (x + 0.5 * (y - x) if y in centers else y) if x in centers else x
+        if m > x:
+            nodes += [(x + (m - x) * base)[1:-1], [m]]
+        if y > m:
+            nodes.append(-(-y + (y - m) * base)[::-1][1:])
+    return Axis1D(np.concatenate(nodes), centers, ell)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import build_basis
 from .legendre import gauss_rule, legendre_table
-from .mesh import Axis1D, multipatch_axis
+from .mesh import Axis1D, graded_axis
 
 __all__ = ["hp_interpolate", "multipatch_interpolate", "HpInterpolant"]
 
@@ -103,8 +103,9 @@ def hp_interpolate(u, axis, p):
 
 
 def multipatch_interpolate(u, ell, p, sigma=0.5, halfwidth=1.0):
-    """Interpolate on the symmetric four-patch-per-axis cube (-a, a)^d."""
-    return hp_interpolate(u, multipatch_axis(sigma, ell, halfwidth), p)
+    """Interpolate on (-a, a)^d, a the halfwidth, graded toward -a, 0, a."""
+    a = halfwidth
+    return hp_interpolate(u, graded_axis(-a, a, (-a, 0.0, a), sigma, ell), p)
 
 
 class HpInterpolant:

@@ -398,7 +398,36 @@ def one_element(f, df, p):
     Its coefficients are the trace at -1, the trace at +1, then the moments
     (2n+1)(f', L_n) for n = 1..p-1."""
     u = WeightedFunction(1, f, lambda alpha, t: df(t), "element")
-    return hp_interpolate(u, Axis1D([-1.0, 1.0], [False], 0), p)
+    return hp_interpolate(u, Axis1D([-1.0, 1.0], (), 0), p)
+
+
+def geometric_mesh(sigma, ell):
+    """Oracle for ``graded_axis(0, 1, (0,), sigma, ell)``: the hand-written
+    grading of (0,1) toward 0, nodes 0, sigma^ell, ..., sigma, 1.  Returns
+    (nodes, singular flags)."""
+    nodes = np.concatenate(([0.0], sigma ** np.arange(ell, -1, -1, dtype=np.float64)))
+    singular = np.zeros(ell + 1, dtype=bool)
+    singular[0] = True
+    return nodes, singular
+
+
+def multipatch_axis(sigma, ell, halfwidth):
+    """Oracle for ``graded_axis(-a, a, (-a, 0, a), sigma, ell)``: four
+    hand-written geometric patches (-a,-a/2), (-a/2,0), (0,a/2), (a/2,a)
+    graded toward -a, 0 and a; the center node is -0.0, from sorting
+    ``-h * base``.  Returns (nodes, singular flags)."""
+    a = float(halfwidth)
+    base, _ = geometric_mesh(sigma, ell)  # 0, sigma^ell, ..., 1
+    h = 0.5 * a
+    neg_outer = -a + h * base          # graded toward -a
+    neg_inner = np.sort(-h * base)     # graded toward 0 from the left
+    pos_inner = h * base               # graded toward 0 from the right
+    pos_outer = np.sort(a - h * base)  # graded toward a
+    nodes = np.concatenate((neg_outer, neg_inner[1:], pos_inner[1:], pos_outer[1:]))
+    n = ell + 1
+    singular = np.zeros(4 * n, dtype=bool)
+    singular[[0, 2 * n - 1, 2 * n, 4 * n - 1]] = True
+    return nodes, singular
 
 
 def square_net(levels):

@@ -21,7 +21,7 @@ from hprelu.metrics import fit_rate
 from hprelu.network import grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate
 from hprelu.verify import verify_calculus
-from hprelu.mesh import geometric_mesh
+from hprelu.mesh import graded_axis
 from hprelu.legendre import polyder, polyval
 
 from helpers import one_element, random_continuous_pwpoly
@@ -53,7 +53,7 @@ def test_criterion_1_hp_convergence_2d():
     u = corner_singular(2, 0.5)
     errs, ndofs = [], []
     for ell in range(1, 9):
-        interp = hp_interpolate(u, geometric_mesh(0.5, ell), ell)
+        interp = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, ell), ell)
         rep = hp_error(u, interp)
         errs.append(rep.h1_error)
         ndofs.append(interp.N1d ** 2)
@@ -201,7 +201,7 @@ def test_criterion_8_projector():
     funcs = [corner_singular(2, float(l)) for l in rng.uniform(0.3, 0.9, 2)]
     funcs.append(analytic_fn(2, "trig", {"freq": [2.0, 3.0], "phase": [0.3, 0.0]}))
     for u in funcs:
-        it = hp_interpolate(u, geometric_mesh(0.5, 2), 3)
+        it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 3)
         for xk in it.axis.nodes[1:-1]:
             left = it.value(np.column_stack([np.full_like(ys, xk - eta), ys]))
             right = it.value(np.column_stack([np.full_like(ys, xk + eta), ys]))

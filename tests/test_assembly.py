@@ -26,7 +26,7 @@ from hprelu.basis import build_basis
 from hprelu.calculus import _pm_stack, concat, depth_align, full_parallel, parallel
 from hprelu.catalog import analytic_fn, corner_singular, edge_singular
 from hprelu.emulation import plan_budget, product_net
-from hprelu.mesh import geometric_mesh, multipatch_axis
+from hprelu.mesh import graded_axis
 from hprelu.metrics import h1_error
 from hprelu.network import (
     Layer,
@@ -55,7 +55,7 @@ def _corner_interp(ell=2, p=2, lam=0.5, sigma=0.5, dim=2):
     key = ("interp", ell, p, lam, sigma, dim)
     if key not in _CACHE:
         u = corner_singular(dim, lam)
-        _CACHE[key] = hp_interpolate(u, geometric_mesh(sigma, ell), p)
+        _CACHE[key] = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), sigma, ell), p)
     return _CACHE[key]
 
 
@@ -244,7 +244,7 @@ def test_quad_cells_unit_axis():
 
 def test_quad_cells_symmetric_axis():
     u = corner_singular(2, 0.6)
-    interp = hp_interpolate(u, multipatch_axis(0.5, 1, 1.0), 1)
+    interp = hp_interpolate(u, graded_axis(-1.0, 1.0, (-1.0, 0.0, 1.0), 0.5, 1), 1)
     cells = quad_cells(interp, grade=3)
     c = cells[0]
     nodes = interp.axis.nodes
@@ -252,6 +252,28 @@ def test_quad_cells_symmetric_axis():
     assert len(c) == len(nodes) + 4 * 3
     assert np.allclose(c, -c[::-1])
     assert np.all(np.isin(nodes, c))
+
+
+def test_quad_cells_off_zero_centers():
+    """Each singular interval's measurement cells shrink toward the end that
+    is a center, wherever the centers lie; the intervals (-0.5, -0.46875)
+    and (0.5, 0.53125) start at an off-zero center and used to be graded
+    toward their other end."""
+    ax = graded_axis(-1.0, 1.0, (-0.5, 0.5), 0.25, 2)
+    interp = HpInterpolant(ax, 1, np.zeros(len(ax.nodes)))
+    cells, = quad_cells(interp, grade=4)
+    np.testing.assert_array_equal(np.flatnonzero(ax.singular), [2, 3, 8, 9])
+    for k in np.flatnonzero(ax.singular):
+        xl, xr = ax.nodes[k], ax.nodes[k + 1]
+        inside = cells[(cells >= xl) & (cells <= xr)]
+        assert len(inside) == 4 + 2
+        w = np.diff(inside)
+        assert (xl in ax.centers) != (xr in ax.centers)
+        # the finest cell touches the center, and widths grow away from it
+        if xl in ax.centers:
+            np.testing.assert_allclose(w[1:] / w[:-1], [3, 4, 4, 4], rtol=1e-12)
+        else:
+            np.testing.assert_allclose(w[:-1] / w[1:], [4, 4, 4, 3], rtol=1e-12)
 
 
 # --------------------------------------------------------- cellwise fields
@@ -323,8 +345,8 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
         return chunk
 
     monkeypatch.setattr(assembly, "_grad_chunk", spy)
-    ax = (geometric_mesh(0.5, 1) if domain == "unit"
-          else multipatch_axis(0.5, 1))
+    ax = (graded_axis(0.0, 1.0, (0.0,), 0.5, 1) if domain == "unit"
+          else graded_axis(-1.0, 1.0, (-1.0, 0.0, 1.0), 0.5, 1))
     rng = np.random.default_rng(3)
     N = len(build_basis(ax, p))
     interp = HpInterpolant(ax, p, rng.uniform(-1.0, 1.0, (N,) * dim))
@@ -347,7 +369,7 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
 def _zero_cell_interp():
     """A 2d interpolant whose live coefficients on mesh cell (0, 0) are all
     zero, with one more zero tuple on cell (1, 1)."""
-    axis = geometric_mesh(0.5, 1)
+    axis = graded_axis(0.0, 1.0, (0.0,), 0.5, 1)
     basis = build_basis(axis, 2)
     rng = np.random.default_rng(11)
     c = rng.uniform(-1.0, 1.0, (len(basis),) * 2)

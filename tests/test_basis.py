@@ -4,7 +4,7 @@ from numpy.polynomial import polynomial as P
 
 from hprelu.basis import PiecewisePolynomial, basis_count, build_basis
 from hprelu.legendre import zeta_coeffs
-from hprelu.mesh import geometric_mesh, multipatch_axis
+from hprelu.mesh import graded_axis
 
 
 def test_piecewise_eval():
@@ -25,6 +25,9 @@ def test_piecewise_validation():
         PiecewisePolynomial([0.0, 0.0, 1.0], [[1.0], [1.0]])
     with pytest.raises(ValueError):
         PiecewisePolynomial([0.0, 1.0], [[1.0], [1.0]])
+    # a NaN node passes a ``diff <= 0`` check
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        PiecewisePolynomial([0.0, np.nan, 1.0], [[1.0], [1.0]])
 
 
 def _coeffs(b):
@@ -38,7 +41,7 @@ def _bubbles(ax, bs):
 
 
 def test_basis_count_and_order():
-    ax = geometric_mesh(0.5, 3)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 3)
     p = 4
     bs = build_basis(ax, p)
     assert len(bs) == basis_count(ax, p) == (3 + 1) * 4 + 1
@@ -57,7 +60,7 @@ def test_basis_count_and_order():
 
 
 def test_hats_partition_of_unity():
-    ax = multipatch_axis(0.5, 2)
+    ax = graded_axis(-1.0, 1.0, (-1.0, 0.0, 1.0), 0.5, 2)
     bs = build_basis(ax, 3)
     hats = bs[:len(ax.nodes)]
     x = np.linspace(ax.nodes[0], ax.nodes[-1], 357)
@@ -66,14 +69,14 @@ def test_hats_partition_of_unity():
 
 
 def test_sup_norm_at_most_one():
-    ax = geometric_mesh(0.5, 4)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 4)
     for b in build_basis(ax, 6):
         vmax, _ = b.sup_bounds()
         assert vmax <= 1.0 + 1e-12
 
 
 def test_nodal_property():
-    ax = geometric_mesh(0.5, 2)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 2)
     bs = build_basis(ax, 3)
     nodes = ax.nodes
     for j, b in enumerate(bs):
@@ -88,7 +91,7 @@ def test_nodal_property():
 
 
 def test_bubble_h1_seminorm_closed_form():
-    ax = geometric_mesh(0.5, 3)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 3)
     for k, m, b in _bubbles(ax, build_basis(ax, 5)):
         h = np.diff(ax.nodes)[k]
         assert b.h1_seminorm == pytest.approx(
@@ -96,7 +99,7 @@ def test_bubble_h1_seminorm_closed_form():
 
 
 def test_hat_norms_closed_form():
-    ax = geometric_mesh(0.5, 2)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 2)
     bs = build_basis(ax, 2)
     w = np.diff(ax.nodes)
     # interior hat at node 1 spans intervals 0 and 1
@@ -106,7 +109,7 @@ def test_hat_norms_closed_form():
 
 
 def test_bubble_l2_independent_oracle():
-    ax = geometric_mesh(0.5, 1)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 1)
     for k, _, b in _bubbles(ax, build_basis(ax, 4)):
         c = np.array(b.ref_coeffs[0])
         sq = P.polymul(c, c)

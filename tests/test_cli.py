@@ -14,7 +14,7 @@ from hprelu import assembly, cli
 from hprelu.assembly import NetConfig, build_phi_eps_c, build_phi_eps_f
 from hprelu.catalog import _PARAM_TYPES, corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
-from hprelu.mesh import geometric_mesh
+from hprelu.mesh import graded_axis
 from hprelu.network import _fmt, deserialize, realize_batch, serialize
 from hprelu.projector import HpInterpolant
 from hprelu.verify import verify_calculus
@@ -292,7 +292,7 @@ def test_nn_info_live_size(tmp_path, capsys):
     # both counts are the oracle's
     c = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
     c[1, 2] = 0.0
-    net = build_phi_eps_c(HpInterpolant(geometric_mesh(0.5, 1), 1, c), 1e-1)
+    net = build_phi_eps_c(HpInterpolant(graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 1, c), 1e-1)
     net_path = tmp_path / "net.json"
     net_path.write_text(serialize(net))
     capsys.readouterr()

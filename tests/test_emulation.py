@@ -19,7 +19,7 @@ from hprelu.emulation import (
     pwpoly_net,
 )
 from hprelu.legendre import zeta_coeffs
-from hprelu.mesh import geometric_mesh
+from hprelu.mesh import graded_axis
 from hprelu.network import NeuralNetwork, grad_realize_batch, realize, realize_batch, serialize
 from hprelu.projector import hp_interpolate
 
@@ -262,7 +262,7 @@ def test_pwpoly_validation():
 # ------------------------------------------------------------- basis_net
 
 def test_basis_net_certifies_h1():
-    ax = geometric_mesh(0.5, 3)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 3)
     for bf in build_basis(ax, 4):
         net = basis_net(bf, 0.1)
         assert net.meta["h1_err"] <= 0.1 * bf.h1_seminorm
@@ -271,7 +271,7 @@ def test_basis_net_certifies_h1():
 
 
 def test_basis_net_tight_target():
-    ax = geometric_mesh(0.5, 2)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 2)
     bf = build_basis(ax, 3)[-1]
     net = basis_net(bf, 1e-3)
     assert net.meta["h1_err"] <= 1e-3 * bf.h1_seminorm
@@ -283,7 +283,7 @@ def test_basis_net_rejects_wide_support():
 
     with pytest.raises(ValueError, match="support"):
         basis_net(Wide(), 0.1)
-    ax = geometric_mesh(0.5, 2)
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 2)
     bf = build_basis(ax, 2)[0]
     with pytest.raises(ValueError):
         basis_net(bf, 0.0)
@@ -307,9 +307,9 @@ def _tail_keys(monkeypatch):
 # corner+edge interpolant of criterion 6 (ell = 2, p = 2)
 _TAIL_CASES = {
     "2d-p4": lambda: hp_interpolate(corner_singular(2, 0.5),
-                                    geometric_mesh(0.17, 2), 4),
+                                    graded_axis(0.0, 1.0, (0.0,), 0.17, 2), 4),
     "3d": lambda: hp_interpolate(corner_singular(3, 0.8) + edge_singular(0.6),
-                                 geometric_mesh(0.25, 2), 2),
+                                 graded_axis(0.0, 1.0, (0.0,), 0.25, 2), 2),
 }
 
 
@@ -348,7 +348,7 @@ def test_build_shares_each_bubble_tail(monkeypatch, case):
 
 def test_standalone_basis_nets_build_their_own_tails(monkeypatch):
     built = _tail_keys(monkeypatch)
-    bf = [bf for bf in build_basis(geometric_mesh(0.5, 2), 3)
+    bf = [bf for bf in build_basis(graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 3)
           if not np.any(bf.node_values())][0]
     basis_net(bf, 0.1)
     basis_net(bf, 0.1)
@@ -382,7 +382,7 @@ def test_tail_keys_hold_the_bits(s):
 # 3d one at its compile budget, and the 2d p = 4 one with Horner stages
 _GROUP_CASES = {
     "eval-2d": lambda: (hp_interpolate(corner_singular(2, 0.5),
-                                       geometric_mesh(0.17, 3), 3), 5e-2),
+                                       graded_axis(0.0, 1.0, (0.0,), 0.17, 3), 3), 5e-2),
     "3d-criterion-6": lambda: (_TAIL_CASES["3d"](), 1e-1),
     "2d-p4": lambda: (_TAIL_CASES["2d-p4"](), 5e-2),
 }

@@ -11,7 +11,7 @@ from hprelu import metrics
 from hprelu.assembly import build_phi_eps_c, compiled_field, quad_cells
 from hprelu.catalog import (WeightedFunction, analytic_fn, corner_singular,
                             edge_singular)
-from hprelu.mesh import geometric_mesh
+from hprelu.mesh import graded_axis
 from hprelu.metrics import ErrorReport, fit_rate, h1_error
 from hprelu.projector import hp_interpolate
 
@@ -56,7 +56,7 @@ def test_interp_vs_function_decreases():
     u = corner_singular(2, 0.5)
     errs = []
     for ell in (1, 3):
-        it = hp_interpolate(u, geometric_mesh(0.5, ell), max(ell, 1))
+        it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, ell), max(ell, 1))
         rep = h1_error(u, it, [it.axis.nodes] * 2, q=8,
                        max_doublings=2)
         errs.append(rep.h1_error)
@@ -150,7 +150,7 @@ def test_h1_error_rejects_non_fields():
 
 def _interp(d):
     u = corner_singular(2, 0.5) if d == 2 else corner_singular(3, 0.8) + edge_singular(0.6)
-    return u, hp_interpolate(u, geometric_mesh(0.5, 1 if d == 3 else 2), 2)
+    return u, hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 1 if d == 3 else 2), 2)
 
 
 def _catalog_case(d):

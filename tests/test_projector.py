@@ -8,7 +8,7 @@ from numpy.polynomial import legendre as npleg
 from hprelu import projector
 from hprelu.catalog import analytic_fn, corner_singular, edge_singular, fichera_extend
 from hprelu.legendre import legendre_table
-from hprelu.mesh import geometric_mesh, multipatch_axis
+from hprelu.mesh import graded_axis
 from hprelu.projector import HpInterpolant, hp_interpolate, multipatch_interpolate
 
 from helpers import gradient_axes, interp_gradient, one_element
@@ -137,7 +137,7 @@ def test_degree_validation():
 
 def test_linear_reproduction():
     u = analytic_fn(2, "polynomial", {"axis_coeffs": [[1.0, 2.0], [1.0, 0.5]]})
-    it = hp_interpolate(u, geometric_mesh(0.5, 2), 2)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 2)
     rng = np.random.default_rng(5)
     pts = rng.random((200, 2))
     np.testing.assert_allclose(it.value(pts), u.value(pts[:, 0], pts[:, 1]),
@@ -146,7 +146,7 @@ def test_linear_reproduction():
 
 def test_representation_identity():
     u = corner_singular(2, 0.5)
-    axis = geometric_mesh(0.5, 2)
+    axis = graded_axis(0.0, 1.0, (0.0,), 0.5, 2)
     p = 3
     it = hp_interpolate(u, axis, p)
     rng = np.random.default_rng(17)
@@ -161,7 +161,7 @@ def test_representation_identity():
 
 def test_representation_identity_3d():
     u = corner_singular(3, 0.8)
-    axis = geometric_mesh(0.5, 1)
+    axis = graded_axis(0.0, 1.0, (0.0,), 0.5, 1)
     it = hp_interpolate(u, axis, 2)
     rng = np.random.default_rng(19)
     for K in [(0, 0, 0), (1, 1, 1), (1, 0, 1)]:
@@ -175,7 +175,7 @@ def test_representation_identity_3d():
 
 def test_xy_bubble_coeffs_vanish():
     u = analytic_fn(2, "polynomial", {"axis_coeffs": [[0.0, 1.0], [0.0, 1.0]]})
-    it = hp_interpolate(u, geometric_mesh(0.5, 1), 3)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 3)
     nodes = it.axis.nodes
     n_nodes = len(nodes)
     bub = it.coeffs[n_nodes:, n_nodes:]
@@ -189,7 +189,7 @@ def test_xy_bubble_coeffs_vanish():
 def test_singular_interval_bubbles_zero():
     u = corner_singular(2, 0.5)
     p = 3
-    it = hp_interpolate(u, geometric_mesh(0.5, 2), p)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 2), p)
     n_nodes = len(it.axis.nodes)
     # bubble rows of the singular interval k=0 are identically zero
     rows = slice(n_nodes, n_nodes + p - 1)
@@ -199,7 +199,7 @@ def test_singular_interval_bubbles_zero():
 
 def test_continuity():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, geometric_mesh(0.5, 2), 3)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 3)
     axis = it.axis
     eta = 1e-12
     ys = np.linspace(0.05, 0.95, 37)
@@ -211,7 +211,7 @@ def test_continuity():
 
 def test_gradient_matches_fd():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, geometric_mesh(0.5, 2), 3)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 3)
     rng = np.random.default_rng(23)
     pts = 0.3 + 0.4 * rng.random((50, 2))
     g = interp_gradient(it, pts)
@@ -225,7 +225,7 @@ def test_gradient_matches_fd():
 
 def test_tensor_eval_matches_scattered():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, geometric_mesh(0.5, 1), 2)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 2)
     xs = np.linspace(0.01, 0.99, 7)
     ys = np.linspace(0.02, 0.98, 5)
     tensor = it.value_axes([xs, ys])
@@ -239,7 +239,7 @@ def test_tensor_eval_matches_scattered():
 
 def test_vvec_order():
     u = analytic_fn(2, "polynomial", {"axis_coeffs": [[0.0, 1.0], [1.0]]})
-    it = hp_interpolate(u, geometric_mesh(0.5, 1), 2)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 2)
     v = it.vvec()
     n = it.N1d
     assert v[3] == it.coeffs[3, 0]
@@ -279,7 +279,8 @@ def axis_matrices_loop(interp, x):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("axis", [
-    geometric_mesh(0.5, 3), multipatch_axis(0.5, 2, 1.5)], ids=["unit", "sym"])
+    graded_axis(0.0, 1.0, (0.0,), 0.5, 3),
+    graded_axis(-1.5, 1.5, (-1.5, 0.0, 1.5), 0.5, 2)], ids=["unit", "sym"])
 def test_axis_matrices_match_the_interval_loop(axis, p):
     # the gathered matrices equal the per-interval loop bit for bit, at
     # the nodes and outside the axis too
@@ -292,9 +293,11 @@ def test_axis_matrices_match_the_interval_loop(axis, p):
 
 
 @pytest.mark.parametrize("u, axis, p", [
-    (corner_singular(2, 0.5), geometric_mesh(0.5, 2), 3),
-    (corner_singular(3, 0.8) + edge_singular(0.6, 2, 3), geometric_mesh(0.5, 1), 2),
-    (fichera_extend(corner_singular(3, 0.8)), multipatch_axis(0.5, 1), 2)],
+    (corner_singular(2, 0.5), graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 3),
+    (corner_singular(3, 0.8) + edge_singular(0.6, 2, 3),
+     graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 2),
+    (fichera_extend(corner_singular(3, 0.8)),
+     graded_axis(-1.0, 1.0, (-1.0, 0.0, 1.0), 0.5, 1), 2)],
     ids=["2d-unit-corner", "3d-corner-edge", "3d-sym-fichera"])
 def test_blocked_assembly_is_bitwise(monkeypatch, u, axis, p):
     # u is evaluated in blocks of first-axis stations; blocks of 500
@@ -324,7 +327,7 @@ def test_blocked_assembly_is_bitwise(monkeypatch, u, axis, p):
 
 def test_ell0_is_multilinear():
     u = corner_singular(2, 0.5)
-    it = hp_interpolate(u, geometric_mesh(0.5, 0), 3)
+    it = hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), 0.5, 0), 3)
     # every interval singular: interpolant is bilinear from corner traces
     pts = np.array([[0.5, 0.5], [0.25, 0.75]])
     vals = it.value(pts)
@@ -336,7 +339,7 @@ def test_ell0_is_multilinear():
 
 
 def test_interpolate_rejects_bad_inputs():
-    axis = geometric_mesh(0.5, 1)
+    axis = graded_axis(0.0, 1.0, (0.0,), 0.5, 1)
     u = corner_singular(2, 0.5)
     with pytest.raises(TypeError, match="axis must be an Axis1D, got list"):
         hp_interpolate(u, [axis, axis], 2)
@@ -348,7 +351,7 @@ def test_interpolate_rejects_bad_inputs():
 @pytest.mark.parametrize("shape", [(), (5, 6), (5,) * 4],
                          ids=["scalar", "unequal", "four-d"])
 def test_interpolant_rejects_bad_coefficient_shapes(shape):
-    # geometric_mesh(0.5, 1) at degree 2: 3 hats and 2 intervals with one
+    # graded_axis(0.0, 1.0, (0.0,), 0.5, 1) at degree 2: 3 hats and 2 intervals with one
     # bubble each, N1d = 5
     with pytest.raises(ValueError, match=re.escape(f"N1d = 5 and d in 1..3, got {shape}")):
-        HpInterpolant(geometric_mesh(0.5, 1), 2, np.zeros(shape))
+        HpInterpolant(graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 2, np.zeros(shape))

@@ -17,7 +17,7 @@ from hprelu.assembly import build_phi_eps_c
 from hprelu.basis import build_basis
 from hprelu.catalog import analytic_fn, corner_singular
 from hprelu.emulation import basis_net, plan_budget, product_net, pwpoly_net
-from hprelu.mesh import geometric_mesh
+from hprelu.mesh import graded_axis
 from hprelu.network import serialize
 from hprelu.projector import hp_interpolate
 
@@ -127,6 +127,7 @@ PINNED = {
     "phi_eps_c_corner": "2602f583b7ed90ce073ca9492b325ce3db9038260c196c854e5f083766f53fc8",
     "phi_eps_c_corner_3d": "09bcb964a3f2e9b8a96bdae044f93f60d86d8dd47f4ec1f0756a8f75001da9a5",
     "phi_eps_c_two_rows": "121769ef47932d0668c39ad635baa5206519171638464224102dcf8830981bad",
+    "phi_eps_c_sym": "c261183485373481ec2b56d53314d7eddeefffadde7f3ca32fdb7a52a7e8f3c8",
 }
 
 # measured_sup, measured_dsup, h1_err of basis_net(bf, 1e-2)
@@ -177,7 +178,7 @@ def test_product_hashes(d):
 def test_basis_hashes(p):
     got = {}
     measured = {}
-    for i, bf in enumerate(build_basis(geometric_mesh(0.5, 2), p)):
+    for i, bf in enumerate(build_basis(graded_axis(0.0, 1.0, (0.0,), 0.5, 2), p)):
         got[f"pwpoly_p{p}_{i}"] = _sha(pwpoly_net(bf, 1e-3))
         net = basis_net(bf, 1e-2)
         got[f"basis_p{p}_{i}"] = _sha(net)
@@ -189,18 +190,25 @@ def test_basis_hashes(p):
 
 
 def test_compiled_hash():
-    interp = hp_interpolate(corner_singular(2, 0.5), geometric_mesh(0.5, 2), 2)
+    interp = hp_interpolate(corner_singular(2, 0.5), graded_axis(0.0, 1.0, (0.0,), 0.5, 2), 2)
     _check({"phi_eps_c_corner": _sha(build_phi_eps_c(interp, 1e-2))})
 
-
-
 def test_compiled_hash_3d():
-    interp = hp_interpolate(corner_singular(3, 0.8), geometric_mesh(0.5, 1), 2)
+    interp = hp_interpolate(corner_singular(3, 0.8), graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 2)
     _check({"phi_eps_c_corner_3d": _sha(build_phi_eps_c(interp, 1e-1))})
 
 
 def test_compiled_hash_two_rows():
-    axis = geometric_mesh(0.5, 2)
+    axis = graded_axis(0.0, 1.0, (0.0,), 0.5, 2)
     interp = hp_interpolate(corner_singular(2, 0.5), axis, 2)
     other = hp_interpolate(analytic_fn(2, "trig", {"freq": [1.0, 2.0]}), axis, 2)
     _check({"phi_eps_c_two_rows": _sha(build_phi_eps_c(interp, 1e-2, rows=[interp, other]))})
+
+
+def test_compiled_hash_sym():
+    # the sym domain's axis, recorded from the hand-written four-patch
+    # constructor; its center node is -0.0, and the same net with a +0.0
+    # center hashes to cf225c2b...
+    axis = graded_axis(-1.0, 1.0, (-1.0, 0.0, 1.0), 0.5, 1)
+    interp = hp_interpolate(corner_singular(2, 0.5), axis, 2)
+    _check({"phi_eps_c_sym": _sha(build_phi_eps_c(interp, 1e-1))})
