@@ -89,13 +89,10 @@ class NetConfig:
     c_p: float = 1.0
     ell_max: int = 12
     domain: str = "unit"
-    halfwidth: float = 1.0
 
     def __post_init__(self):
-        for key in ("c_p", "halfwidth"):
-            v = getattr(self, key)
-            if not 0.0 < v < math.inf:
-                raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
+        if not 0.0 < self.c_p < math.inf:
+            raise ValueError(f"c_p must be a finite number > 0, got {self.c_p!r}")
         if not 0.0 < self.sigma <= 0.5:
             raise ValueError(f"sigma must lie in (0, 1/2], got {self.sigma!r}")
         if self.domain not in ("unit", "sym"):
@@ -264,8 +261,7 @@ def quad_cells(interp, grade=8):
 def _lane_plan(stage, d):
     """Split a packed stage into lanes, the rows that read the same axes.
 
-    Input a carries the axis mask ``1 << a`` and each row the OR of the
-    masks of the columns it reads; rows with one mask form a lane.  Returns
+    Rows with one ``backends.row_masks`` mask form a lane.  Returns
     ``(rows, steps)``: ``rows[l, s]`` lists in order the rows of layer l
     (0 is the input) in lane s.  A step ``(s, l, srcs, packed)`` runs lane s
     through layers l .. l + len(packed) - 1; its first layer reads the
@@ -275,10 +271,9 @@ def _lane_plan(stage, d):
     mask = 1 << np.arange(d)
     rows = {(0, 1 << a): np.array([a]) for a in range(d)}
     steps, last = [], {}
-    for l, (indptr, cols, vals, bias) in enumerate(stage, 1):
+    for l, ((indptr, cols, vals, bias), new) in enumerate(
+            zip(stage, backends.row_masks(stage, d)), 1):
         cnt = np.diff(indptr)
-        new = np.zeros(len(cnt), dtype=np.int64)
-        np.bitwise_or.at(new, np.repeat(np.arange(len(cnt)), cnt), mask[cols])
         lanes = {}
         for s in np.unique(new).tolist():
             r = rows[l, s] = np.nonzero(new == s)[0]
@@ -607,8 +602,7 @@ def compiled_field(net, row=0):
 def _interpolate(u, ell, p, cfg):
     if cfg.domain == "unit":
         return hp_interpolate(u, graded_axis(0.0, 1.0, (0.0,), cfg.sigma, ell), p)
-    return multipatch_interpolate(u, ell, p, sigma=cfg.sigma,
-                                  halfwidth=cfg.halfwidth)
+    return multipatch_interpolate(u, ell, p, sigma=cfg.sigma)
 
 
 def _p_for(ell, cfg):

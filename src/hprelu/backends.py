@@ -59,9 +59,6 @@ def _pool_size(tasks):
     return max(1, min(tasks, cores, _MAX_WORKERS))
 
 
-# Cap on the nnz*points working-set per BLAS chunk of a wide row.
-_CHUNK_BUDGET = 16_000_000
-
 # A narrow run's tile holds about _TILE_BYTES of values and jacobian in its
 # widest layer, so one layer's input and output stay within a 2 MiB L2.
 # Each tile pays a fixed cost per layer: 1 + nd kernel calls, the bias fill
@@ -99,9 +96,9 @@ def _csr_add(indptr, cols, vals, x, out):
 
 def _csr_affine_np(indptr, cols, vals, bias, x):
     """One layer with a wide row on a whole (in, npts) plane: the narrow
-    rows in order, each wide row by BLAS dots over point chunks."""
-    npts = x.shape[1]
-    out = np.repeat(bias[:, None], npts, axis=1)
+    rows in order, each wide row by one BLAS dot.  The callers bound the
+    batch (``network._chunked``, ``assembly._CompiledField``)."""
+    out = np.repeat(bias[:, None], x.shape[1], axis=1)
     counts = np.diff(indptr)
     small = counts <= _EXACT_ROW_NNZ
     # the narrow rows as their own CSR: wide rows keep no entries here
@@ -110,10 +107,7 @@ def _csr_affine_np(indptr, cols, vals, bias, x):
              vals[keep], x, out)
     for r in np.nonzero(~small)[0]:
         lo, hi = indptr[r], indptr[r + 1]
-        step = max(1, _CHUNK_BUDGET // max(1, hi - lo))
-        for p0 in range(0, npts, step):
-            p1 = min(npts, p0 + step)
-            out[r, p0:p1] += vals[lo:hi] @ x[cols[lo:hi], p0:p1]
+        out[r] += vals[lo:hi] @ x[cols[lo:hi]]
     return out
 
 
@@ -161,43 +155,48 @@ class Packed(list):
                 self.runs.append([i, i + 1, narrow])
         self._separable = None
 
-    def separable(self):
-        """(cut, axes): the axis-separable prefix, layers [0, cut), and the
-        input axis each row of layer cut - 1 reads (-1: none; None when
-        cut is 0).
+    def separable(self, d):
+        """(cut, axes): the axis-separable prefix of a list on d inputs,
+        layers [0, cut), and the input axis each row of layer cut - 1 reads
+        (-1: none; None when cut is 0).
 
-        Input column a is axis a.  A layer belongs to the prefix when its
-        rows are narrow, so they sum in order, its weights are finite, so a
-        weight times +0.0 is a signed zero, and each row reads rows of at
-        most one axis.  Found on the first call, which splits the run
-        across the cut so that the prefix tiles by its own width.
+        A layer belongs to the prefix when its rows are narrow, so they sum
+        in order, its weights are finite, so a weight times +0.0 is a
+        signed zero, and each row's ``row_masks`` mask has at most one bit.
+        A list on more than 62 inputs has no prefix.  Found on the first
+        call, which splits the run across the cut so that the prefix tiles
+        by its own width.
         """
         if self._separable is None:
-            cut, axes = 0, None
-            none = np.iinfo(np.int64).max
-            for indptr, cols, vals, _ in self:
-                cnt = np.diff(indptr)
-                if cnt.max(initial=0) > _EXACT_ROW_NNZ or not np.isfinite(vals).all():
+            cut, last = 0, None
+            masks = row_masks(self, d) if d <= 62 else ()
+            for (indptr, _, vals, _), m in zip(self, masks):
+                if (np.diff(indptr).max(initial=0) > _EXACT_ROW_NNZ
+                        or not np.isfinite(vals).all() or (m & (m - 1)).any()):
                     break
-                read = cols if axes is None else axes[cols]
-                # per row the largest and the smallest axis it reads: -1
-                # and `none` for a row that reads none
-                hi = np.full(len(cnt), -1, dtype=np.int64)
-                lo = np.full(len(cnt), none, dtype=np.int64)
-                full = cnt > 0
-                if full.any():
-                    starts = indptr[:-1][full]
-                    hi[full] = np.maximum.reduceat(read, starts)
-                    lo[full] = np.minimum.reduceat(np.where(read < 0, none, read), starts)
-                if ((hi >= 0) & (lo != hi)).any():
-                    break
-                cut, axes = cut + 1, hi
+                cut, last = cut + 1, m
             for k, (start, stop, narrow) in enumerate(self.runs):
                 if start < cut < stop:
                     self.runs[k:k + 1] = [[start, cut, narrow], [cut, stop, narrow]]
                     break
-            self._separable = cut, axes
+            # a one-bit mask 1 << a has the exponent a + 1, and 0 has 0
+            self._separable = cut, None if last is None else np.frexp(last)[1] - 1
         return self._separable
+
+
+def row_masks(packed, d):
+    """The input axes each row of a packed list on d <= 62 inputs reads:
+    one int64 mask per row, yielded layer by layer.  Input column a sets
+    bit a; a row's mask is the OR of the masks of the rows its stored
+    entries read, an explicit 0.0 entry included, and 0 if it has none."""
+    mask = np.left_shift(1, np.arange(d, dtype=np.int64))
+    for indptr, cols, _, _ in packed:
+        full = np.diff(indptr) > 0
+        read = mask[cols]
+        mask = np.zeros(len(full), dtype=np.int64)
+        if full.any():
+            mask[full] = np.bitwise_or.reduceat(read, indptr[:-1][full])
+        yield mask
 
 
 def _narrow_run(layers, y, jac, relu_last, threads):
@@ -280,11 +279,11 @@ def _narrow_run(layers, y, jac, relu_last, threads):
 
 
 def _prefix(packed, d):
-    """``packed.separable()`` on d > 1 inputs, for a ``Packed`` list only:
+    """``packed.separable(d)`` on d > 1 inputs, for a ``Packed`` list only:
     any other list is packed anew on each call, and looking for its cut on
     each call would cost more than the cut saves."""
     if d > 1 and isinstance(packed, Packed):
-        return packed.separable()
+        return packed.separable(d)
     return 0, None
 
 

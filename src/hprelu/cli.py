@@ -37,8 +37,7 @@ _FUNC_ALIASES = {"corner_r_alpha": "corner"}
 # ``catalog._PARAM_TYPES``.  Any other key is rejected.
 _CONFIG_TYPES = {
     "dim": int, "ell_max": int, "func": str, "ell": str, "domain": str,
-    "params": dict, "sigma": float, "cp": float, "halfwidth": float,
-    "eps": float}
+    "params": dict, "sigma": float, "cp": float, "eps": float}
 
 
 def _check_config(cfg, types, prefix=""):
@@ -78,7 +77,6 @@ def _net_config(args, cfg):
         sigma=_pick(args.sigma, cfg, "sigma", base.sigma),
         c_p=_pick(args.cp, cfg, "cp", base.c_p),
         domain=_pick(args.domain, cfg, "domain", base.domain),
-        halfwidth=_pick(args.halfwidth, cfg, "halfwidth", base.halfwidth),
         ell_max=_pick(args.ell_max, cfg, "ell_max", base.ell_max))
 
 
@@ -319,7 +317,6 @@ def _add_func_flags(p):
     p.add_argument("--sigma", type=float)
     p.add_argument("--cp", type=float)
     p.add_argument("--domain", choices=("unit", "sym"))
-    p.add_argument("--halfwidth", type=float)
     p.add_argument("--ell-max", dest="ell_max", type=int)
 
 

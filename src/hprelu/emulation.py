@@ -34,14 +34,15 @@ from . import backends
 from .basis import PiecewisePolynomial
 from .calculus import concat, depth_align, full_parallel, identity_net, parallel
 from .legendre import gauss_rule, polyval
-from .network import Layer, NeuralNetwork, grad_realize_batch
-from .network import realize_batch  # noqa: F401  (perfbench/spans.py wraps it)
+from .network import Layer, NeuralNetwork
+# not called here; perfbench/spans.py wraps these names
+from .network import grad_realize_batch, realize_batch  # noqa: F401
 
 __all__ = [
     "ToleranceBudget",
     "plan_budget",
     "product_net",
-    "pwpoly_net",
+    "BasisNets",
     "basis_net",
 ]
 
@@ -530,14 +531,14 @@ class BasisNets:
     layers, then the layers its tail's key fixes: the shared tail and the
     two that ``concat`` builds from its last layer and the unit sum row.
     Its group, the tail's first ``Layer``, is recorded as it is built, and
-    each group keeps one net of those layers.  ``run`` runs each head on
-    its net's points, applies the ReLU after it as ``backends._narrow_run``
-    does, then each group's tail once, seeded with the heads' jacobians, on
-    the columns of all its nets side by side; any other net runs whole.  No
-    basis-net row has over ``backends._EXACT_ROW_NNZ`` entries, so every
-    row sums in stored order and each net's values and derivatives are
-    those of its own whole pass, bit for bit.  Each head and tail is packed
-    once, on its first run.
+    each group keeps one net of those layers.  ``run`` runs each head, or
+    any other net whole, on its net's points in one kernel pass, applies
+    the ReLU after a head as ``backends._narrow_run`` does, then each
+    group's tail once, seeded with the heads' jacobians, on the columns of
+    all its nets side by side.  No basis-net row has over
+    ``backends._EXACT_ROW_NNZ`` entries, so every row sums in stored order
+    and each net's values and derivatives are those of its own whole pass,
+    bit for bit.  Each head and tail is packed once, on its first run.
 
     ``add`` builds a net and ``measure`` certifies all of them in one
     ``run``.  The compiled net keeps the object for its certification
@@ -554,8 +555,11 @@ class BasisNets:
         self._limits = []
 
     def add(self, v, epsilon, target):
-        """``pwpoly_net(v, epsilon, target)`` with its measurement left to
-        ``measure``."""
+        """A continuous piecewise polynomial ``v`` as a ReLU net: exact at
+        the nodes (hat carriers), within epsilon times its scale in sup and
+        derivative elsewhere, exactly 0 outside the node span on the side
+        of any vanishing endpoint value.  ``measure`` records its measured
+        gaps and raises on an H1 gap over ``target``."""
         if not isinstance(v, PiecewisePolynomial):
             raise TypeError("expected a PiecewisePolynomial record")
         if not 0.0 < epsilon < 1.0:
@@ -603,11 +607,10 @@ class BasisNets:
         """(values, derivatives) of each net at its 1-D points ``xs[i]``."""
         out, cols = [], {}
         for i, ((first, group), x) in enumerate(zip(self._runs, xs)):
-            if group is None:
-                vals, jac = grad_realize_batch(first, x[:, None])
-                out.append((vals[:, 0], jac[:, 0, 0]))
-                continue
             y, jac = backends.run_forward_grad(first.packed(), x[None, :])
+            if group is None:
+                out.append((y[0], jac[0, :, 0]))
+                continue
             # the head's ReLU as _narrow_run applies it inside a whole pass
             jac *= (y > 0.0)[:, :, None]
             np.maximum(y, 0.0, out=y)
@@ -644,25 +647,10 @@ class BasisNets:
                     f"basis net H1 error {h1:.3e} exceeds target {target:.3e}")
 
 
-def pwpoly_net(v, epsilon, target=math.inf):
-    """Continuous piecewise polynomial as a ReLU net: exact at the nodes
-    (hat carriers), certified sup/derivative error elsewhere, exactly 0
-    outside the node span on the side of any vanishing endpoint value.
-    ``net.meta`` records the measured sup, derivative sup and H1 gaps; an
-    H1 gap over ``target`` raises."""
-    nets = BasisNets()
-    net = nets.add(v, epsilon, target)
-    nets.measure()
-    return net
-
-
-def basis_net(v, epsilon1, nets=None):
-    """Network for one hp basis function with measured H1 error below
-    epsilon1 * |v|_H1 and exact nodal values.
-
-    ``build_phi_eps_c`` passes the ``BasisNets`` of its build, which
-    measures all of them at once; a call without one measures its net
-    alone."""
+def basis_net(v, epsilon1, nets):
+    """Network for one hp basis function with H1 error below
+    epsilon1 * |v|_H1 and exact nodal values, added to ``nets``, whose
+    ``measure`` certifies it."""
     if not 0.0 < epsilon1 <= 1.0:
         raise ValueError("epsilon1 must lie in (0, 1]")
     support = getattr(v, "support", None)
@@ -673,9 +661,7 @@ def basis_net(v, epsilon1, nets=None):
     span = v.nodes[-1] - v.nodes[0]
     vmax, dmax = v.sup_bounds()
     scale = max(1.0, vmax, dmax)
-    # pwpoly_net's worst-case bounds keep the sup and derivative gaps within
+    # the worst-case branch bounds keep the sup and derivative gaps within
     # eps_pw * scale / 2 on a support of length span: an H1 gap of target / 4
     eps_pw = target / (2.0 * scale * math.sqrt(2.0 * span))
-    if nets is None:
-        return pwpoly_net(v, min(eps_pw, 0.5), target)
     return nets.add(v, min(eps_pw, 0.5), target)

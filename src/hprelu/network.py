@@ -314,7 +314,7 @@ def stats(net):
         output_dim=net.output_dim,
         widths=tuple(lay.rows for lay in net.layers),
         separable_depth=(net.depth if net.input_dim == 1
-                         else packed.separable()[0]),
+                         else packed.separable(net.input_dim)[0]),
     )
 
 

@@ -102,10 +102,9 @@ def hp_interpolate(u, axis, p):
         f"(last change {rel:.3e} at Gauss order {g})")
 
 
-def multipatch_interpolate(u, ell, p, sigma=0.5, halfwidth=1.0):
-    """Interpolate on (-a, a)^d, a the halfwidth, graded toward -a, 0, a."""
-    a = halfwidth
-    return hp_interpolate(u, graded_axis(-a, a, (-a, 0.0, a), sigma, ell), p)
+def multipatch_interpolate(u, ell, p, sigma=0.5):
+    """Interpolate on (-1, 1)^d, graded toward -1, 0 and 1."""
+    return hp_interpolate(u, graded_axis(-1.0, 1.0, (-1.0, 0.0, 1.0), sigma, ell), p)
 
 
 class HpInterpolant:

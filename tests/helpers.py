@@ -7,6 +7,7 @@ trapezoid refinement for integrals.
 
 import itertools
 import json
+import math
 import struct
 import threading
 
@@ -175,6 +176,23 @@ def packed_rows(packed):
                                     for t in range(indptr[r], indptr[r + 1])))
              for r in range(len(indptr) - 1)]
             for indptr, cols, vals, bias in packed]
+
+
+def row_masks_oracle(packed, d):
+    """Reference for ``backends.row_masks`` in plain Python: per layer, the
+    list of each row's mask, the OR over its stored entries of the masks of
+    the rows they read (input column a: 1 << a), 0 for a row with none."""
+    masks, out = [1 << a for a in range(d)], []
+    for indptr, cols, _, _ in packed:
+        rows = []
+        for r in range(len(indptr) - 1):
+            m = 0
+            for t in range(indptr[r], indptr[r + 1]):
+                m |= masks[cols[t]]
+            rows.append(m)
+        masks = rows
+        out.append(masks)
+    return out
 
 
 def separable_prefix(net):
@@ -573,14 +591,32 @@ def unshared_bubble_branch(xl, xr, s, tau_v, tau_d, tails=None):
     return NeuralNetwork(1, layers)
 
 
+def pwpoly_net(v, epsilon, target=math.inf):
+    """One piecewise-polynomial net, built and measured by a
+    ``emulation.BasisNets`` of its own."""
+    nets = emulation.BasisNets()
+    net = nets.add(v, epsilon, target)
+    nets.measure()
+    return net
+
+
+def basis_net(bf, epsilon1):
+    """``emulation.basis_net`` for one basis function, built and measured
+    by a ``emulation.BasisNets`` of its own."""
+    nets = emulation.BasisNets()
+    net = emulation.basis_net(bf, epsilon1, nets)
+    nets.measure()
+    return net
+
+
 def unshared_basis_net(monkeypatch, bf, epsilon1):
-    """``emulation.basis_net`` with every bubble branch built whole
+    """``basis_net`` with every bubble branch built whole
     (``unshared_bubble_branch``) and every parallel stacked
     (``stacked_parallel``)."""
     with monkeypatch.context() as mp:
         mp.setattr(emulation, "_bubble_branch", unshared_bubble_branch)
         mp.setattr(emulation, "parallel", stacked_parallel)
-        return emulation.basis_net(bf, epsilon1)
+        return basis_net(bf, epsilon1)
 
 
 def per_net_measure(net, v):

@@ -16,7 +16,7 @@ import numpy as np
 
 from hprelu.assembly import NetConfig, _interpolate, build_phi_eps_f, hp_error
 from hprelu.catalog import analytic_fn, corner_singular, edge_singular, fichera_extend
-from hprelu.emulation import plan_budget, product_net, pwpoly_net
+from hprelu.emulation import plan_budget, product_net
 from hprelu.metrics import fit_rate
 from hprelu.network import grad_realize_batch, realize_batch
 from hprelu.projector import hp_interpolate
@@ -24,7 +24,7 @@ from hprelu.verify import verify_calculus
 from hprelu.mesh import graded_axis
 from hprelu.legendre import polyder, polyval
 
-from helpers import one_element, random_continuous_pwpoly
+from helpers import one_element, pwpoly_net, random_continuous_pwpoly
 
 _REPORTS = {}
 

@@ -26,11 +26,15 @@ SRC = pathlib.Path(hprelu.__file__).parent
 
 # called only by the benchmark: resolve_backend for its environment record
 # and NetConfig.for_dim, which returns the plain defaults, for its 3d
-# workload's config (perfbench/worker.py), and _CompiledField.gradient_axes,
-# which perfbench/spans.py wraps by name on every compiled field.  A
-# method's key is its module-qualified class and its name
+# workload's config (perfbench/worker.py), _CompiledField.gradient_axes,
+# which perfbench/spans.py wraps by name on every compiled field, and
+# HpInterpolant.value, which perfbench/worker.py's serve check compares the
+# served values against (the bare-name check would count
+# WeightedFunction.value's callers for it).  A method's key is its
+# module-qualified class and its name
 BENCHMARK_ONLY = {("backends", "resolve_backend"), ("assembly.NetConfig", "for_dim"),
-                  ("assembly._CompiledField", "gradient_axes")}
+                  ("assembly._CompiledField", "gradient_axes"),
+                  ("projector.HpInterpolant", "value")}
 
 
 def _names(tree):

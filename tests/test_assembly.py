@@ -299,7 +299,7 @@ def test_compiled_net_jacobian_one_plane_through_the_basis(dim):
     # product stage mixes the axes, and values and jacobians are those of
     # the explicit identity seed, bit for bit
     net = _lane_net(dim)
-    cut, axes = net.packed().separable()
+    cut, axes = net.packed().separable(net.input_dim)
     want_cut, want_axes = separable_prefix(net)
     assert (cut, axes.tolist()) == (want_cut, want_axes)
     assert net.meta["depth_basis"] < cut < net.depth
@@ -891,7 +891,7 @@ def test_measurement_grids_follow_the_dimension(monkeypatch):
     # no config field sets the grids: a 3d interpolant is measured on the
     # trimmed ones, whatever NetConfig the build got
     assert [f.name for f in dataclasses.fields(NetConfig)] == [
-        "sigma", "c_p", "ell_max", "domain", "halfwidth"]
+        "sigma", "c_p", "ell_max", "domain"]
     calls = []
     monkeypatch.setattr(assembly, "h1_error", lambda f, g, cells, q, max_doublings:
                         calls.append((q, len(cells), len(cells[0]))))
@@ -902,7 +902,7 @@ def test_measurement_grids_follow_the_dimension(monkeypatch):
     assert calls == [(10, 2, 3 + 8), (6, 3, 3 + 5)]
 
 
-@pytest.mark.parametrize("key", ["c_p", "halfwidth"])
+@pytest.mark.parametrize("key", ["c_p"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_net_config_rejects_bad_numbers(key, bad):
     with pytest.raises(ValueError, match=f"{key} must be a finite number > 0, got {bad}"):

@@ -238,8 +238,6 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
 @pytest.mark.parametrize("args, message", [
     (["--cp", "inf"], "c_p must be a finite number > 0, got inf"),
     (["--cp", "-1"], "c_p must be a finite number > 0, got -1.0"),
-    (["--halfwidth", "nan", "--domain", "sym"],
-     "halfwidth must be a finite number > 0, got nan"),
     (["--alpha", "inf"], "parameter 'lam' must be a finite number, got inf"),
     (["--func", "constant", "--value", "inf"],
      "parameter 'value' must be a finite number, got inf"),
@@ -249,7 +247,7 @@ def test_nn_build_rejects_bad_targets(tmp_path, capsys, flag, value, message):
     (["--sigma", "0.7"], "sigma must lie in (0, 1/2], got 0.7"),
     (["--config", {"sigma": 0.7}], "sigma must lie in (0, 1/2], got 0.7"),
     (["--config", {"domain": "x"}], "domain must be 'unit' or 'sym', got 'x'")],
-    ids=["inf-cp", "negative-cp", "nan-halfwidth", "inf-alpha", "inf-value",
+    ids=["inf-cp", "negative-cp", "inf-alpha", "inf-value",
          "nan-value", "unread-param", "large-sigma", "config-sigma",
          "config-domain"])
 def test_bad_numbers_rejected_before_calibrating(tmp_path, capsys, monkeypatch,

@@ -13,10 +13,8 @@ from hprelu.emulation import (
     ToleranceBudget,
     _binary_core,
     _bubble_branch,
-    basis_net,
     plan_budget,
     product_net,
-    pwpoly_net,
 )
 from hprelu.legendre import zeta_coeffs
 from hprelu.mesh import graded_axis
@@ -24,8 +22,10 @@ from hprelu.network import NeuralNetwork, grad_realize_batch, realize, realize_b
 from hprelu.projector import hp_interpolate
 
 from helpers import (
+    basis_net,
     inorder_realize,
     per_net_measure,
+    pwpoly_net,
     random_continuous_pwpoly,
     square_net,
     unshared_basis_net,

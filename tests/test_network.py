@@ -38,6 +38,7 @@ from helpers import (
     merged_rows,
     packed_rows,
     random_net,
+    row_masks_oracle,
     separable_prefix,
     whole_document_deserialize,
 )
@@ -968,7 +969,7 @@ def test_separable_prefix_moves_no_bit(case, tile):
     # list never split at the cut) and the in-order oracle's, bit for bit,
     # with tiles of `tile` points on both sides of the cut
     net, pts, planted = case
-    cut, axes = net.packed().separable()
+    cut, axes = net.packed().separable(net.input_dim)
     want_cut, want_axes = separable_prefix(net)
     assert cut == want_cut
     assert (None if axes is None else axes.tolist()) == want_axes
@@ -1017,7 +1018,7 @@ def test_separable_prefix_kernel_calls(monkeypatch):
     # (the values and the one jacobian plane), the layers after it 1 + d
     rng = np.random.default_rng(11)
     net = _mixed_after_separable(rng, depth=3)
-    assert net.packed().separable()[0] == 3
+    assert net.packed().separable(net.input_dim)[0] == 3
     kernel_calls = _count_kernel_calls(monkeypatch)
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
@@ -1041,6 +1042,54 @@ def test_one_input_nets_skip_the_prefix():
     grad_realize_batch(net, np.ones((4, 1)))
     assert net.packed()._separable is None
     assert stats(net).separable_depth == net.depth
+
+
+@st.composite
+def _packed_lists(draw):
+    """A packed layer list on d <= 62 inputs: rows of up to four entries,
+    some of them explicit 0.0, rows with none and at times a layer with no
+    rows.  Returns (d, layers)."""
+    d = draw(st.integers(1, 62))
+    width, layers = d, []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [draw(st.lists(st.integers(0, width - 1), unique=True, max_size=4))
+                if width else [] for _ in range(draw(st.integers(0, 5)))]
+        cols = np.array([c for row in rows for c in row], dtype=np.int64)
+        vals = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]),
+                                      min_size=len(cols), max_size=len(cols))))
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        layers.append((indptr, cols, vals, np.zeros(len(rows))))
+        width = len(rows)
+    return d, layers
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed_lists())
+def test_row_masks_match_the_oracle(case):
+    d, layers = case
+    got = list(backends.row_masks(layers, d))
+    assert all(m.dtype == np.int64 for m in got)
+    assert [m.tolist() for m in got] == row_masks_oracle(layers, d)
+
+
+@pytest.mark.parametrize("d", [62, 63])
+def test_more_than_62_inputs_get_no_prefix(d):
+    # d one-input nets side by side are axis-separable through their
+    # depth; a mask holds 62 axes, so 63 inputs run the plain d-plane pass,
+    # bit for bit as the explicit identity seed does
+    rng = np.random.default_rng(d)
+    nets = [random_net(rng, input_dim=1, depth=2, width_hi=2, density=1.0)
+            for _ in range(d)]
+    prefix = full_parallel(nets)
+    net = NeuralNetwork(d, list(prefix.layers) + [
+        Layer.from_dense(np.ones((1, prefix.output_dim)))])
+    cut, _ = net.packed().separable(d)
+    assert cut == (2 if d <= 62 else 0)
+    x = rng.standard_normal((d, 5))
+    y, jac = backends.run_forward_grad(net.packed(), x)
+    want = backends.run_forward_grad(net.packed(), x, seed=_identity_seed(d, 5))
+    assert y.tobytes() == want[0].tobytes()
+    assert jac.tobytes() == want[1].tobytes()
 
 
 @st.composite

@@ -16,12 +16,12 @@ import pytest
 from hprelu.assembly import build_phi_eps_c
 from hprelu.basis import build_basis
 from hprelu.catalog import analytic_fn, corner_singular
-from hprelu.emulation import basis_net, plan_budget, product_net, pwpoly_net
+from hprelu.emulation import plan_budget, product_net
 from hprelu.mesh import graded_axis
 from hprelu.network import serialize
 from hprelu.projector import hp_interpolate
 
-from helpers import square_net
+from helpers import basis_net, pwpoly_net, square_net
 
 PINNED = {
     "square_1": "e56e6538ff3a2420c4760b7abacb57689ead58eb335a25998c4a8a6486a0fd15",
