@@ -45,7 +45,7 @@ from .calculus import (_pm_stack, concat, depth_align, full_parallel,
                        identity_net, parallel)
 from .emulation import BasisNets, ToleranceBudget, basis_net, product_net
 from .metrics import h1_error
-from .mesh import graded_axis
+from .mesh import _level, graded_axis
 from .network import Layer, NeuralNetwork, _grad_chunk
 # not called here; perfbench/spans.py wraps these names
 from .network import grad_realize_batch, realize_batch  # noqa: F401
@@ -91,10 +91,11 @@ class NetConfig:
     domain: str = "unit"
 
     def __post_init__(self):
-        if not 0.0 < self.c_p < math.inf:
+        if isinstance(self.c_p, bool) or not 0.0 < self.c_p < math.inf:
             raise ValueError(f"c_p must be a finite number > 0, got {self.c_p!r}")
-        if not 0.0 < self.sigma <= 0.5:
+        if isinstance(self.sigma, bool) or not 0.0 < self.sigma <= 0.5:
             raise ValueError(f"sigma must lie in (0, 1/2], got {self.sigma!r}")
+        _level(self.ell_max, 0, "ell_max")
         if self.domain not in ("unit", "sym"):
             raise ValueError(f"domain must be 'unit' or 'sym', got {self.domain!r}")
 
@@ -355,7 +356,8 @@ class _CompiledField:
     entries in tuple order, contracts it.  A cell with no nonzero tuple
     gives +0.0 values and gradients, as its empty head would.
 
-    The stage runs by lanes (``_lane_plan``).  A row that reads only the
+    The stage runs by lanes (``_lane_plan``), each step one seeded kernel
+    pass and then its ReLU by ``backends.relu``.  A row that reads only the
     axes in a set S takes the same value at every tuple and point that
     agree on S, so each lane but the all-axes one runs once per cell on the
     (live index x point) pairs of its own axes, seeded per axis.  The
@@ -451,8 +453,7 @@ class _CompiledField:
         s, l, srcs, packed = step
         x, seed = self._inputs(s, l - 1, srcs, st, at, size)
         y, jac = backends.run_forward_grad(packed, x, seed=seed)
-        jac *= (y > 0.0)[:, :, None]
-        np.maximum(y, 0.0, out=y)
+        backends.relu(y, jac)
         st[l + len(packed) - 1, s] = y, jac
 
     def _tuples(self, kcell):
@@ -642,8 +643,6 @@ def build_vector(us, dim, epsilon, config=None):
     # the compile budget 0.5 * epsilon must lie in (0, 1); a NaN fails too
     if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 2.0):
         raise ValueError(f"epsilon must be a number in (0, 2), got {epsilon!r}")
-    if cfg.ell_max < 0:
-        raise ValueError(f"ell_max must be >= 0, got {cfg.ell_max!r}")
     t0 = time.perf_counter()
     best = (math.inf, None, None)
     for ell in range(cfg.ell_max + 1):

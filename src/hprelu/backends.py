@@ -9,7 +9,9 @@ kernel call, not with the package.
 
 The one forward pass, with or without jacobian directions, runs narrow
 layers in cache-sized tiles of points, each held plane-major: the values,
-then one contiguous plane per direction (``_narrow_run``).
+then one contiguous plane per direction (``_narrow_run``).  Every ReLU
+outside the tiles, a wide layer's or one a caller applies after a pass that
+stops short of a net's output, is ``relu``.
 
 The two serving entries, ``run_forward`` and ``run_forward_grad`` with no
 seed, hand a narrow run's tiles to threads, one per usable core up to
@@ -22,10 +24,11 @@ per core) stays on one thread.
 
 An identity-seeded jacobian pass of a ``Packed`` list on d > 1 inputs
 carries one plane, not d, through the axis-separable prefix of the layers
-(``Packed.separable``), where each row reads at most one input axis, and
-scatters it into the d planes by each row's axis at the cut.  A direction
-a row does not read has its sum start at +0.0 and add only finite weights
-times +0.0, so it is +0.0 there in the d-plane pass too: no bit moves.
+(``Packed.cut``, found when the list is packed), where each row reads at
+most one input axis, and scatters it into the d planes by each row's axis
+at the cut.  A direction a row does not read has its sum start at +0.0 and
+add only finite weights times +0.0, so it is +0.0 there in the d-plane
+pass too: no bit moves.
 """
 
 import contextvars
@@ -116,13 +119,10 @@ def run_forward(packed, x):
 
     ReLU is applied after every layer except the last.  Returns the final
     (out_dim, npts) array: ``run_forward_grad``'s values, bit for bit,
-    from the same pass with no jacobian directions.  On more than one input
-    a ``Packed`` list splits its runs at the axis-separable cut, as the
-    jacobian pass does, so the prefix tiles by its own width.  Narrow runs
-    share their tiles out to ``_pool_size`` threads.
+    from the same pass with no jacobian directions.  Narrow runs share
+    their tiles out to ``_pool_size`` threads.
     """
     y = np.ascontiguousarray(x, dtype=np.float64)
-    _prefix(packed, len(y))
     return _forward(packed, y, np.empty(y.shape + (0,)),
                     threads=_pool_size(y.shape[1]))[0]
 
@@ -134,54 +134,42 @@ def _tile_points(width, nd):
 
 
 class Packed(list):
-    """A packed layer list, one (indptr, cols, vals, bias) tuple per layer.
+    """A packed layer list on d inputs, one (indptr, cols, vals, bias)
+    tuple per layer.
+
+    ``cut`` and ``axes``, found once here: the axis-separable prefix of the
+    list, layers [0, cut), and the input axis each row of layer cut - 1
+    reads (-1: none; None when cut is 0).  A layer belongs to the prefix
+    when its rows are narrow, so they sum in order, its weights are finite,
+    so a weight times +0.0 is a signed zero, and each row's ``row_masks``
+    mask has at most one bit.  Only a list on 1 < d <= 62 inputs has a
+    prefix: one input carries one plane anyway, and a mask holds 62 axes.
 
     ``runs`` holds (start, stop, narrow) for each maximal run of narrow
-    layers and each layer with a row over ``_EXACT_ROW_NNZ`` entries,
-    computed once: a list held for many passes (a network's, a
-    certification lane's) is built as one, and the forward pass packs any
-    other list on each call.  Once ``separable`` has found the cut, a run
-    across it is split there.
+    layers and each layer with a row over ``_EXACT_ROW_NNZ`` entries, a run
+    across the cut split there, so that the prefix tiles by its own width.
+    A list held for many passes (a network's, a certification lane's) is
+    built as one, and the forward pass packs any other list on each call.
     """
 
-    def __init__(self, layers):
+    def __init__(self, layers, d=1):
         super().__init__(layers)
+        narrow = [(indptr[1:] - indptr[:-1]).max(initial=0) <= _EXACT_ROW_NNZ
+                  for indptr, _, _, _ in self]
+        self.cut, last = 0, None
+        masks = row_masks(self, d) if 1 < d <= 62 else ()
+        for (_, _, vals, _), m, ok in zip(self, masks, narrow):
+            if not ok or not np.isfinite(vals).all() or (m & (m - 1)).any():
+                break
+            self.cut, last = self.cut + 1, m
+        # a one-bit mask 1 << a has the exponent a + 1, and 0 has 0
+        self.axes = None if last is None else np.frexp(last)[1] - 1
         self.runs = []
-        for i, (indptr, _, _, _) in enumerate(self):
-            narrow = len(indptr) < 2 or (indptr[1:] - indptr[:-1]).max() <= _EXACT_ROW_NNZ
-            if narrow and self.runs and self.runs[-1][2]:
+        for i, ok in enumerate(narrow):
+            if ok and self.runs and self.runs[-1][2] and i != self.cut:
                 self.runs[-1][1] = i + 1
             else:
-                self.runs.append([i, i + 1, narrow])
-        self._separable = None
-
-    def separable(self, d):
-        """(cut, axes): the axis-separable prefix of a list on d inputs,
-        layers [0, cut), and the input axis each row of layer cut - 1 reads
-        (-1: none; None when cut is 0).
-
-        A layer belongs to the prefix when its rows are narrow, so they sum
-        in order, its weights are finite, so a weight times +0.0 is a
-        signed zero, and each row's ``row_masks`` mask has at most one bit.
-        A list on more than 62 inputs has no prefix.  Found on the first
-        call, which splits the run across the cut so that the prefix tiles
-        by its own width.
-        """
-        if self._separable is None:
-            cut, last = 0, None
-            masks = row_masks(self, d) if d <= 62 else ()
-            for (indptr, _, vals, _), m in zip(self, masks):
-                if (np.diff(indptr).max(initial=0) > _EXACT_ROW_NNZ
-                        or not np.isfinite(vals).all() or (m & (m - 1)).any()):
-                    break
-                cut, last = cut + 1, m
-            for k, (start, stop, narrow) in enumerate(self.runs):
-                if start < cut < stop:
-                    self.runs[k:k + 1] = [[start, cut, narrow], [cut, stop, narrow]]
-                    break
-            # a one-bit mask 1 << a has the exponent a + 1, and 0 has 0
-            self._separable = cut, None if last is None else np.frexp(last)[1] - 1
-        return self._separable
+                self.runs.append([i, i + 1, ok])
 
 
 def row_masks(packed, d):
@@ -278,15 +266,6 @@ def _narrow_run(layers, y, jac, relu_last, threads):
     return y_out, jac_out
 
 
-def _prefix(packed, d):
-    """``packed.separable(d)`` on d > 1 inputs, for a ``Packed`` list only:
-    any other list is packed anew on each call, and looking for its cut on
-    each call would cost more than the cut saves."""
-    if d > 1 and isinstance(packed, Packed):
-        return packed.separable(d)
-    return 0, None
-
-
 def _forward(packed, y, jac, first=0, end=None, threads=1):
     """The pass behind both entries through the layers [first, end), run
     boundaries both: values y (in, npts) and directions jac (in, npts, nd),
@@ -312,18 +291,23 @@ def _forward(packed, y, jac, first=0, end=None, threads=1):
             continue
         indptr, cols, vals, bias = packed[start]
         rows = indptr.shape[0] - 1
-        z = _csr_affine_np(indptr, cols, vals, bias, y)
-        jnew = np.empty((rows, 0))
+        y = _csr_affine_np(indptr, cols, vals, bias, y)
         if nd:
-            flat = np.ascontiguousarray(jac.reshape(len(y), npts * nd))
-            jnew = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
-            if start < last:
-                jnew *= np.repeat(z > 0.0, nd, axis=1)
+            flat = np.ascontiguousarray(jac.reshape(len(jac), npts * nd))
+            jac = _csr_affine_np(indptr, cols, vals, np.zeros(rows), flat)
+        jac = jac.reshape(rows, npts, nd)
         if start < last:
-            np.maximum(z, 0.0, out=z)
-        y = z
-        jac = jnew.reshape(rows, npts, nd)
+            relu(y, jac)
     return y, jac
+
+
+def relu(y, jac):
+    """The ReLU in place on values y (rows, npts) and on their jacobian jac
+    (rows, npts, nd), each entry multiplied by whether ``y > 0.0`` held
+    before it (relu'(0) = 0), as ``_narrow_run``'s mask plane does inside
+    a tile: every pass outside the tiles applies it here."""
+    jac *= (y > 0.0)[:, :, None]
+    np.maximum(y, 0.0, out=y)
 
 
 def run_forward_grad(packed, x, seed=None):
@@ -338,7 +322,7 @@ def run_forward_grad(packed, x, seed=None):
     other list of packed layers is split on each call.
 
     With the identity seed and in_dim > 1, a ``Packed`` list runs its
-    axis-separable prefix (``Packed.separable``) with one plane seeded 1.0
+    axis-separable prefix (``Packed.cut``) with one plane seeded 1.0
     on every input, which is then scattered into the in_dim planes by each
     row's axis, +0.0 elsewhere; the layers after it run as with any seed.
     The planes come out bit for bit as from the explicit identity seed.
@@ -353,7 +337,9 @@ def run_forward_grad(packed, x, seed=None):
         if jac.ndim != 3 or jac.shape[0] != d or jac.shape[1] != npts:
             raise ValueError("seed must have shape (in_dim, npts, nd)")
         return _forward(packed, y, jac)
-    cut, axes = _prefix(packed, d)
+    if not isinstance(packed, Packed):
+        packed = Packed(packed)
+    cut, axes = packed.cut, packed.axes
     threads = _pool_size(npts)
     if cut:
         y, one = _forward(packed, y, np.ones((d, npts, 1)), end=cut,

@@ -533,7 +533,7 @@ class BasisNets:
     Its group, the tail's first ``Layer``, is recorded as it is built, and
     each group keeps one net of those layers.  ``run`` runs each head, or
     any other net whole, on its net's points in one kernel pass, applies
-    the ReLU after a head as ``backends._narrow_run`` does, then each
+    the ReLU after a head by ``backends.relu``, then each
     group's tail once, seeded with the heads' jacobians, on the columns of
     all its nets side by side.  No basis-net row has over
     ``backends._EXACT_ROW_NNZ`` entries, so every row sums in stored order
@@ -611,9 +611,8 @@ class BasisNets:
             if group is None:
                 out.append((y[0], jac[0, :, 0]))
                 continue
-            # the head's ReLU as _narrow_run applies it inside a whole pass
-            jac *= (y > 0.0)[:, :, None]
-            np.maximum(y, 0.0, out=y)
+            # the head's ReLU, which a whole pass applies after its layers
+            backends.relu(y, jac)
             cols.setdefault(group, []).append((i, y, jac))
             out.append(None)
         for group, heads in cols.items():

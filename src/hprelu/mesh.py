@@ -23,10 +23,12 @@ def _checked_nodes(nodes):
     return nodes
 
 
-def _level(ell):
-    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral) or ell < 0:
-        raise ValueError(f"refinement level must be an integer >= 0, got {ell!r}")
-    return int(ell)
+def _level(n, lo, name):
+    """``n`` as an int, checked to be an integer >= lo: never a bool, a
+    float or a string, which would otherwise be truncated or coerced."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n!r}: it must be an integer >= {lo}")
+    return int(n)
 
 
 class Axis1D:
@@ -39,7 +41,7 @@ class Axis1D:
             raise ValueError(f"every center must be a node, got {centers!r}")
         self.singular = (np.isin(self.nodes[:-1], self.centers)
                          | np.isin(self.nodes[1:], self.centers))
-        self.ell = _level(ell)
+        self.ell = _level(ell, 0, "refinement level")
 
     @property
     def n_intervals(self):
@@ -68,7 +70,8 @@ def graded_axis(lo, hi, centers, sigma, ell):
         raise ValueError(f"ends must be finite with lo < hi, got ({lo}, {hi})")
     if centers.ndim != 1 or not len(centers) or not np.all((lo <= centers) & (centers <= hi)):
         raise ValueError(f"need one or more centers in [{lo}, {hi}], got {centers}")
-    base = np.concatenate(([0.0], sigma ** np.arange(_level(ell), -1, -1, dtype=np.float64)))
+    base = np.concatenate(([0.0], sigma ** np.arange(
+        _level(ell, 0, "refinement level"), -1, -1, dtype=np.float64)))
     nodes = [[lo]]
     cuts = np.unique(np.concatenate(([lo, hi], centers)))
     for x, y in zip(cuts[:-1], cuts[1:]):

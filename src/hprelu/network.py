@@ -26,17 +26,18 @@ class Layer:
     of each entry, is derived on demand.  12 bytes a weight and 16 a row.
 
     The constructor takes triplets in any order and canonicalizes them;
-    ``from_csr`` takes rows that are already canonical.  Duplicate entries
-    and layers of 2**31 columns or more are rejected.  Explicitly stored
-    zeros are kept but never counted by size statistics.
+    ``from_csr`` takes rows that are already canonical.  Indices that are
+    not integers, duplicate entries and layers of 2**31 columns or more are
+    rejected.  Explicitly stored zeros are kept but never counted by size
+    statistics.
     """
 
     __slots__ = ("rows", "cols", "indptr", "col_idx", "vals", "bias")
 
     def __init__(self, rows, cols, row_idx, col_idx, vals, bias):
         rows, cols = _dims(rows, cols)
-        row_idx = np.asarray(row_idx, dtype=np.int64).ravel()
-        col_idx = np.asarray(col_idx, dtype=np.int64).ravel()
+        row_idx = _indices(row_idx, "row").astype(np.int64, copy=False).ravel()
+        col_idx = _indices(col_idx, "column").astype(np.int64, copy=False).ravel()
         vals = np.asarray(vals, dtype=np.float64).ravel()
         if not (len(row_idx) == len(col_idx) == len(vals)):
             raise ValueError("triplet arrays must have equal length")
@@ -60,11 +61,9 @@ class Layer:
         layer it stacks this way."""
         rows, cols = _dims(rows, cols)
         indptr = np.asarray(indptr, dtype=np.int64)
-        col_idx = np.asarray(col_idx)
+        col_idx = _indices(col_idx, "column")
         vals = np.asarray(vals, dtype=np.float64)
         n = len(col_idx)
-        if col_idx.dtype.kind not in "iu":
-            raise ValueError("column indices must be integers")
         if (indptr.shape != (rows + 1,) or indptr[0] != 0 or indptr[-1] != n
                 or col_idx.shape != (n,) or vals.shape != (n,)
                 or (indptr[1:] < indptr[:-1]).any()):
@@ -128,6 +127,16 @@ def _dims(rows, cols):
     if cols >= 2 ** 31:
         raise ValueError(f"a layer has at most 2**31 - 1 columns, got {cols}")
     return rows, cols
+
+
+def _indices(idx, what):
+    """``idx`` as an array of numpy's integer kinds, or empty (``[]`` reads
+    as floats): a float, bool or string index is rejected, never truncated
+    or coerced."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} indices must be integers")
+    return idx
 
 
 def _check_cols(col_idx, cols):
@@ -205,7 +214,8 @@ class NeuralNetwork:
                 read = np.zeros(lay.cols, dtype=bool)
                 read[lay.col_idx[np.repeat(live[-1], lay.indptr[1:] - lay.indptr[:-1])]] = True
                 live.append(read)
-            self._packed = backends.Packed(_pack_rows(self.layers, live[::-1]))
+            self._packed = backends.Packed(_pack_rows(self.layers, live[::-1]),
+                                           self.input_dim)
         return self._packed
 
 
@@ -301,7 +311,7 @@ def stats(net):
     multiplies, and ``live_rows`` those rows, the ones a pass computes.
     ``separable_depth`` counts the leading packed layers whose
     identity-seeded jacobian runs as one plane: every layer of a one-input
-    net, else the axis-separable prefix (``backends.Packed.separable``)."""
+    net, else the axis-separable prefix (``backends.Packed.cut``)."""
     packed = net.packed()
     return NetworkStats(
         depth=net.depth,
@@ -313,8 +323,7 @@ def stats(net):
         input_dim=net.input_dim,
         output_dim=net.output_dim,
         widths=tuple(lay.rows for lay in net.layers),
-        separable_depth=(net.depth if net.input_dim == 1
-                         else packed.separable(net.input_dim)[0]),
+        separable_depth=net.depth if net.input_dim == 1 else packed.cut,
     )
 
 
@@ -451,6 +460,7 @@ def _layer(entry):
     idx = w[:, :2]
     if np.any(idx != np.trunc(idx)):
         raise ValueError("weight indices must be integers")
+    idx = idx.astype(np.int64)
     return Layer(rows, cols, idx[:, 0], idx[:, 1], w[:, 2], bias)
 
 

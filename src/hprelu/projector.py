@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import build_basis
 from .legendre import gauss_rule, legendre_table
-from .mesh import Axis1D, graded_axis
+from .mesh import Axis1D, _level, graded_axis
 
 __all__ = ["hp_interpolate", "multipatch_interpolate", "HpInterpolant"]
 
@@ -84,8 +84,7 @@ def hp_interpolate(u, axis, p):
         raise TypeError(f"axis must be an Axis1D, got {type(axis).__name__}")
     if not 1 <= u.dim <= 3:
         raise ValueError(f"supported dimensions: 1, 2, 3; got {u.dim}")
-    if p < 1:
-        raise ValueError("degree must be >= 1")
+    p = _level(p, 1, "degree")
     g = max(p + 4, 20)
     prev = _assemble(u, axis, p, g)
     if p == 1:
@@ -113,7 +112,7 @@ class HpInterpolant:
 
     def __init__(self, axis, p, coeffs):
         self.axis = axis
-        self.p = int(p)
+        self.p = _level(p, 1, "degree")
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
         self.basis = build_basis(axis, self.p)
         self.N1d = len(self.basis)

@@ -196,7 +196,7 @@ def row_masks_oracle(packed, d):
 
 
 def separable_prefix(net):
-    """Reference for ``backends.Packed.separable`` in plain Python: the
+    """Reference for ``backends.Packed``'s cut and axes in plain Python: the
     number of leading packed layers in which every row holds at most
     ``_EXACT_ROW_NNZ`` terms, all of finite value, and reads rows of at most
     one input axis (input column a is axis a), and the axis of each row of
@@ -254,6 +254,7 @@ def whole_document_deserialize(text):
             idx = w[:, :2]
             if np.any(idx != np.trunc(idx)):
                 raise ValueError("weight indices must be integers")
+            idx = idx.astype(np.int64)
             layers.append(Layer(rows, cols, idx[:, 0], idx[:, 1], w[:, 2], bias))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"layer {k}: {e}") from e
@@ -388,7 +389,7 @@ def per_cell_field(net, axes, row=0):
         gidx = sum(np.asarray(lv[a])[loc[:, a]] * N ** a for a in range(d))
         rv = vrow[gidx]
         nz = np.nonzero(rv)[0]
-        head = NeuralNetwork(t, [Layer(1, t, np.zeros(len(nz)), nz, rv[nz],
+        head = NeuralNetwork(t, [Layer(1, t, np.zeros(len(nz), dtype=np.int64), nz, rv[nz],
                                        np.zeros(1))])
         sub = concat(head, _tiled_tuple_stage(pi, loc + offs[:-1], offs[-1]))
         pts = [np.nonzero(c == k)[0] for c, k in zip(cells, kcell)]

@@ -20,9 +20,16 @@ import ast
 import collections
 import pathlib
 
+import numpy as np
+
 import hprelu
+from hprelu import build_phi_eps_c, grad_realize_batch
+from hprelu.catalog import corner_singular
+from hprelu.mesh import graded_axis
+from hprelu.projector import hp_interpolate
 
 SRC = pathlib.Path(hprelu.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # called only by the benchmark: resolve_backend for its environment record
 # and NetConfig.for_dim, which returns the plain defaults, for its 3d
@@ -65,8 +72,7 @@ def test_every_definition_has_a_caller():
 
 # what the package and the benchmark read: ``x.name``, and
 # ``getattr(x, "name")`` / ``hasattr(x, "name")``
-READERS = sorted(SRC.glob("*.py")) + sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+READERS = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 
 # result records: their fields are what callers get back
 RECORDS = {"BuildReport", "ErrorReport", "FitResult", "NetworkStats", "RuleCheck"}
@@ -203,3 +209,34 @@ def test_every_default_is_passed_somewhere():
         if not any(_passes(c, param, index) for c in calls[name]))
     assert [k for k in found if k not in DEFAULT_KEPT] == []
     assert set(DEFAULT_KEPT) <= set(found)
+
+
+def test_the_benchmark_harness_runs_on_the_package(monkeypatch):
+    # the benchmark reads package names that nothing in the package may
+    # call (the tracer patches each traced name by getattr, the ``noqa``
+    # imports among them): load it, patch and restore every traced name,
+    # and run its set-up, its problems, its per-layer table and its oracle
+    # on a small compiled net
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import worker
+
+    served = hprelu.network.grad_realize_batch
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.restore()
+    assert hprelu.network.grad_realize_batch is served
+    worker.warm_up()
+    for name in worker.WORKLOADS:
+        u, d, eps, cfg = worker.problem(name)
+        assert u.dim == d and 0.0 < eps < 2.0
+    interp = hp_interpolate(corner_singular(2, 0.6), graded_axis(0.0, 1.0, (0.0,), 0.5, 1), 2)
+    net = build_phi_eps_c(interp, 1e-1)
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (16, 2))
+    table = worker.layer_table(net, worker.stage_names(net.meta, net.depth), pts, repeats=1)
+    assert [row["layer"] for row in table] == list(range(net.depth))
+    vals, jac = worker.ScipyOracle(net)(pts)
+    want = grad_realize_batch(net, pts)
+    assert worker._close(vals, want[0]) and worker._close(jac, want[1])

@@ -299,7 +299,7 @@ def test_compiled_net_jacobian_one_plane_through_the_basis(dim):
     # product stage mixes the axes, and values and jacobians are those of
     # the explicit identity seed, bit for bit
     net = _lane_net(dim)
-    cut, axes = net.packed().separable(net.input_dim)
+    cut, axes = net.packed().cut, net.packed().axes
     want_cut, want_axes = separable_prefix(net)
     assert (cut, axes.tolist()) == (want_cut, want_axes)
     assert net.meta["depth_basis"] < cut < net.depth
@@ -903,7 +903,7 @@ def test_measurement_grids_follow_the_dimension(monkeypatch):
 
 
 @pytest.mark.parametrize("key", ["c_p"])
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, True])
 def test_net_config_rejects_bad_numbers(key, bad):
     with pytest.raises(ValueError, match=f"{key} must be a finite number > 0, got {bad}"):
         NetConfig(**{key: bad})
@@ -913,8 +913,13 @@ def test_net_config_rejects_bad_numbers(key, bad):
     ({"sigma": 0.7}, "sigma must lie in (0, 1/2], got 0.7"),
     ({"sigma": 0.0}, "sigma must lie in (0, 1/2], got 0.0"),
     ({"sigma": math.nan}, "sigma must lie in (0, 1/2], got nan"),
+    ({"sigma": True}, "sigma must lie in (0, 1/2], got True"),
+    ({"ell_max": True}, "ell_max must be >= 0, got True"),
+    ({"ell_max": 2.0}, "ell_max must be >= 0, got 2.0"),
+    ({"ell_max": 2.7}, "ell_max must be >= 0, got 2.7"),
     ({"domain": "x"}, "domain must be 'unit' or 'sym', got 'x'")],
-    ids=["large-sigma", "zero-sigma", "nan-sigma", "unknown-domain"])
+    ids=["large-sigma", "zero-sigma", "nan-sigma", "bool-sigma", "bool-ell-max",
+         "float-ell-max", "fraction-ell-max", "unknown-domain"])
 def test_net_config_rejects_bad_settings(entry, message):
     # rejected when the config is made, not in the first calibration step
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -210,10 +210,26 @@ def test_layer_rejects_what_int32_cannot_index():
     ([0, 1, 2], [0, 2], "out of range"),
     ([0, 1, 2], [0.0, 1.0], "integers"),  # float column indices
     ([0, 1, 2], [[0], [1]], "indptr"),    # not a flat array
+    ([0, 1, 2], [False, True], "integers"),  # bool column indices
 ])
 def test_from_csr_rejects_bad_rows(indptr, col_idx, message):
     with pytest.raises(ValueError, match=message):
         Layer.from_csr(2, 2, indptr, np.asarray(col_idx), np.ones(len(col_idx)), [0.0, 0.0])
+
+
+def test_layer_rejects_indices_that_are_not_integers():
+    # each was stored: 0.7 truncated to row 0, 1.9 to column 1, True as row
+    # 1 and "1" as column 1
+    for row_idx, col_idx, what in (([0.7], [1], "row"), ([0], [1.9], "column"),
+                                   ([True], [0], "row"), ([0], ["1"], "column")):
+        with pytest.raises(ValueError, match=f"{what} indices must be integers"):
+            Layer(2, 2, row_idx, col_idx, [1.0], [0.0, 0.0])
+    # integers of any numpy kind pass, and so does a layer with no entries,
+    # whose empty lists numpy reads as floats
+    lay = Layer(2, 2, np.array([1], dtype=np.uint8), np.array([0], dtype=np.int32),
+                [1.0], [0.0, 0.0])
+    assert (lay.row_idx.tolist(), lay.col_idx.tolist()) == ([1], [0])
+    assert Layer(2, 2, [], [], [], [0.0, 0.0]).indptr.tolist() == [0, 0, 0]
 
 
 def test_may_repeat_sums_in_int64():
@@ -955,6 +971,10 @@ def _separable_nets(draw, max_pts=9):
             None if kind is None else (kind, planted))
 
 
+def _no_masks(packed, d):
+    raise AssertionError("row_masks called")
+
+
 def _identity_seed(d, n):
     seed = np.zeros((d, n, d))
     seed[np.arange(d), :, np.arange(d)] = 1.0
@@ -969,7 +989,7 @@ def test_separable_prefix_moves_no_bit(case, tile):
     # list never split at the cut) and the in-order oracle's, bit for bit,
     # with tiles of `tile` points on both sides of the cut
     net, pts, planted = case
-    cut, axes = net.packed().separable(net.input_dim)
+    cut, axes = net.packed().cut, net.packed().axes
     want_cut, want_axes = separable_prefix(net)
     assert cut == want_cut
     assert (None if axes is None else axes.tolist()) == want_axes
@@ -981,16 +1001,19 @@ def test_separable_prefix_moves_no_bit(case, tile):
         # the cut stops at a wide row or a non-finite weight that a pass runs
         assert cut <= k or not live
     d, n = net.input_dim, len(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        # a list wrapped without d finds no cut and computes no mask
+        mp.setattr(backends, "row_masks", _no_masks)
+        whole = backends.Packed(list(net.packed()))
+    assert (whole.cut, whole.axes) == (0, None)
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
         mp.setattr(backends, "_TILE_BYTES", 0)
         mp.setattr(backends, "_TILE_MIN", tile)
-        whole = backends.Packed(list(net.packed()))
         want = backends.run_forward_grad(whole, pts.T, seed=_identity_seed(d, n))
         got = backends.run_forward_grad(net.packed(), pts.T)
         values = backends.run_forward(net.packed(), pts.T)
         served = grad_realize_batch(net, pts)
         oracle = inorder_realize(net, pts, jac=True)
-    assert whole._separable is None
     for a, b in zip(got + (values,), want + want[:1]):
         assert np.array_equal(_bits(a), _bits(b))
     assert np.array_equal(_bits(served[0]), _bits(want[0].T))
@@ -1018,7 +1041,10 @@ def test_separable_prefix_kernel_calls(monkeypatch):
     # (the values and the one jacobian plane), the layers after it 1 + d
     rng = np.random.default_rng(11)
     net = _mixed_after_separable(rng, depth=3)
-    assert net.packed().separable(net.input_dim)[0] == 3
+    # the cut is found when the list is packed: before any pass, the one
+    # narrow run is split there
+    assert [run[:2] for run in net.packed().runs] == [[0, 3], [3, 5]]
+    assert net.packed().cut == 3
     kernel_calls = _count_kernel_calls(monkeypatch)
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
@@ -1035,13 +1061,36 @@ def test_separable_prefix_kernel_calls(monkeypatch):
     assert len(kernel_calls) == 3 * net.depth * 25
 
 
-def test_one_input_nets_skip_the_prefix():
-    # a one-input net carries one plane anyway: no pass looks for its cut
+def test_one_input_nets_skip_the_prefix(monkeypatch):
+    # a one-input net carries one plane anyway: packing it looks for no
+    # cut and computes no mask
+    monkeypatch.setattr(backends, "row_masks", _no_masks)
     net = random_net(np.random.default_rng(12), input_dim=1, depth=3)
     realize_batch(net, np.ones((4, 1)))
     grad_realize_batch(net, np.ones((4, 1)))
-    assert net.packed()._separable is None
+    assert (net.packed().cut, net.packed().axes) == (0, None)
     assert stats(net).separable_depth == net.depth
+
+
+@pytest.mark.parametrize("nd", [0, 3])
+def test_relu_is_the_lines_it_replaced(nd):
+    # every y in {+-0.0, +-inf, NaN, +-1.5} meets every jacobian entry in
+    # that set; relu gives the bits of the callers' own pair of lines and
+    # of the wide layer's mask over its flat (rows, npts * nd) jacobian
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5])
+    k = len(special)
+    # y[i, j] = special[i] and jac[i, j, q] = special[(j + q) % k]
+    y = np.repeat(special[:, None], k, axis=1)
+    jac = np.repeat(special[(np.arange(k)[:, None] + np.arange(nd)) % k][None], k, axis=0)
+    y2, jac2, y3, jac3 = y.copy(), jac.copy(), y.copy(), jac.reshape(k, -1).copy()
+    with np.errstate(invalid="ignore"):
+        backends.relu(y, jac)
+        jac2 *= (y2 > 0.0)[:, :, None]
+        np.maximum(y2, 0.0, out=y2)
+        jac3 *= np.repeat(y3 > 0.0, nd, axis=1)
+        np.maximum(y3, 0.0, out=y3)
+    assert y.tobytes() == y2.tobytes() == y3.tobytes()
+    assert jac.tobytes() == jac2.tobytes() == jac3.tobytes()
 
 
 @st.composite
@@ -1083,8 +1132,7 @@ def test_more_than_62_inputs_get_no_prefix(d):
     prefix = full_parallel(nets)
     net = NeuralNetwork(d, list(prefix.layers) + [
         Layer.from_dense(np.ones((1, prefix.output_dim)))])
-    cut, _ = net.packed().separable(d)
-    assert cut == (2 if d <= 62 else 0)
+    assert net.packed().cut == (2 if d <= 62 else 0)
     x = rng.standard_normal((d, 5))
     y, jac = backends.run_forward_grad(net.packed(), x)
     want = backends.run_forward_grad(net.packed(), x, seed=_identity_seed(d, 5))

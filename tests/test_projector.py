@@ -346,6 +346,14 @@ def test_interpolate_rejects_bad_inputs():
     u4 = analytic_fn(4, "constant", {"value": 1.0})
     with pytest.raises(ValueError, match="supported dimensions: 1, 2, 3; got 4"):
         hp_interpolate(u4, axis, 2)
+    # a degree is an integer >= 1: never truncated (2.7 was p = 2) or
+    # coerced (True was p = 1)
+    for p in (0, True, 2.0, 2.7, "2"):
+        message = re.escape(f"degree must be >= 1, got {p!r}: it must be an integer")
+        with pytest.raises(ValueError, match=message):
+            hp_interpolate(u, axis, p)
+        with pytest.raises(ValueError, match=message):
+            HpInterpolant(axis, p, np.zeros((5, 5)))
 
 
 @pytest.mark.parametrize("shape", [(), (5, 6), (5,) * 4],
