@@ -15,9 +15,9 @@ the other half.  Both are asserted on every build.
 
 Certification runs the compiled net on tensor grids, cell by cell, through
 one tuple's stage (``_CompiledField``), by lanes: rows that read the same
-input axes.  Only the all-axes lane sees the (tuple x point) batch, of the
-cell's live tuples with a nonzero coefficient; the others run once per
-cell on the points of their own axes.
+input axes.  Only the all-axes lane sees the (tuple x point) batch of the
+cell's nonzero live tuples, each chunk in one kernel pass per step; the
+others run once per cell on the points of their own axes.
 
 Certification runs on every usable core, up to ``backends._MAX_WORKERS``
 (the two cores it was measured on): forked workers each compute whole cells,
@@ -361,9 +361,9 @@ class _CompiledField:
     axes in a set S takes the same value at every tuple and point that
     agree on S, so each lane but the all-axes one runs once per cell on the
     (live index x point) pairs of its own axes, seeded per axis.  The
-    all-axes lane runs per chunk, tile by tile over the tuple-major
-    columns of the nonzero tuples, and gathers the rows of the lanes it
-    reads by index.  The head then contracts the whole chunk.
+    all-axes lane hands each chunk, the tuple-major columns of the nonzero
+    tuples, to one kernel pass per step, which tiles it, gathering the rows
+    of the lanes it reads by index.  The head then contracts the chunk.
 
     No bit moves in the stage.  Its rows keep their entries in stored
     order and every column its inputs, and the in-order kernels sum each
@@ -500,7 +500,6 @@ class _CompiledField:
                 at = np.unravel_index(np.arange(np.prod(shape)), shape)
                 self._run(step, st, at, size)
         full = [step for step in self._steps if step[0] == self._full]
-        tile = backends._tile_points(self._width, d)
         # the chunks of the full net restricted to the cell, all t tuples
         chunk = _grad_chunk(n, t * self._width, d)
         vals, grad = np.empty(n), np.empty((n, d))
@@ -508,16 +507,11 @@ class _CompiledField:
             hi = min(n, lo + chunk)
             c = hi - lo
             # tuple-major batch: column k*c + j is nonzero tuple k at point j
-            y = np.empty((2, m * c))
-            jac = np.empty((2, m * c, d))
-            for p0 in range(0, m * c, tile):
-                k, j = np.divmod(np.arange(p0, min(m * c, p0 + tile)), c)
-                at = tuple(loc[a][k] * ns[a] + flat[a][lo + j]
-                           for a in range(d))
-                ts = dict(st)
-                for step in full:
-                    self._run(step, ts, at, size)
-                y[:, p0:p0 + len(k)], jac[:, p0:p0 + len(k)] = ts[self._out]
+            k, j = np.divmod(np.arange(m * c), c)
+            at = tuple(loc[a][k] * ns[a] + flat[a][lo + j] for a in range(d))
+            for step in full:
+                self._run(step, st, at, size)
+            y, jac = st[self._out]
             # rows k and m+k: the (+,-) outputs of nonzero tuple k
             y, jac = backends.run_forward_grad(
                 head, y.reshape(2 * m, c), seed=jac.reshape(2 * m, c, d))

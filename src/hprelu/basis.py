@@ -9,7 +9,7 @@ grouped by interval with rising mode index.
 import numpy as np
 
 from .legendre import gauss_rule, polyder, polyval, zeta_coeffs
-from .mesh import _checked_nodes
+from .mesh import _checked_nodes, _level
 
 __all__ = ["PiecewisePolynomial", "BasisFunction", "build_basis", "basis_count"]
 
@@ -133,8 +133,7 @@ def build_basis(axis, p):
     projector assigns them zero coefficients there, so the index layout is
     independent of the singularity pattern.
     """
-    if p < 1:
-        raise ValueError("degree must be >= 1")
+    p = _level(p, 1, "degree")
     nodes = axis.nodes
     n = axis.n_intervals
     out = []

@@ -34,33 +34,25 @@ def _block_diag(layers):
     return _stack(layers, int(coff[-1]), coff[:-1])
 
 
+def _eye(n):
+    """The n x n identity layer with +0.0 biases."""
+    return Layer.from_csr(n, n, np.arange(n + 1), np.arange(n), np.ones(n),
+                          np.zeros(n))
+
+
 def identity_net(dim, depth):
     """Network of the given depth realizing x -> x on R^dim; size <= 2*dim*depth."""
     if dim < 1 or depth < 1:
         raise ValueError("dim and depth must be positive")
-    eye = np.arange(dim)
     if depth == 1:
-        lay = Layer(dim, dim, eye, eye, np.ones(dim), np.zeros(dim))
-        return NeuralNetwork(dim, [lay])
-    split = Layer(
-        2 * dim,
-        dim,
-        np.concatenate([eye, eye + dim]),
-        np.concatenate([eye, eye]),
-        np.concatenate([np.ones(dim), -np.ones(dim)]),
-        np.zeros(2 * dim),
-    )
-    eye2 = np.arange(2 * dim)
-    carry = Layer(2 * dim, 2 * dim, eye2, eye2, np.ones(2 * dim), np.zeros(2 * dim))
-    merge = Layer(
-        dim,
-        2 * dim,
-        np.concatenate([eye, eye]),
-        np.concatenate([eye, eye + dim]),
-        np.concatenate([np.ones(dim), -np.ones(dim)]),
-        np.zeros(dim),
-    )
-    return NeuralNetwork(dim, [split] + [carry] * (depth - 2) + [merge])
+        return NeuralNetwork(dim, [_eye(dim)])
+    # the split (x; -x) keeps +0.0 biases, where _pm_stack would negate them
+    split = Layer.from_csr(2 * dim, dim, np.arange(2 * dim + 1),
+                           np.tile(np.arange(dim), 2),
+                           np.repeat([1.0, -1.0], dim), np.zeros(2 * dim))
+    # the merge reads the doubled interface, as concat's does
+    return NeuralNetwork(dim, [split] + [_eye(2 * dim)] * (depth - 2)
+                         + [_doubled(_eye(dim))])
 
 
 def _pm_stack(lay):

@@ -60,7 +60,7 @@ class Layer:
         ascending order: checked, never sorted.  The calculus builds every
         layer it stacks this way."""
         rows, cols = _dims(rows, cols)
-        indptr = np.asarray(indptr, dtype=np.int64)
+        indptr = _indices(indptr, "indptr").astype(np.int64, copy=False)
         col_idx = _indices(col_idx, "column")
         vals = np.asarray(vals, dtype=np.float64)
         n = len(col_idx)

@@ -329,8 +329,9 @@ def test_compiled_field_equals_per_cell_networks(monkeypatch, dim, p, n,
     # live tuples (50 terms in 2d, 54 in 3d) take the BLAS branch, whose
     # sums can change with the chunk bounds.  The budgets cut those cells
     # into chunks of 133 (2d) and 101 (3d) points, off any SIMD block
-    # multiple.  ``tile`` shrinks the tiles of the all-axes lane (and of
-    # every narrow run) to that many columns, so one chunk spans many.
+    # multiple.  ``tile`` shrinks the kernel's tiles, in every narrow run
+    # and so in the all-axes lane's pass over a chunk, to that many
+    # columns, so one chunk spans many.
     monkeypatch.setattr(network, "_JAC_BUDGET", budget)
     # the serial loop, so that the spy sees every cell
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -478,12 +479,17 @@ def test_reduced_lanes_run_once_per_cell(monkeypatch):
     monkeypatch.setattr(network, "_JAC_BUDGET", 140_000)
     # the serial loop, so that the spies see every cell
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # 97-column tiles, so that a chunk spans many: the kernel tiles it
+    # inside one pass
+    monkeypatch.setattr(backends, "_TILE_MIN", 97)
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     f = compiled_field(_lane_net(3))
-    runs, chunks = collections.Counter(), []
+    runs, cols, chunks = collections.Counter(), collections.Counter(), []
     orig = backends.run_forward_grad
 
     def run(packed, x, seed=None):
         runs[id(packed)] += 1
+        cols[id(packed)] = max(cols[id(packed)], x.shape[1])
         return orig(packed, x, seed=seed)
 
     def spy(npts, width, nd):
@@ -496,9 +502,11 @@ def test_reduced_lanes_run_once_per_cell(monkeypatch):
     # one chunk size per cell
     cells = len(chunks)
     assert cells > 1 and any(c < n for n, c in chunks)
+    # each all-axes step runs one kernel pass per chunk, over many tiles
     for s, _, _, packed in f._steps:
         if s == f._full:
-            assert runs[id(packed)] >= sum(-(-n // c) for n, c in chunks)
+            assert runs[id(packed)] == sum(-(-n // c) for n, c in chunks)
+            assert cols[id(packed)] > 97
         else:
             assert runs[id(packed)] == cells
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -57,6 +59,16 @@ def test_basis_count_and_order():
             assert bs[i].support == (k,)
             assert _coeffs(bs[i]) == [zeta_coeffs(m)]
             i += 1
+
+
+def test_build_basis_checks_degree():
+    # as HpInterpolant does: True was p = 1, and 2.7 raised a TypeError
+    ax = graded_axis(0.0, 1.0, (0.0,), 0.5, 1)
+    for p in (0, True, 2.0, 2.7, "2"):
+        message = re.escape(f"degree must be >= 1, got {p!r}: it must be an integer")
+        with pytest.raises(ValueError, match=message):
+            build_basis(ax, p)
+    assert len(build_basis(ax, np.int64(2))) == basis_count(ax, 2)
 
 
 def test_hats_partition_of_unity():

@@ -211,6 +211,7 @@ def test_layer_rejects_what_int32_cannot_index():
     ([0, 1, 2], [0.0, 1.0], "integers"),  # float column indices
     ([0, 1, 2], [[0], [1]], "indptr"),    # not a flat array
     ([0, 1, 2], [False, True], "integers"),  # bool column indices
+    ([0, 1.5, 2], [0, 1], "integers"),   # a float row pointer
 ])
 def test_from_csr_rejects_bad_rows(indptr, col_idx, message):
     with pytest.raises(ValueError, match=message):
