@@ -361,9 +361,11 @@ class _CompiledField:
     axes in a set S takes the same value at every tuple and point that
     agree on S, so each lane but the all-axes one runs once per cell on the
     (live index x point) pairs of its own axes, seeded per axis.  The
-    all-axes lane hands each chunk, the tuple-major columns of the nonzero
-    tuples, to one kernel pass per step, which tiles it, gathering the rows
-    of the lanes it reads by index.  The head then contracts the chunk.
+    all-axes lane runs on chunks of the tuple-major columns of the nonzero
+    tuples.  For each chunk, each step gathers, by index, the rows of the
+    lanes it reads on the chunk's columns (``_inputs``) and hands them to
+    one kernel pass, which tiles the chunk and computes no carry row
+    (``backends.Packed``).  The head then contracts the chunk.
 
     No bit moves in the stage.  Its rows keep their entries in stored
     order and every column its inputs, and the in-order kernels sum each
@@ -589,9 +591,9 @@ def compiled_field(net, row=0):
     if parts is None:
         raise ValueError("network carries no compilation structure")
     rows = len(parts["vmat"])
-    if isinstance(row, bool) or not isinstance(row, int) or not 0 <= row < rows:
+    if isinstance(row, bool) or not isinstance(row, numbers.Integral) or not 0 <= row < rows:
         raise ValueError(f"row must be an int in range({rows}), got {row!r}")
-    return _CompiledField(parts, row)
+    return _CompiledField(parts, int(row))
 
 
 def _interpolate(u, ell, p, cfg):
@@ -630,12 +632,14 @@ def build_vector(us, dim, epsilon, config=None):
     cfg = config or NetConfig()
     if not us:
         raise ValueError("need at least one function")
+    dim = _level(dim, 1, "dim")
     for u in us:
         if u.dim != dim:
             raise ValueError(f"function {u.name} has dimension {u.dim}, "
                              f"but the build's dimension is {dim}")
     # the compile budget 0.5 * epsilon must lie in (0, 1); a NaN fails too
-    if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 2.0):
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+            or not 0.0 < epsilon < 2.0):
         raise ValueError(f"epsilon must be a number in (0, 2), got {epsilon!r}")
     t0 = time.perf_counter()
     best = (math.inf, None, None)

@@ -22,6 +22,20 @@ sums may depend on the column range, runs whole on the caller's thread.  A
 pass with an explicit seed (certification, which already runs a process
 per core) stays on one thread.
 
+A carry row, in a layer strictly inside a narrow run, holds one stored
+entry of weight 1.0 (bitwise) and bias +-0.0: it passes on a row that a
+ReLU just produced.  The tiles compute only the other rows.  The carries
+that reach back to one computed row, their root, share a slot of the
+tile, into which the root is copied once, after its layer's ReLU, and the
+carries' readers read the slot (``Packed._plan``).  No bit moves:
+``np.maximum(x, 0.0)`` never returns -0.0, so a carry's value ``+-0.0 +
+1.0 * x`` is x, and so is its ReLU; NaN and inf pass alike.  Its jacobian
+``mask * (+0.0 + 1.0 * j)`` differs from the slot's j, which the same mask
+already multiplied, at most in the sign of a zero, and every reader's
+jacobian sum starts at +0.0, where (+0.0) + (-0.0) = +0.0.  The packed
+layers do not change: the plan holds its own arrays of a layer with
+carries, its computed rows alone, and of the columns of the layer after it.
+
 An identity-seeded jacobian pass of a ``Packed`` list on d > 1 inputs
 carries one plane, not d, through the axis-separable prefix of the layers
 (``Packed.cut``, found when the list is packed), where each row reads at
@@ -90,6 +104,9 @@ def _matvecs():
 # summation order is its own; they only carry tolerance-based contracts.
 _EXACT_ROW_NNZ = 32
 
+# the bits of 1.0, a carry row's weight
+_ONE = np.float64(1.0).view(np.int64)
+
 
 def _csr_add(indptr, cols, vals, x, out):
     """Add each row's terms of one (in, n) plane into ``out`` in order."""
@@ -148,14 +165,16 @@ class Packed(list):
     ``runs`` holds (start, stop, narrow) for each maximal run of narrow
     layers and each layer with a row over ``_EXACT_ROW_NNZ`` entries, a run
     across the cut split there, so that the prefix tiles by its own width.
-    A list held for many passes (a network's, a certification lane's) is
-    built as one, and the forward pass packs any other list on each call.
+    ``plans`` maps each narrow run's start to its tile plan (``_plan``),
+    and ``carried`` counts the carry rows, which no pass computes.  A list
+    held for many passes (a network's, a certification lane's) is built as
+    one, and the forward pass packs any other list on each call.
     """
 
     def __init__(self, layers, d=1):
         super().__init__(layers)
-        narrow = [(indptr[1:] - indptr[:-1]).max(initial=0) <= _EXACT_ROW_NNZ
-                  for indptr, _, _, _ in self]
+        counts = [indptr[1:] - indptr[:-1] for indptr, _, _, _ in self]
+        narrow = [cnt.max(initial=0) <= _EXACT_ROW_NNZ for cnt in counts]
         self.cut, last = 0, None
         masks = row_masks(self, d) if 1 < d <= 62 else ()
         for (_, _, vals, _), m, ok in zip(self, masks, narrow):
@@ -170,6 +189,82 @@ class Packed(list):
                 self.runs[-1][1] = i + 1
             else:
                 self.runs.append([i, i + 1, ok])
+        self.carried, self.plans = 0, {}
+        for start, stop, ok in self.runs:
+            if ok:
+                self.plans[start] = self._plan(start, stop, counts)
+
+    def _plan(self, start, stop, counts):
+        """The tile plan of the narrow run [start, stop): (layers, copies,
+        top, slots, widest).
+
+        A carry row lies in a layer strictly inside the run, holds one
+        stored entry of weight 1.0 and has bias +-0.0; the row it reads is
+        its source.  The carries that reach back through their sources to
+        one computed row, their root, share one of the ``slots`` slots.
+        ``layers`` are the run's layers as the tiles compute them, on tile
+        rows numbered so: a layer's computed rows from 0, in order, then
+        from ``top`` the slots.  A layer with carries keeps its computed
+        rows alone, and the layer after it reads them at their new numbers
+        and its carries in their slots.  ``copies[k] = (rows, lo, hi)``
+        copies the roots of the run's layer k, at their tile rows, into
+        slots [lo, hi) after its ReLU.  ``top`` is at least every layer's
+        computed rows and every input row the first layer reads;
+        ``widest``, the run's widest layer with its carries, sizes the
+        tiles.  A run with no carry plans its own layers.
+        """
+        run = self[start:stop]
+        widest = max(len(cnt) for cnt in counts[start:stop])
+        read = int(run[0][1].max(initial=-1)) + 1
+        plain = run, {}, max(widest, read), 0, widest
+        if stop - start < 3:
+            return plain
+        # rows are numbered across the run
+        cnt = np.concatenate(counts[start:stop])
+        ends = np.cumsum([0] + [len(c) for c in counts[start:stop]])
+        ptr = np.concatenate(([0], np.cumsum(cnt)))
+        one = np.flatnonzero(cnt[ends[1]:ends[-2]] == 1) + ends[1]
+        first = np.concatenate([v for _, _, v, _ in run])[ptr[one]]
+        zero = np.concatenate([b for _, _, _, b in run])[one].view(np.int64) << 1 == 0
+        carry = one[(first.view(np.int64) == _ONE) & zero]
+        if not len(carry):
+            return plain
+        self.carried += len(carry)
+        layer = np.repeat(np.arange(stop - start), ends[1:] - ends[:-1])
+        root = np.arange(ends[-1])
+        root[carry] = (np.concatenate([c for _, c, _, _ in run])[ptr[carry]]
+                       + ends[layer[carry] - 1])
+        while (root[root] != root).any():
+            root = root[root]
+        moved = np.zeros(ends[-1], dtype=bool)
+        moved[carry] = True
+        # at[g]: the tile row of row g, a computed row's rank in its layer
+        at = np.concatenate(([0], np.cumsum(~moved)))
+        before = at[ends]
+        rows = before[1:] - before[:-1]
+        at = at[1:] - 1 - before[layer]
+        top = max(rows.max(), read)
+        roots = np.zeros(ends[-1], dtype=bool)
+        roots[root[carry]] = True
+        roots = np.flatnonzero(roots)
+        at[carry] = top + np.searchsorted(roots, root[carry])
+        lo = np.searchsorted(roots, ends).tolist()
+        copies = {k: (at[roots[lo[k]:lo[k + 1]]], lo[k], lo[k + 1])
+                  for k in range(stop - start) if lo[k] < lo[k + 1]}
+        ends, rows = ends.tolist(), rows.tolist()
+        layers = []
+        for k, (indptr, cols, vals, bias) in enumerate(run):
+            kernel = cols
+            if k and rows[k - 1] < ends[k] - ends[k - 1]:
+                kernel = at[ends[k - 1]:ends[k]][cols]
+            if rows[k] < ends[k + 1] - ends[k]:
+                keep = ~moved[ends[k]:ends[k + 1]]
+                n = counts[start + k]
+                ent = np.repeat(keep, n)
+                kernel, vals, bias = kernel[ent], vals[ent], bias[keep]
+                indptr = np.concatenate(([0], np.cumsum(n[keep])))
+            layers.append((indptr, kernel, vals, bias))
+        return layers, copies, top, len(roots), widest
 
 
 def row_masks(packed, d):
@@ -187,47 +282,53 @@ def row_masks(packed, d):
         yield mask
 
 
-def _narrow_run(layers, y, jac, relu_last, threads):
-    """Run narrow layers tile by tile over the points, in as few tiles as
-    ``_tile_points`` allows, all of near-equal size.
+def _narrow_run(plan, y, jac, relu_last, threads):
+    """Run a narrow run's ``Packed._plan`` tile by tile over the points, in
+    as few tiles as ``_tile_points`` allows for its widest layer, all of
+    near-equal size.
 
     y is (in, npts) and jac (in, npts, nd), point-major as the public pass
-    holds them.  A tile is one plane-major (1 + nd, rows, tile) array: the
-    values, then one contiguous plane per direction, each summed by its own
-    kernel call; the jacobian planes start from +0.0 where the values start
-    from the bias, and the ReLU mask multiplies them plane by plane.
+    holds them.  A tile is two plane-major (1 + nd, height, tile) arrays
+    that the layers take in turn, input and output: the values, then one
+    contiguous plane per direction, each summed by its own kernel call; the
+    jacobian planes start from +0.0 where the values start from the bias,
+    and the ReLU mask multiplies them plane by plane.  A layer writes its
+    computed rows from row 0; the slots follow at row ``top`` in both
+    arrays, and a layer's roots are copied into them after its ReLU.
     Returns the run's (out, npts) values and (out, npts, nd) jacobian.
 
     The tiles go in contiguous blocks to ``min(tiles, threads)`` threads:
     the caller's takes the first block, each started thread one more, and
     each writes only its own columns of the outputs.  Every buffer a block
-    writes is allocated here, on the caller's thread: two tiles that the
-    layers take in turn and a mask plane.  A thread that allocated its own
-    would open a malloc arena of its own, and the memory with it.
+    writes is allocated here, on the caller's thread: the two tile arrays
+    and a mask plane.  A thread that allocated its own would open a malloc
+    arena of its own, and the memory with it.
     """
+    layers, copies, top, slots, widest = plan
     npts, nd = jac.shape[1], jac.shape[2]
-    rows = [len(indptr) - 1 for indptr, _, _, _ in layers]
-    widest = max(rows + [y.shape[0]])
-    tiles = -(-npts // _tile_points(widest, nd))
+    rows = [len(bias) for _, _, _, bias in layers]
+    height, fill = top + slots, min(len(y), top)
+    tiles = -(-npts // _tile_points(max(widest, len(y)), nd))
     y_out = np.empty((rows[-1], npts))
     jac_out = np.empty((rows[-1], npts, nd))
     relu = [True] * (len(layers) - 1) + [relu_last]
     threads = max(1, min(tiles, threads))
     span = -(-npts // max(tiles, 1))
-    bufs = [(np.empty((2, (1 + nd) * widest * span)),
-             np.empty(widest * span, dtype=bool)) for _ in range(threads)]
+    bufs = [(np.empty((2, (1 + nd) * height * span)),
+             np.empty(top * span, dtype=bool)) for _ in range(threads)]
 
     def block(k):
         planes, mask = bufs[k]
         for i in range(k * tiles // threads, (k + 1) * tiles // threads):
             p0, p1 = i * npts // tiles, (i + 1) * npts // tiles
             n = p1 - p0
-            t = planes[0, :(1 + nd) * len(y) * n].reshape(1 + nd, len(y), n)
-            t[0] = y[:, p0:p1]
-            t[1:] = jac[:, p0:p1].transpose(2, 0, 1)
+            tile = planes[:, :(1 + nd) * height * n].reshape(2, 1 + nd, height, n)
+            t = tile[0]
+            t[0, :fill] = y[:fill, p0:p1]
+            t[1:, :fill] = jac[:fill, p0:p1].transpose(2, 0, 1)
             for j, ((indptr, cols, vals, bias), r, act) in enumerate(
                     zip(layers, rows, relu)):
-                o = planes[1 - j % 2, :(1 + nd) * r * n].reshape(1 + nd, r, n)
+                o = tile[1 - j % 2, :, :r]
                 o[0] = bias[:, None]
                 o[1:] = 0.0
                 for q in range(1 + nd):
@@ -238,9 +339,12 @@ def _narrow_run(layers, y, jac, relu_last, threads):
                         np.greater(o[0], 0.0, out=m)
                         o[1:] *= m
                     np.maximum(o[0], 0.0, out=o[0])
-                t = o
-            y_out[:, p0:p1] = t[0]
-            jac_out[:, p0:p1] = t[1:].transpose(1, 2, 0)
+                if j in copies:
+                    roots, lo, hi = copies[j]
+                    tile[:, :, top + lo:top + hi] = o[:, roots]
+                t = tile[1 - j % 2]
+            y_out[:, p0:p1] = t[0, :rows[-1]]
+            jac_out[:, p0:p1] = t[1:, :rows[-1]].transpose(1, 2, 0)
 
     errors = {}
 
@@ -286,7 +390,7 @@ def _forward(packed, y, jac, first=0, end=None, threads=1):
         if start < first or (end is not None and start >= end):
             continue
         if narrow:
-            y, jac = _narrow_run(packed[start:stop], y, jac, stop - 1 < last,
+            y, jac = _narrow_run(packed.plans[start], y, jac, stop - 1 < last,
                                  threads)
             continue
         indptr, cols, vals, bias = packed[start]

@@ -275,6 +275,7 @@ def cmd_nn_info(args):
     print(f"size {st.size}")
     print(f"live_size {st.live_size}")
     print(f"live_rows {st.live_rows}")
+    print(f"carried_rows {st.carried_rows}")
     print(f"neurons {st.neurons}")
     print(f"max_width {max(st.widths)}")
     print(f"separable_depth {st.separable_depth}")

@@ -73,11 +73,14 @@ def _axis_quad(cells, n_q, q, rng):
 def _sq_errors(f, g, axes_pts, axes_wts):
     """(l2^2, semi^2, linf) over the tensor grid of axes_pts.
 
-    Per slab the gradient gap is one (slab..., d) array, filled one
-    component at a time, f's partial less g's, then squared in place: no
-    field's whole gradient is held beside it.  Each number is the same
-    operation on the same operands in the same layout as the difference of
-    the stacked gradients, so the sums come out bit for bit the same."""
+    Per slab the gradient gap is taken one component at a time, f's
+    partial less g's, squared in place and added in order into one
+    contiguous (slab...) array that starts at +0.0: no field's whole
+    gradient is held beside it.  Each gap is the same difference as that of
+    the stacked gradients, a square is never -0.0, so +0.0 + g0^2 is g0^2,
+    and the squares of a point meet in the order ``np.sum`` over the
+    stacked last axis adds them, ((g0^2 + g1^2) + g2^2): the sums come out
+    bit for bit the same."""
     d = len(axes_pts)
     shape = tuple(len(a) for a in axes_pts)
     n0 = shape[0]
@@ -91,11 +94,10 @@ def _sq_errors(f, g, axes_pts, axes_wts):
         sl = slice(lo, min(n0, lo + slab))
         axes_sl = [axes_pts[0][sl]] + list(axes_pts[1:])
         dv = np.subtract(f.value_axes(axes_sl), g.value_axes(axes_sl))
-        gap = np.empty(dv.shape + (d,))
+        sq = np.zeros(dv.shape)
         for j in range(d):
-            gap[..., j] = f.partial_axes(axes_sl, j)
-            gap[..., j] -= g.partial_axes(axes_sl, j)
-        sq = np.sum(np.multiply(gap, gap, out=gap), axis=-1)
+            gap = np.subtract(f.partial_axes(axes_sl, j), g.partial_axes(axes_sl, j))
+            sq += np.multiply(gap, gap, out=gap)
         del gap
         wt = axes_wts[0][sl].reshape((-1,) + (1,) * (d - 1)) * wt_rest
         semi += float(np.sum(np.multiply(wt, sq, out=sq)))

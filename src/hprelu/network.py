@@ -150,6 +150,7 @@ class NetworkStats:
     size: int
     live_size: int
     live_rows: int
+    carried_rows: int
     neurons: int
     input_dim: int
     output_dim: int
@@ -307,11 +308,12 @@ def stats(net):
     """Depth, nonzero count, neuron count and per-layer widths.
 
     ``live_size`` counts the nonzero weights and biases of the packed rows
-    (``packed``: live, each bit-identical row once), the terms a pass
-    multiplies, and ``live_rows`` those rows, the ones a pass computes.
-    ``separable_depth`` counts the leading packed layers whose
-    identity-seeded jacobian runs as one plane: every layer of a one-input
-    net, else the axis-separable prefix (``backends.Packed.cut``)."""
+    (``packed``: live, each bit-identical row once) and ``live_rows`` those
+    rows; ``carried_rows`` of them are carries (``backends.Packed._plan``),
+    which a pass keeps in a slot and does not compute.  ``separable_depth``
+    counts the leading packed layers whose identity-seeded jacobian runs as
+    one plane: every layer of a one-input net, else the axis-separable
+    prefix (``backends.Packed.cut``)."""
     packed = net.packed()
     return NetworkStats(
         depth=net.depth,
@@ -319,6 +321,7 @@ def stats(net):
         live_size=sum(int(np.count_nonzero(vals) + np.count_nonzero(bias))
                       for _, _, vals, bias in packed),
         live_rows=sum(len(indptr) - 1 for indptr, _, _, _ in packed),
+        carried_rows=packed.carried,
         neurons=net.neurons,
         input_dim=net.input_dim,
         output_dim=net.output_dim,

@@ -517,6 +517,15 @@ def test_compiled_field_checks_row(row):
         compiled_field(_small_net(), row=row)
 
 
+def test_compiled_field_takes_any_integer_row():
+    # a numpy integer is an integer: row np.int64(0) is row 0, bit for bit
+    net = _small_net()
+    axes = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)]
+    got = compiled_field(net, row=np.int64(0)).value_axes(axes)
+    want = compiled_field(net, row=0).value_axes(axes)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_compiled_field_needs_structure():
     plain = product_net(2, plan_budget(2, 1e-2, 1.0))
     with pytest.raises(ValueError, match="structure"):
@@ -873,9 +882,9 @@ def test_vector_grid_check_covers_every_row():
 
 @pytest.mark.parametrize("epsilon, ell_max, match", [
     (-1.0, 12, "got -1.0"), (0.0, 12, "got 0.0"), (2.0, 12, "got 2.0"),
-    (float("nan"), 12, "got nan"), ("0.1", 12, "got '0.1'"),
+    (float("nan"), 12, "got nan"), ("0.1", 12, "got '0.1'"), (True, 12, "got True"),
     (1e-1, -1, "ell_max must be >= 0, got -1")],
-    ids=["negative", "zero", "two", "nan", "str", "negative-ell-max"])
+    ids=["negative", "zero", "two", "nan", "str", "bool", "negative-ell-max"])
 def test_vector_rejects_bad_targets_before_calibrating(monkeypatch, epsilon,
                                                        ell_max, match):
     def no_calibration(*args):
@@ -884,6 +893,18 @@ def test_vector_rejects_bad_targets_before_calibrating(monkeypatch, epsilon,
     monkeypatch.setattr(assembly, "_interpolate", no_calibration)
     with pytest.raises(ValueError, match=match):
         build_vector([_poly_u()], 2, epsilon, NetConfig(ell_max=ell_max))
+
+
+@pytest.mark.parametrize("dim", [2.0, True, 0])
+def test_vector_rejects_a_dimension_that_is_not_an_integer(monkeypatch, dim):
+    # 2.0 == 2 would pass the functions' dimension check and then stand in
+    # the reports; a bool or a float is not coerced
+    def no_calibration(*args):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(assembly, "_interpolate", no_calibration)
+    with pytest.raises(ValueError, match=re.escape(f"dim must be >= 1, got {dim!r}")):
+        build_vector([_poly_u()], dim, 1e-1)
 
 
 def test_vector_rejects_a_dimension_mismatch_before_calibrating(monkeypatch):

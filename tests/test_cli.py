@@ -15,7 +15,7 @@ from hprelu.assembly import NetConfig, build_phi_eps_c, build_phi_eps_f
 from hprelu.catalog import _PARAM_TYPES, corner_singular
 from hprelu.cli import COLUMNS, _parse_ells, main
 from hprelu.mesh import graded_axis
-from hprelu.network import _fmt, deserialize, realize_batch, serialize
+from hprelu.network import Layer, NeuralNetwork, _fmt, deserialize, realize_batch, serialize
 from hprelu.projector import HpInterpolant
 from hprelu.verify import verify_calculus
 
@@ -311,6 +311,31 @@ def test_nn_info_live_size(tmp_path, capsys):
 
 def _value(bits):
     return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def test_nn_info_carried_rows(tmp_path, capsys):
+    # one input through four narrow layers: the second layer holds two
+    # carries (bias +0.0 and -0.0) and a row of weight 2.0, the third a
+    # carry of a carry, a row of bias 1e-300 and one of weight 1.0 + 1 ulp;
+    # the first and the last layer hold no carry, so nn-info counts 3 of
+    # the 11 live rows
+    def layer(rows, cols):
+        return Layer(len(rows), cols, [r for r, (_, t) in enumerate(rows) for _ in t],
+                     [c for _, t in rows for c in t], [v for _, t in rows for v in t.values()],
+                     [b for b, _ in rows])
+
+    up = np.nextafter(1.0, 2.0)
+    net = NeuralNetwork(1, [
+        layer([(0.5, {0: 1.0}), (0.0, {0: -1.0})], 1),
+        layer([(0.0, {0: 1.0}), (-0.0, {1: 1.0}), (0.0, {0: 2.0})], 2),
+        layer([(0.0, {0: 1.0}), (1e-300, {1: 1.0}), (0.0, {2: up})], 3),
+        layer([(0.0, {0: 1.0, 1: 1.0, 2: 1.0})] * 2 + [(1.0, {0: 1.0})], 3)])
+    net_path = tmp_path / "net.json"
+    net_path.write_text(serialize(net))
+    capsys.readouterr()
+    assert main(["nn-info", "--net", str(net_path)]) == 0
+    info = dict(l.split() for l in capsys.readouterr().out.splitlines())
+    assert (info["live_rows"], info["carried_rows"]) == ("11", "3")
 
 
 def test_nn_eval_rejects_bad_header(tmp_path):

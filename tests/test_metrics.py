@@ -185,6 +185,49 @@ def test_streamed_gap_is_bitwise(monkeypatch, d, case, slabs):
     assert _hex(got) == _hex(h1_error(f, g, cells, q=q, max_doublings=doublings))
 
 
+class _TableField:
+    """A tensor field on one grid whose value and partials are given
+    tables, looked up at each point's index on its axis."""
+
+    def __init__(self, axes, value, partials):
+        self.axes, self.value, self.partials = axes, value, partials
+
+    def _at(self, axes):
+        return np.ix_(*[np.searchsorted(a, b) for a, b in zip(self.axes, axes)])
+
+    def value_axes(self, axes):
+        return self.value[self._at(axes)]
+
+    def partial_axes(self, axes, j):
+        return self.partials[j][self._at(axes)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_gap_squares_sum_in_order(d, data):
+    # the squares of the gradient gap added in order, component by
+    # component, give the bits of the stacked gap's np.sum over its last
+    # axis, on 1 to 3 axes, in one slab or several: on tables of numbers
+    # of twelve decades with signed zeros and 1e-300 among them
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    axes = [np.arange(n, dtype=np.float64) for n in shape]
+    wts = [rng.uniform(0.0, 2.0, n) for n in shape]
+
+    def field():
+        tables = rng.standard_normal((1 + d,) + shape) * 10.0 ** rng.uniform(-6, 6, (1 + d,) + shape)
+        odd = rng.random(tables.shape) < 0.2
+        tables[odd] = rng.choice([0.0, -0.0, 1e-300], odd.sum())
+        return _TableField(axes, tables[0], tables[1:])
+
+    f, g = field(), field()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_SLAB_POINTS", data.draw(st.integers(1, math.prod(shape))))
+        got = metrics._sq_errors(f, g, axes, wts)
+        want = stacked_sq_errors(f, g, axes, wts)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
 def test_one_level_holds_few_grid_arrays():
     # one 3d measurement level, catalog function against interpolant, peaks
     # under 8 arrays of the grid's size: the (..., 3) gap, the value gap and

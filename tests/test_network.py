@@ -1073,6 +1073,133 @@ def test_one_input_nets_skip_the_prefix(monkeypatch):
     assert stats(net).separable_depth == net.depth
 
 
+def _carry_layer(draw, rows, cols, every=False):
+    """A rows x cols layer of drawn rows: carries (one weight 1.0 and a bias
+    of +0.0 or -0.0, reading any row), rows that look like carries but are
+    not (weight 1.0 + 1 ulp, bias 1e-300, a second entry) and rows of up to
+    three drawn entries.  With ``every``, all its rows are carries."""
+    kinds = ["carry"] if every else ["carry", "carry", "ulp", "tiny", "two", "any"]
+    ri, ci, vals, bias = [], [], [], []
+    for r in range(rows):
+        kind, src = draw(st.sampled_from(kinds)), draw(st.integers(0, cols - 1))
+        row, w, b = [src], [1.0], 0.0
+        if kind == "carry":
+            b = draw(st.sampled_from([0.0, -0.0]))
+        elif kind == "ulp" or (kind == "two" and cols == 1):
+            w = [np.nextafter(1.0, 2.0)]
+        elif kind == "tiny":
+            b = 1e-300
+        elif kind == "two":
+            row = [src, draw(st.integers(0, cols - 1).filter(lambda c: c != src))]
+            w = [1.0, draw(_signed)]
+        else:
+            row = draw(st.lists(st.integers(0, cols - 1), unique=True, max_size=min(cols, 3)))
+            w = draw(st.lists(_signed, min_size=len(row), max_size=len(row)))
+            b = draw(_signed)
+        ri += [r] * len(row)
+        ci += row
+        vals += w
+        bias.append(b)
+    return Layer(rows, cols, ri, ci, vals, bias)
+
+
+def _carry_chain(draw, d, depth):
+    """``depth`` drawn ``_carry_layer`` layers on d inputs, 1 to 4 rows
+    wide, a whole layer of carries now and then."""
+    layers, cols = [], d
+    for k in range(depth):
+        rows = draw(st.integers(1, 4))
+        layers.append(_carry_layer(draw, rows, cols, every=k and draw(st.booleans())))
+        cols = rows
+    return layers
+
+
+@st.composite
+def _carry_nets(draw):
+    """Narrow nets with drawn carries: on d > 1 inputs an axis-separable
+    prefix, ``full_parallel`` of one one-input chain per axis, then layers
+    that read any rows; on one input a chain alone.  Returns the net and
+    1 to 9 finite points."""
+    d = draw(st.integers(1, 3))
+    layers = []
+    if d > 1:
+        depth = draw(st.integers(1, 4))
+        layers = list(full_parallel([NeuralNetwork(1, _carry_chain(draw, 1, depth))
+                                     for _ in range(d)]).layers)
+    cols = layers[-1].rows if layers else d
+    tail = _carry_chain(draw, cols, draw(st.integers(3, 5)))
+    net = NeuralNetwork(d, layers + tail)
+    pts = draw(st.lists(st.lists(_signed, min_size=d, max_size=d), min_size=1, max_size=9))
+    return net, np.array(pts, dtype=np.float64)
+
+
+def _carries_oracle(net):
+    """The carries of a net of narrow layers, counted in plain Python on
+    its packed rows: in each layer strictly inside a run, the rows of one
+    term of value 1.0 and a bias of +0.0 or -0.0.  The runs split at the
+    separable cut."""
+    rows = packed_rows(net.packed())
+    cut = separable_prefix(net)[0] if 1 < net.input_dim <= 62 else 0
+    ends = sorted({0, cut, len(rows)})
+    one, zeros = np.float64(1.0).view(np.int64), {0, np.float64(-0.0).view(np.int64)}
+    return sum(len(terms) == 1 and terms[0][1] == one and b in zeros
+               for lo, hi in zip(ends, ends[1:]) for k in range(lo + 1, hi - 1)
+               for b, terms in rows[k])
+
+
+# a chain of carries three layers long whose root also has a direct
+# reader, a layer of carries alone, and look-alikes in the first, inner and
+# last layers
+_CARRY_CHAIN = (NeuralNetwork(1, [
+    Layer(2, 1, [0, 1], [0, 0], [1.0, -1.0], [0.0, 0.5]),
+    Layer(3, 2, [0, 1, 2], [0, 0, 1], [1.0, 2.0, 1.0], [-0.0, 0.0, 1e-300]),
+    Layer(2, 3, [0, 1, 1], [0, 0, 2], [1.0, 1.0, 1.0], [0.0, 0.0]),
+    Layer(2, 2, [0, 1], [0, 0], [1.0, 1.0], [-0.0, 0.0]),
+    Layer(2, 2, [0, 0, 1], [0, 1, 0], [1.0, -1.0, 1.0], [0.0, -0.0])]),
+    np.array([[0.5], [-0.0], [0.0], [-2.0], [1.0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_carry_nets(), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
+@example(_CARRY_CHAIN, 2, 2, None)
+def test_carries_move_no_bit(case, tile, cores, data):
+    # the tiles skip the carry rows and read their roots' slots; values and
+    # jacobians, by the identity seed and an explicit one, equal the in-order
+    # oracle's bit for bit, signed zeros included, and on points with
+    # +-inf a pass that finds no carry; the pass counts the oracle's carries
+    net, pts = case
+    d, n = net.input_dim, len(pts)
+    assert net.packed().carried == stats(net).carried_rows == _carries_oracle(net)
+    seed = (np.reshape(data.draw(st.lists(_signed, min_size=2 * d * n, max_size=2 * d * n)),
+                       (d, n, 2)) if data else np.ones((d, n, 2)))
+    inf = pts.copy()
+    inf[0, 0], inf[-1, -1] = np.inf, -np.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends, "_TILE_BYTES", 0)
+        mp.setattr(backends, "_TILE_MIN", tile)
+        _cores(mp, cores)
+
+        def serve(packed, x):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return (backends.run_forward(packed, x.T),
+                        *backends.run_forward_grad(packed, x.T),
+                        *backends.run_forward_grad(packed, x.T, seed=seed))
+
+        got = serve(net.packed(), pts)
+        with_inf = serve(net.packed(), inf)
+        mp.setattr(backends, "_ONE", -1)
+        plain = backends.Packed(list(net.packed()), d)
+        assert plain.carried == 0
+        want_inf = serve(plain, inf)
+    want, want_jac = inorder_realize(net, pts, jac=True)
+    _, seed_jac = inorder_realize(net, pts, jac=True, seed=seed)
+    for a, b in zip(got, (want.T, want.T, np.moveaxis(want_jac, 0, 1),
+                          want.T, np.moveaxis(seed_jac, 0, 1))):
+        assert np.array_equal(_bits(a), _bits(b))
+    for a, b in zip(with_inf, want_inf):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
 @pytest.mark.parametrize("nd", [0, 3])
 def test_relu_is_the_lines_it_replaced(nd):
     # every y in {+-0.0, +-inf, NaN, +-1.5} meets every jacobian entry in
