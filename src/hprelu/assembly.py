@@ -359,10 +359,13 @@ class _CompiledField:
     The stage runs by lanes (``_lane_plan``), each step one seeded kernel
     pass and then its ReLU by ``backends.relu``.  A row that reads only the
     axes in a set S takes the same value at every tuple and point that
-    agree on S, so each lane but the all-axes one runs once per cell on the
-    (live index x point) pairs of its own axes, seeded per axis.  The
-    all-axes lane runs on chunks of the tuple-major columns of the nonzero
-    tuples.  For each chunk, each step gathers, by index, the rows of the
+    agree on S, so each lane but the all-axes one runs on the (live index x
+    point) pairs of its own axes, seeded per axis, once per projection of
+    the cells onto S: the cells that share their intervals and point
+    slices along S read its output from the first, which holds 3.6 MB over
+    one serial certification of the benchmark's build-3d net.  The all-axes
+    lane runs on chunks of the tuple-major columns of the nonzero tuples.
+    For each chunk, each step gathers, by index, the rows of the
     lanes it reads on the chunk's columns (``_inputs``) and hands them to
     one kernel pass, which tiles the chunk and computes no carry row
     (``backends.Packed``).  The head then contracts the chunk.
@@ -470,9 +473,10 @@ class _CompiledField:
                                             order="F")]
         return las, loc, rv
 
-    def _cell(self, kcell, sls, zv, zd):
+    def _cell(self, kcell, sls, zv, zd, lanes):
         """Values and gradients on the block ``sls`` of points in mesh cell
-        ``kcell``."""
+        ``kcell``.  ``lanes`` holds each reduced step's output by its
+        projection, which later cells that share it read."""
         d = self.d
         las, loc, rv = self._tuples(kcell)
         t = len(rv)
@@ -497,10 +501,21 @@ class _CompiledField:
             seed[0, :, a] = zd[a][ix].ravel()
             st[0, 1 << a] = zv[a][ix].reshape(1, -1), seed
         for step in self._steps:
-            if step[0] != self._full:
-                shape = _lane_shape(step[0], size)
-                at = np.unravel_index(np.arange(np.prod(shape)), shape)
-                self._run(step, st, at, size)
+            s, l, _, packed = step
+            if s == self._full:
+                continue
+            # the step's output depends on its axes' intervals and points
+            # alone; the slice is in the key, as an unsorted axis can split
+            # one interval into several segments
+            key = (l, s) + tuple((kcell[a], sls[a].start, sls[a].stop)
+                                 for a in range(d) if s >> a & 1)
+            if key in lanes:
+                st[l + len(packed) - 1, s] = lanes[key]
+                continue
+            shape = _lane_shape(s, size)
+            at = np.unravel_index(np.arange(np.prod(shape)), shape)
+            self._run(step, st, at, size)
+            lanes[key] = st[l + len(packed) - 1, s]
         full = [step for step in self._steps if step[0] == self._full]
         # the chunks of the full net restricted to the cell, all t tuples
         chunk = _grad_chunk(n, t * self._width, d)
@@ -531,8 +546,9 @@ class _CompiledField:
         for k in ks:
             bounds = np.concatenate(
                 ([0], np.nonzero(np.diff(k))[0] + 1, [len(k)]))
+            # an empty axis has no segment, so the grid no cell
             segs.append([(int(k[lo]), slice(int(lo), int(hi)))
-                         for lo, hi in zip(bounds[:-1], bounds[1:])])
+                         for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi])
         cells = [(tuple(c[0] for c in cell), tuple(c[1] for c in cell))
                  for cell in itertools.product(*segs)]
         zv, zd = self._tables(axes, ks)
@@ -571,8 +587,9 @@ class _CompiledField:
         return out, grad
 
     def _fill(self, cells, zv, zd, out, grad):
+        lanes = {}
         for kcell, sls in cells:
-            out[sls], grad[sls] = self._cell(kcell, sls, zv, zd)
+            out[sls], grad[sls] = self._cell(kcell, sls, zv, zd, lanes)
 
     def value_axes(self, axes):
         return self._eval_axes(axes)[0]

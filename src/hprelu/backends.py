@@ -8,19 +8,24 @@ contraction, runs through a BLAS dot.  scipy is imported on the first
 kernel call, not with the package.
 
 The one forward pass, with or without jacobian directions, runs narrow
-layers in cache-sized tiles of points, each held plane-major: the values,
-then one contiguous plane per direction (``_narrow_run``).  Every ReLU
-outside the tiles, a wide layer's or one a caller applies after a pass that
-stops short of a net's output, is ``relu``.
+layers in cache-sized tiles of points (``_narrow_run``).  A tile holds its
+values as (rows, n) and its nd jacobian directions as (rows, nd, n), and
+each layer makes one kernel call on each: the jacobian call sees nd * n
+columns a row.  The loop sums every column on its own, from the row's
+start value through its stored terms in order, so a (direction, point)
+column gets the sum that a call on its direction's plane alone gives: no
+bit moves.  Every ReLU outside the tiles, a wide layer's or one a caller
+applies after a pass that stops short of a net's output, is ``relu``.
 
 The two serving entries, ``run_forward`` and ``run_forward_grad`` with no
 seed, hand a narrow run's tiles to threads, one per usable core up to
-``_MAX_WORKERS``, each a contiguous block of whole tiles, while the tile
-bounds stay where one thread puts them.  A tile is a range of columns the
-in-order loop sums on its own, so no bit moves; a wide layer, whose BLAS
-sums may depend on the column range, runs whole on the caller's thread.  A
-pass with an explicit seed (certification, which already runs a process
-per core) stays on one thread.
+``_MAX_WORKERS``, in equal contiguous blocks of whole tiles: the tile count
+is rounded down to a multiple of the threads (``_tile_split``).  A tile is
+a range of columns the in-order loop sums on its own, so its bounds move no
+bit; a wide layer, whose BLAS sums may depend on the column range, runs
+whole on the caller's thread.  A pass with an explicit seed
+(certification, which already runs a process per core) stays on one
+thread, so its tile count is not rounded.
 
 A carry row, in a layer strictly inside a narrow run, holds one stored
 entry of weight 1.0 (bitwise) and bias +-0.0: it passes on a row that a
@@ -78,12 +83,13 @@ def _pool_size(tasks):
 
 # A narrow run's tile holds about _TILE_BYTES of values and jacobian in its
 # widest layer, so one layer's input and output stay within a 2 MiB L2.
-# Each tile pays a fixed cost per layer: 1 + nd kernel calls, the bias fill
-# and the mask.  The floor is the smallest tile that amortises it.  In a
-# sweep of 8-256 points on the two benchmark nets (2,535 and 5,831 rows
-# wide) at 25-1,000 points a batch, 8 and 16 ran 10-20% slower than 32 on
-# the 2,535-row net, and 64 or more ran 10-30% slower on the 5,831-row net
-# from 100 points up, its tiles outgrowing the cache.
+# Each tile pays a fixed cost per layer: two kernel calls (one without
+# directions), the fills and the mask.  The floor is the smallest tile that
+# amortises it, sized when a layer made 1 + nd calls.  In a sweep of 8-256
+# points on the two benchmark nets (2,535 and 5,831 rows wide) at 25-1,000
+# points a batch, 8 and 16 ran 10-20% slower than 32 on the 2,535-row net,
+# and 64 or more ran 10-30% slower on the 5,831-row net from 100 points up,
+# its tiles outgrowing the cache.
 _TILE_BYTES = 1 << 20
 _TILE_MIN = 32
 
@@ -282,69 +288,93 @@ def row_masks(packed, d):
         yield mask
 
 
+def _tile_split(npts, target, threads):
+    """(tiles, threads) for ``npts`` points at about ``target`` points a
+    tile: as many tiles as full ones would need, rounded down to a multiple
+    of the threads, and no more threads than tiles, so every thread takes
+    the same number of tiles.  A tile can then hold up to 1.5 times the
+    target at two threads."""
+    tiles = -(-npts // target)
+    threads = max(1, min(tiles, threads))
+    return tiles - tiles % threads, threads
+
+
 def _narrow_run(plan, y, jac, relu_last, threads):
     """Run a narrow run's ``Packed._plan`` tile by tile over the points, in
-    as few tiles as ``_tile_points`` allows for its widest layer, all of
-    near-equal size.
+    tiles of near-equal size that ``_tile_split`` counts from the
+    ``_tile_points`` of the run's widest layer.
 
     y is (in, npts) and jac (in, npts, nd), point-major as the public pass
-    holds them.  A tile is two plane-major (1 + nd, height, tile) arrays
-    that the layers take in turn, input and output: the values, then one
-    contiguous plane per direction, each summed by its own kernel call; the
-    jacobian planes start from +0.0 where the values start from the bias,
-    and the ReLU mask multiplies them plane by plane.  A layer writes its
-    computed rows from row 0; the slots follow at row ``top`` in both
-    arrays, and a layer's roots are copied into them after its ReLU.
-    Returns the run's (out, npts) values and (out, npts, nd) jacobian.
+    holds them.  A tile holds its values as (height, n) and its jacobian as
+    (height, nd, n), each in two arrays that the layers take in turn, input
+    and output.  Each layer makes one kernel call on the values, from the
+    bias, and one on the jacobian seen as (height, nd * n), from +0.0; the
+    ReLU mask of the values multiplies every direction.  A value pass (nd =
+    0) makes the one call.  A layer writes its computed rows from row 0;
+    the slots follow at row ``top``, and a layer's roots are copied into
+    them, in both arrays, after its ReLU.  Returns the run's (out, npts)
+    values and (out, npts, nd) jacobian.
 
-    The tiles go in contiguous blocks to ``min(tiles, threads)`` threads:
-    the caller's takes the first block, each started thread one more, and
-    each writes only its own columns of the outputs.  Every buffer a block
-    writes is allocated here, on the caller's thread: the two tile arrays
-    and a mask plane.  A thread that allocated its own would open a malloc
-    arena of its own, and the memory with it.
+    The tiles go in equal contiguous blocks to the threads: the caller's
+    takes the first block, each started thread one more, and each writes
+    only its own columns of the outputs.  Every buffer a block writes is
+    allocated here, on the caller's thread: the tile arrays and a mask
+    plane.  A thread that allocated its own would open a malloc arena of
+    its own, and the memory with it.
     """
     layers, copies, top, slots, widest = plan
     npts, nd = jac.shape[1], jac.shape[2]
-    rows = [len(bias) for _, _, _, bias in layers]
     height, fill = top + slots, min(len(y), top)
-    tiles = -(-npts // _tile_points(max(widest, len(y)), nd))
-    y_out = np.empty((rows[-1], npts))
-    jac_out = np.empty((rows[-1], npts, nd))
-    relu = [True] * (len(layers) - 1) + [relu_last]
-    threads = max(1, min(tiles, threads))
+    tiles, threads = _tile_split(npts, _tile_points(max(widest, len(y)), nd), threads)
     span = -(-npts // max(tiles, 1))
-    bufs = [(np.empty((2, (1 + nd) * height * span)),
-             np.empty(top * span, dtype=bool)) for _ in range(threads)]
+    # each layer's arguments, once a pass: its kernel arrays, the bias as a
+    # column, its computed rows, whether a ReLU follows and its root copies
+    last = len(layers) - 1
+    steps = [(indptr, cols, vals, bias[:, None], len(bias), j < last or relu_last,
+              copies.get(j)) for j, (indptr, cols, vals, bias) in enumerate(layers)]
+    out = steps[-1][4]
+    y_out = np.empty((out, npts))
+    jac_out = np.empty((out, npts, nd))
+    bufs = [(np.empty((2, height * span)), np.empty((2, height * nd * span)),
+             np.empty(top * span if nd else 0, dtype=bool)) for _ in range(threads)]
 
     def block(k):
-        planes, mask = bufs[k]
+        vbuf, jbuf, mbuf = bufs[k]
         for i in range(k * tiles // threads, (k + 1) * tiles // threads):
             p0, p1 = i * npts // tiles, (i + 1) * npts // tiles
             n = p1 - p0
-            tile = planes[:, :(1 + nd) * height * n].reshape(2, 1 + nd, height, n)
-            t = tile[0]
-            t[0, :fill] = y[:fill, p0:p1]
-            t[1:, :fill] = jac[:fill, p0:p1].transpose(2, 0, 1)
-            for j, ((indptr, cols, vals, bias), r, act) in enumerate(
-                    zip(layers, rows, relu)):
-                o = tile[1 - j % 2, :, :r]
-                o[0] = bias[:, None]
-                o[1:] = 0.0
-                for q in range(1 + nd):
-                    _csr_add(indptr, cols, vals, t[q], o[q])
+            v = vbuf[:, :height * n].reshape(2, height, n)
+            v[0, :fill] = y[:fill, p0:p1]
+            if nd:
+                g = jbuf[:, :height * nd * n].reshape(2, height, nd, n)
+                # the jacobian as the kernel sums it, nd * n columns a row
+                flat = g.reshape(2, height, nd * n)
+                g[0, :fill] = jac[:fill, p0:p1].transpose(0, 2, 1)
+                mask = mbuf[:top * n].reshape(top, n)
+                spread = mask[:, None]
+            t = 0
+            for indptr, cols, vals, bias, r, act, copy in steps:
+                o = v[1 - t, :r]
+                o[...] = bias
+                _csr_add(indptr, cols, vals, v[t], o)
+                if nd:
+                    oj = flat[1 - t, :r]
+                    oj.fill(0.0)
+                    _csr_add(indptr, cols, vals, flat[t], oj)
                 if act:
                     if nd:
-                        m = mask[:r * n].reshape(r, n)
-                        np.greater(o[0], 0.0, out=m)
-                        o[1:] *= m
-                    np.maximum(o[0], 0.0, out=o[0])
-                if j in copies:
-                    roots, lo, hi = copies[j]
-                    tile[:, :, top + lo:top + hi] = o[:, roots]
-                t = tile[1 - j % 2]
-            y_out[:, p0:p1] = t[0, :rows[-1]]
-            jac_out[:, p0:p1] = t[1:, :rows[-1]].transpose(1, 2, 0)
+                        np.greater(o, 0.0, out=mask[:r])
+                        g[1 - t, :r] *= spread[:r]
+                    np.maximum(o, 0.0, out=o)
+                if copy is not None:
+                    roots, lo, hi = copy
+                    v[:, top + lo:top + hi] = o[roots]
+                    if nd:
+                        flat[:, top + lo:top + hi] = oj[roots]
+                t = 1 - t
+            y_out[:, p0:p1] = v[t, :out]
+            if nd:
+                jac_out[:, p0:p1] = g[t, :out].transpose(0, 2, 1)
 
     errors = {}
 

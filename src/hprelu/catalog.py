@@ -9,10 +9,12 @@ come back NaN; values there are the correct limits.
 """
 
 import math
+import numbers
 
 import numpy as np
 
 from .legendre import polyder, polyval
+from .mesh import _level
 
 __all__ = [
     "WeightedFunction",
@@ -75,6 +77,14 @@ class WeightedFunction:
 GAMMA_SHIFT = 1e-6
 
 
+def _finite(v, name):
+    """``v`` as a float, checked to be a finite real number: never a bool
+    or a string, which would otherwise be coerced or fail deep inside."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v!r}: it must be a finite real number")
+    return float(v)
+
+
 def _power_law(lam, radial, factors):
     """r^lam (no factors) or its mixed first partial along the m axes whose
     offsets are ``factors``: coef * r^(lam - 2m) * prod(factors), with r^2
@@ -93,18 +103,15 @@ def _power_law(lam, radial, factors):
 
 def corner_singular(dim, lam, corner=None):
     """r^lam about a corner point (default origin)."""
+    dim = _level(dim, 1, "dimension")
     if dim not in (2, 3):
         raise ValueError("corner singularities supported in dimensions 2 and 3")
     if corner is None:
         corner = (0.0,) * dim
-    corner = tuple(float(c) for c in corner)
+    corner = tuple(_finite(c, "corner coordinates") for c in corner)
     if len(corner) != dim:
         raise ValueError("corner length must match dimension")
-    for cc in corner:
-        if not math.isfinite(cc):
-            raise ValueError(f"corner coordinates must be finite, got {cc!r}")
-    if not math.isfinite(lam):
-        raise ValueError(f"corner exponent lam must be finite, got {lam!r}")
+    lam = _finite(lam, "corner exponent lam")
     if dim == 2 and not lam > GAMMA_SHIFT:
         raise ValueError(
             f"inadmissible corner exponent in 2d: need lam > {GAMMA_SHIFT} "
@@ -113,7 +120,6 @@ def corner_singular(dim, lam, corner=None):
         raise ValueError(
             f"inadmissible corner exponent in 3d: need lam > {0.5 + GAMMA_SHIFT} "
             f"(so gamma_c = lam+1-{GAMMA_SHIFT} > 3/2), got lam = {lam}")
-    lam = float(lam)
 
     def val(*c):
         return _power_law(lam, [x - cc for x, cc in zip(c, corner)], ())
@@ -127,17 +133,16 @@ def corner_singular(dim, lam, corner=None):
 
 def edge_singular(lam, axis=2, dim=3):
     """r_e^lam, distance to the coordinate axis ``axis`` in 3d."""
-    if dim != 3:
+    if _level(dim, 1, "dimension") != 3:
         raise ValueError("edge singularities are defined in dimension 3 only")
-    if axis not in (0, 1, 2):
+    axis = _level(axis, 0, "edge axis")
+    if axis > 2:
         raise ValueError("edge axis must be 0, 1 or 2")
-    if not math.isfinite(lam):
-        raise ValueError(f"edge exponent lam must be finite, got {lam!r}")
+    lam = _finite(lam, "edge exponent lam")
     if not lam > GAMMA_SHIFT:
         raise ValueError(
             f"inadmissible edge exponent: need lam > {GAMMA_SHIFT} "
             f"(so gamma_e = lam+1-{GAMMA_SHIFT} > 1), got lam = {lam}")
-    lam = float(lam)
     perp = tuple(j for j in range(3) if j != axis)
 
     def val(*c):
@@ -177,14 +182,13 @@ def _sep_factors(dim, kind, params):
 
 def analytic_fn(dim, kind, params):
     """Entire separable function: product over axes of 1d analytic factors."""
+    dim = _level(dim, 1, "dimension")
     need = {"constant": "value", "polynomial": "axis_coeffs", "trig": "freq",
             "exp": "rate"}.get(kind)
     if need is not None and need not in params:
         raise ValueError(f"{kind} needs the parameter {need!r}")
     if kind == "constant":
-        v = float(params["value"])
-        if not math.isfinite(v):
-            raise ValueError(f"constant value must be finite, got {v!r}")
+        v = _finite(params["value"], "constant value")
 
         def val(*c):
             return np.full(np.broadcast(*c).shape, v)

@@ -474,7 +474,7 @@ def test_lane_plan_partitions_the_stage(dim):
     assert 0 < full_nnz < sum(len(vals) for _, _, vals, _ in stage)
 
 
-def test_reduced_lanes_run_once_per_cell(monkeypatch):
+def test_reduced_lanes_run_once_per_projection(monkeypatch):
     # the budget splits the largest cells into several chunks
     monkeypatch.setattr(network, "_JAC_BUDGET", 140_000)
     # the serial loop, so that the spies see every cell
@@ -496,19 +496,64 @@ def test_reduced_lanes_run_once_per_cell(monkeypatch):
         chunks.append((npts, network._grad_chunk(npts, width, nd)))
         return chunks[-1][1]
 
+    live, cell = [], f._cell
+
+    def spy_cell(kcell, sls, *args):
+        if np.count_nonzero(f._tuples(kcell)[2]):
+            live.append((kcell, sls))
+        return cell(kcell, sls, *args)
+
     monkeypatch.setattr(backends, "run_forward_grad", run)
     monkeypatch.setattr(assembly, "_grad_chunk", spy)
+    monkeypatch.setattr(f, "_cell", spy_cell)
     f.value_axes([np.linspace(0.0, 1.0, 12)] * 3)
-    # one chunk size per cell
+    # one chunk size per cell with a nonzero tuple
     cells = len(chunks)
-    assert cells > 1 and any(c < n for n, c in chunks)
-    # each all-axes step runs one kernel pass per chunk, over many tiles
+    assert cells == len(live) > 1 and any(c < n for n, c in chunks)
+    # each all-axes step runs one kernel pass per chunk, over many tiles;
+    # each other step once per projection of those cells onto its axes
     for s, _, _, packed in f._steps:
         if s == f._full:
             assert runs[id(packed)] == sum(-(-n // c) for n, c in chunks)
             assert cols[id(packed)] > 97
         else:
-            assert runs[id(packed)] == cells
+            axes = [a for a in range(3) if s >> a & 1]
+            assert runs[id(packed)] == len({
+                tuple((kcell[a], sls[a].start, sls[a].stop) for a in axes)
+                for kcell, sls in live}) < cells
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shared_lanes_move_no_bit(monkeypatch, dim):
+    # on an unsorted axis one interval falls into several segments of
+    # points, each its own projection; values and gradients equal those
+    # of cells that each run every lane themselves, bit for bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rng = np.random.default_rng(14)
+    axes = [rng.permutation(np.linspace(0.0, 1.0, 9))] + [
+        np.linspace(0.0, 1.0, 7)] * (dim - 1)
+    want = compiled_field(_lane_net(dim))
+    cell = want._cell
+    monkeypatch.setattr(want, "_cell",
+                        lambda kcell, sls, zv, zd, lanes: cell(kcell, sls, zv, zd, {}))
+    got = compiled_field(_lane_net(dim))
+    for a, b in ((got.value_axes(axes), want.value_axes(axes)),
+                 (got.gradient_axes(axes), want.gradient_axes(axes))):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("empty", [0, 1, (0, 1)], ids=["first", "last", "both"])
+def test_fields_on_a_grid_with_an_empty_axis(empty):
+    # an empty axis makes an empty grid: every field kind returns its
+    # (len(a0), len(a1)) shape, the compiled one as the others do
+    axes = [np.array([]) if a in np.atleast_1d(empty) else np.linspace(0.0, 1.0, 5)
+            for a in range(2)]
+    shape = tuple(len(a) for a in axes)
+    fields = [compiled_field(_lane_net(2)), _corner_interp(), corner_singular(2, 0.5)]
+    for field in fields:
+        assert field.value_axes(axes).shape == shape
+        assert field.partial_axes(axes, 1).shape == shape
+    assert fields[0].gradient_axes(axes).shape == shape + (2,)
 
 
 @pytest.mark.parametrize("row", [-1, 1, 2.7, True, "0", None])

@@ -188,3 +188,34 @@ def test_registry_rejects_mistyped_parameters(name, params, dim, message):
     # a boolean is no number and a float no axis index: neither is coerced
     with pytest.raises(ValueError, match=re.escape(message)):
         from_spec(name, params, dim)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: edge_singular(0.6, axis=True), "edge axis must be >= 0, got True"),
+    (lambda: edge_singular(0.6, axis=1.0), "edge axis must be >= 0, got 1.0"),
+    (lambda: corner_singular(2, True), "corner exponent lam must be finite, got True"),
+    (lambda: edge_singular(True), "edge exponent lam must be finite, got True"),
+    (lambda: corner_singular(2.0, 0.5), "dimension must be >= 1, got 2.0"),
+    (lambda: analytic_fn(2.5, "constant", {"value": 1.0}), "dimension must be >= 1, got 2.5"),
+    (lambda: analytic_fn(2, "constant", {"value": True}),
+     "constant value must be finite, got True"),
+    (lambda: corner_singular(2, 0.5, corner=[True, 0]),
+     "corner coordinates must be finite, got True"),
+    (lambda: corner_singular(2, "0.5"), "corner exponent lam must be finite, got '0.5'")],
+    ids=["bool-axis", "float-axis", "bool-corner-lam", "bool-edge-lam", "float-dim",
+         "fractional-dim", "bool-value", "bool-coordinate", "string-lam"])
+def test_constructors_reject_what_they_would_coerce(make, message):
+    # the catalog's own constructors check their inputs as from_spec checks
+    # the CLI's: a boolean is no number, a float no axis or dimension, and
+    # neither is coerced
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_constructors_take_numpy_scalars():
+    # numpy's integers and floats are integers and reals
+    u = corner_singular(np.int64(2), np.float64(0.5), (np.float64(0.1), 0))
+    e = edge_singular(np.float64(0.6), axis=np.int64(1))
+    assert (u.dim, e.dim) == (2, 3)
+    assert u.value(0.1, 1.0) == corner_singular(2, 0.5, (0.1, 0.0)).value(0.1, 1.0)
+    assert e.name == edge_singular(0.6, axis=1).name == "edge(lam=0.6,axis=1)"

@@ -659,15 +659,16 @@ def test_tiles_do_not_reenter_run_forward_grad(monkeypatch):
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
     x = rng.standard_normal((2, 100))
-    # one call per plane (the values and nd directions) per layer per
-    # tile: 25 tiles of 4 points
-    for name, nd in (("run_forward_grad", 2), ("run_forward", 0)):
+    # one call on the values and one on all nd directions per layer per
+    # tile, the values alone without directions: 25 tiles of 4 points,
+    # rounded down to 24 for two threads
+    for name, calls_per_layer in (("run_forward_grad", 2), ("run_forward", 1)):
         calls.clear()
         kernel_calls.clear()
         threads.clear()
         getattr(backends, name)(net.packed(), x)
         assert calls == [name]
-        assert len(kernel_calls) == (1 + nd) * net.depth * 25
+        assert len(kernel_calls) == calls_per_layer * net.depth * 24
         assert len(threads) == 2
 
 
@@ -706,7 +707,8 @@ def test_tile_floor(monkeypatch, rows):
     net = NeuralNetwork(2, [hidden, out])
     assert (backends._tile_points(rows, 2) == backends._TILE_MIN) == (rows == 3000)
     kernel_calls = _count_kernel_calls(monkeypatch)
-    # the value pass (nd = 0) has tiles of its own, one call per layer each
+    # the value pass (nd = 0) has tiles of its own, one call per layer
+    # each; a jacobian pass makes two, the values and all nd directions
     for nd in (2, 0):
         tile = backends._tile_points(rows, nd)
         for npts, tiles in [(backends._TILE_MIN - 1, 1), (tile, 1),
@@ -719,8 +721,30 @@ def test_tile_floor(monkeypatch, rows):
                 assert np.array_equal(_bits(np.moveaxis(jac, 1, 0)), _bits(want_jac))
             else:
                 y = backends.run_forward(net.packed(), x)
-            assert len(kernel_calls) == (1 + nd) * net.depth * tiles
+            assert len(kernel_calls) == (2 if nd else 1) * net.depth * tiles
             assert np.array_equal(_bits(y.T), _bits(want))
+
+
+def _tiles_of(monkeypatch, workers, npts, tile, sizes):
+    """Serve ``npts`` points of a two-layer net at ``tile`` points a tile on
+    ``workers`` threads: its kernel calls are the tiles ``sizes``, one per
+    layer each, and no thread is started without a tile."""
+    net = NeuralNetwork(1, [Layer(3, 1, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 2.0],
+                                  [0.5, 0.0, -0.5]),
+                            Layer(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0], [0.0])])
+    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
+    monkeypatch.setattr(backends, "_TILE_MIN", tile)
+    _cores(monkeypatch, workers)
+    threads = kernel_threads(monkeypatch)
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    y = backends.run_forward(net.packed(), np.linspace(-1.0, 1.0, npts)[None, :])
+    assert y.shape == (1, npts)
+    assert len(threads) == min(workers, len(sizes))
+    want = [k for k in sizes for _ in range(net.depth)]
+    assert sorted(kernel_calls) == sorted(want)
+    if workers == 1:
+        # one thread makes its calls in tile order
+        assert kernel_calls == want
 
 
 @pytest.mark.parametrize("npts, tile, sizes", [
@@ -729,17 +753,16 @@ def test_tile_floor(monkeypatch, rows):
 def test_tiles_are_balanced(monkeypatch, npts, tile, sizes):
     # a run takes as many tiles as full ones would need, of near-equal
     # size, not full tiles and a runt; no points, no tile
-    net = NeuralNetwork(1, [Layer(3, 1, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 2.0],
-                                  [0.5, 0.0, -0.5]),
-                            Layer(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0], [0.0])])
-    monkeypatch.setattr(backends, "_TILE_BYTES", 0)
-    monkeypatch.setattr(backends, "_TILE_MIN", tile)
-    # one thread, so the calls come in tile order
-    monkeypatch.setattr(backends, "_MAX_WORKERS", 1)
-    kernel_calls = _count_kernel_calls(monkeypatch)
-    y = backends.run_forward(net.packed(), np.linspace(-1.0, 1.0, npts)[None, :])
-    assert y.shape == (1, npts)
-    assert kernel_calls == [k for k in sizes for _ in range(net.depth)]
+    _tiles_of(monkeypatch, 1, npts, tile, sizes)
+
+
+@pytest.mark.parametrize("npts, tile, sizes", [
+    (250, 61, [62, 63, 62, 63]), (250, 50, [62, 63, 62, 63]), (62, 61, [31, 31]),
+    (61, 61, [61]), (7, 3, [3, 4]), (7, 2, [1, 2, 2, 2]), (0, 61, [])])
+def test_tiles_are_balanced_over_threads(monkeypatch, npts, tile, sizes):
+    # on two threads the tile count is rounded down to an even one, so the
+    # threads take as many tiles each; one tile starts no thread
+    _tiles_of(monkeypatch, 2, npts, tile, sizes)
 
 
 def test_large_value_batches_run_in_chunks(monkeypatch):
@@ -795,9 +818,10 @@ def _wide_head_nets(draw):
 @settings(max_examples=50, deadline=None)
 @given(_wide_head_nets(), st.integers(1, 4), st.integers(2, 4))
 def test_threaded_tiles_move_no_bit(case, tile, workers):
-    # the serving entries share each narrow run's tiles out to threads; the
-    # values and jacobians of both equal the one-thread pass's bit for bit,
-    # and the tiles are the one-thread pass's tiles
+    # the serving entries share each narrow run's tiles out to threads in
+    # equal blocks; the values and jacobians of both equal the one-thread
+    # pass's bit for bit, and the value pass sums each narrow layer on the
+    # tiles of the even split and each wide layer on the whole batch
     net, pts = case
     n = len(pts)
 
@@ -813,19 +837,29 @@ def test_threaded_tiles_move_no_bit(case, tile, workers):
             tiles = _count_kernel_calls(mp)
             sys.setswitchinterval(1e-6)
             try:
-                got = (backends.run_forward(net.packed(), pts.T),
-                       *backends.run_forward_grad(net.packed(), pts.T))
+                got = (backends.run_forward(net.packed(), pts.T),)
+                value_calls = sorted(tiles)
+                got += backends.run_forward_grad(net.packed(), pts.T)
             finally:
                 sys.setswitchinterval(interval)
-        return got, sorted(tiles), len(threads)
+        return got, value_calls, len(threads)
+
+    def split(threads):
+        # every narrow run takes ceil(n / tile) tiles, rounded down to a
+        # multiple of the threads that share them
+        tiles = -(-n // tile)
+        tiles -= tiles % max(1, min(tiles, threads))
+        sizes = [(i + 1) * n // tiles - i * n // tiles for i in range(tiles)]
+        narrow = sum(stop - start for start, stop, ok in net.packed().runs if ok)
+        return sorted(sizes * narrow + [n] * (net.depth - narrow))
 
     want, want_tiles, _ = serve(1)
     got, got_tiles, threads = serve(workers)
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.array_equal(_bits(a), _bits(b))
-    assert got_tiles == want_tiles
-    # every narrow run has ceil(n / tile) tiles
+    assert want_tiles == split(1)
+    assert got_tiles == split(workers)
     assert (threads > 1) == (-(-n // tile) > 1)
 
 
@@ -1038,8 +1072,9 @@ def _mixed_after_separable(rng, depth):
 
 
 def test_separable_prefix_kernel_calls(monkeypatch):
-    # in 25 tiles of 4 points, the prefix sums 2 planes per layer per tile
-    # (the values and the one jacobian plane), the layers after it 1 + d
+    # 25 tiles of 4 points, 24 on two threads: every layer makes 2 kernel
+    # calls per tile, one on the values and one on its jacobian, which the
+    # prefix carries as one plane and the layers after it as d
     rng = np.random.default_rng(11)
     net = _mixed_after_separable(rng, depth=3)
     # the cut is found when the list is packed: before any pass, the one
@@ -1047,19 +1082,25 @@ def test_separable_prefix_kernel_calls(monkeypatch):
     assert [run[:2] for run in net.packed().runs] == [[0, 3], [3, 5]]
     assert net.packed().cut == 3
     kernel_calls = _count_kernel_calls(monkeypatch)
+    _cores(monkeypatch, 2)
     monkeypatch.setattr(backends, "_TILE_BYTES", 0)
     monkeypatch.setattr(backends, "_TILE_MIN", 4)
     x = rng.standard_normal((2, 100))
     y, jac = backends.run_forward_grad(net.packed(), x)
-    assert len(kernel_calls) == (2 * 3 + 3 * 2) * 25
+    # a tile of n points: the prefix's jacobian call sums n columns, the
+    # later layers' 2 * n
+    sizes = [(i + 1) * 100 // 24 - i * 100 // 24 for i in range(24)]
+    assert sorted(kernel_calls) == sorted([n for n in sizes for _ in range(2 * 3 + 2)]
+                                          + [2 * n for n in sizes for _ in range(2)])
     want = backends.run_forward_grad(backends.Packed(list(net.packed())), x,
                                      seed=_identity_seed(2, 100))
     assert np.array_equal(_bits(y), _bits(want[0]))
     assert np.array_equal(_bits(jac), _bits(want[1]))
-    # an explicit seed, as certification's lanes pass, keeps d planes
+    # an explicit seed, as certification's lanes pass, keeps d planes and
+    # one thread, so its tiles are not rounded
     kernel_calls.clear()
     backends.run_forward_grad(net.packed(), x, seed=_identity_seed(2, 100))
-    assert len(kernel_calls) == 3 * net.depth * 25
+    assert kernel_calls == [4, 8] * net.depth * 25
 
 
 def test_one_input_nets_skip_the_prefix(monkeypatch):
@@ -1198,6 +1239,40 @@ def test_carries_move_no_bit(case, tile, cores, data):
         assert np.array_equal(_bits(a), _bits(b))
     for a, b in zip(with_inf, want_inf):
         assert np.array_equal(_bits(a), _bits(b))
+
+
+# three terms whose sum depends on their order: the seed -1.0 gives
+# ((+0.0 - 1.0) - 2**-53) + 1.0 = +0.0 in stored order, -2**-53 reversed
+_ORDER_NET = (NeuralNetwork(1, [
+    Layer(3, 1, [0, 1, 2], [0, 0, 0], [1.0, 2.0 ** -53, -1.0], [1.0, 1.0, 1.0]),
+    Layer(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0], [0.0])]), np.array([[0.5]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_carry_nets(), st.integers(0, 4), st.integers(1, 3), st.sampled_from([1, 2]),
+       st.data())
+@example(_CARRY_CHAIN, 3, 2, 2, None)
+@example(_ORDER_NET, 1, 1, 1, None)
+def test_fused_directions_move_no_bit(case, nd, tile, threads, data):
+    # each layer of a tile sums all nd directions in one kernel call and
+    # masks them all; with explicit seeds of 0 to 4 directions, tiles of 1
+    # to 3 points on one or two threads and planted carries, values and
+    # jacobians equal the in-order oracle's bit for bit, signed zeros
+    # included
+    net, pts = case
+    d, n = net.input_dim, len(pts)
+    size = d * n * nd
+    seed = (np.reshape(data.draw(st.lists(_signed, min_size=size, max_size=size)),
+                       (d, n, nd)) if data else np.linspace(-1.0, 1.0, size).reshape(d, n, nd))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends, "_TILE_BYTES", 0)
+        mp.setattr(backends, "_TILE_MIN", tile)
+        y, jac = backends._forward(net.packed(), np.ascontiguousarray(pts.T), seed,
+                                   threads=threads)
+    want, want_jac = inorder_realize(net, pts, jac=True, seed=seed)
+    assert jac.shape == (net.output_dim, n, nd)
+    assert np.array_equal(_bits(y), _bits(want.T))
+    assert np.array_equal(_bits(jac), _bits(np.moveaxis(want_jac, 0, 1)))
 
 
 @pytest.mark.parametrize("nd", [0, 3])
